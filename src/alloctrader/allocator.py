@@ -4,10 +4,11 @@ timeframe agent trades next.
 Control flow per decision: the cursor rests on the last completed base bar.
 The chosen agent (forced to the 1-minute agent for a session's first
 decision) acts greedily at that bar's close, the market then advances one bar
-of the agent's timeframe (truncated at the session's final bar), the shared
-portfolio is marked at every base bar along the way, and the allocator is
-paid the log-return of portfolio value over the span. Spans therefore tile
-each session exactly, and the rewards telescope to ln(V_final / V_initial).
+of the agent's timeframe (truncated at the session's final bar), and the
+allocator is paid the log-return of portfolio value over the span. The trade,
+the marks at every base bar and the session-close liquidation happen in
+`envs.execute_span`, the one executor `TradingEnv` also runs. Spans tile each
+session exactly, and the rewards telescope to ln(V_final / V_initial).
 
 Agent observations inside the hierarchy use trailing windows of their own
 timeframe ending at the decision bar, so every agent sees data up to the
@@ -27,20 +28,13 @@ from .envs import (
     Action,
     EnvConfig,
     StepResult,
-    agent_reward,
     build_observation,
+    execute_span,
     normalize_market_window,
 )
 from .indicators import feature_table
 from .market_data import Session, TIMEFRAME_ORDER, Timeframe
-from .portfolio import (
-    PortfolioState,
-    TradeLogEntry,
-    buy_all,
-    features,
-    mark,
-    sell_all,
-)
+from .portfolio import PortfolioState, TradeLogEntry, features
 from .ppo import PolicyParameters, greedy_action
 
 
@@ -409,34 +403,12 @@ class HierarchyEnv:
         agent = self.registry[executed]
 
         act = Action(greedy_action(agent.params, self._agent_observation(executed, b)))
-        price = float(self.closes[b])
-        realized = 0.0
-        if act is Action.BUY:
-            self.portfolio, bought = buy_all(self.portfolio, price)
-            if bought:
-                self.trades.append(TradeLogEntry(self.timestamps[b], "buy", bought, price, 0.0))
-        elif act is Action.SELL:
-            self.portfolio, sale = sell_all(self.portfolio, price)
-            if sale is not None:
-                realized += agent_reward(sale.sell_price, sale.avg_cost)
-                self.trades.append(
-                    TradeLogEntry(self.timestamps[b], "sell", sale.shares, price, realized)
-                )
-
         span_end = min(b + executed.minutes, int(self.session_end_idx[b + 1]))
-        for i in range(b + 1, span_end + 1):
-            bar_price = float(self.closes[i])
-            self.portfolio = mark(self.portfolio, bar_price)
-            if self.session_last[i] and self.portfolio.shares > 0:
-                self.portfolio, sale = sell_all(self.portfolio, bar_price)
-                forced_reward = agent_reward(sale.sell_price, sale.avg_cost)
-                realized += forced_reward
-                self.trades.append(
-                    TradeLogEntry(self.timestamps[i], "sell", sale.shares, bar_price, forced_reward)
-                )
-            pf = features(self.portfolio)
-            self._pf_rows[i] = (pf.cash_ratio, pf.stock_ratio, pf.unrealized_profit_ratio)
-            self.equity.append((self.timestamps[i], self.portfolio.total_value))
+        span = execute_span(self.portfolio, act, self.closes, self.timestamps,
+                            self.session_last, b, span_end, self._pf_rows)
+        self.portfolio = span.portfolio
+        self.trades.extend(t for t in (span.trade, span.liquidation) if t is not None)
+        self.equity.extend(zip(self.timestamps[b + 1:span_end + 1], span.values))
 
         v_end = self.portfolio.total_value
         reward = allocator_reward(v_end, self._span_start_value)
@@ -451,7 +423,7 @@ class HierarchyEnv:
         )
         self.decisions.append(decision)
         self._span_start_value = v_end
-        self._last_rewards[executed] = realized
+        self._last_rewards[executed] = span.reward
         self._last_active = executed
         self.cursor = span_end
         self.done = span_end == self.n_bars - 1

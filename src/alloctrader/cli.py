@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -98,16 +99,10 @@ class _Paths:
 def _load_run(args) -> tuple[RunConfig, _Paths]:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
-        cfg = _replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
-        cfg = _replace(cfg, out_dir=args.out)
+        cfg = replace(cfg, out_dir=args.out)
     return cfg, _Paths(cfg.out_dir)
-
-
-def _replace(cfg: RunConfig, **kw) -> RunConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **kw)
 
 
 def _materialize_sessions(cfg: RunConfig) -> tuple[Session, ...]:

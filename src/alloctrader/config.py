@@ -200,9 +200,10 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _agent_settings(reader: _Reader, section: str) -> AgentSettings:
+def _ppo_hyperparams(reader: _Reader, section: str) -> PpoHyperparams:
+    """The nine PPO keys shared by the `agent.<tf>` and `allocator` sections."""
     try:
-        hp = PpoHyperparams(
+        return PpoHyperparams(
             total_timesteps=reader.integer(f"{section}.total_timesteps"),
             learning_rate=reader.number(f"{section}.learning_rate"),
             n_steps=reader.integer(f"{section}.n_steps"),
@@ -215,6 +216,10 @@ def _agent_settings(reader: _Reader, section: str) -> AgentSettings:
         )
     except PpoError as exc:
         raise ConfigError(f"config section {section}: {exc}") from exc
+
+
+def _agent_settings(reader: _Reader, section: str) -> AgentSettings:
+    hp = _ppo_hyperparams(reader, section)
     window = reader.integer(f"{section}.window_size")
     if window < 1:
         raise ConfigError(f"config key {section}.window_size: must be >= 1, got {window}")
@@ -286,20 +291,7 @@ def build_config(raw: dict[str, str]) -> RunConfig:
 
     agents = {tf: _agent_settings(reader, f"agent.{tf.label}") for tf in TIMEFRAME_ORDER}
 
-    try:
-        alloc_hp = PpoHyperparams(
-            total_timesteps=reader.integer("allocator.total_timesteps"),
-            learning_rate=reader.number("allocator.learning_rate"),
-            n_steps=reader.integer("allocator.n_steps"),
-            batch_size=reader.integer("allocator.batch_size"),
-            n_epochs=reader.integer("allocator.n_epochs"),
-            gamma=reader.number("allocator.gamma"),
-            gae_lambda=reader.number("allocator.gae_lambda"),
-            clip_range=reader.number("allocator.clip_range"),
-            entropy_coef=reader.number("allocator.entropy_coef"),
-        )
-    except PpoError as exc:
-        raise ConfigError(f"config section allocator: {exc}") from exc
+    alloc_hp = _ppo_hyperparams(reader, "allocator")
     market_window = reader.integer("allocator.market_window")
     vol_window = reader.integer("allocator.vol_window")
     alloc_cash = reader.number("allocator.initial_cash")

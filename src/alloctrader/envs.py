@@ -1,9 +1,10 @@
-"""Per-timeframe trading environment.
+"""Per-timeframe trading environment, and the span executor of both environments.
 
-An episode walks a cursor over resampled bars spanning one or more sessions.
-Each step trades at the current bar's close, advances one bar, re-marks the
-position, and force-liquidates if the new bar ends its session, so positions
-never survive overnight. Cash does carry across sessions within an episode.
+`execute_span` is the one place that trades, marks and liquidates: it trades at
+the decision bar's close, marks each bar of the span that follows, and
+force-liquidates if the span ends its session, so positions never survive
+overnight. `TradingEnv` runs it over one-bar spans, `allocator.HierarchyEnv`
+over spans of the chosen agent's timeframe. Cash carries across sessions.
 
 Rewards: a realized sale pays tanh(5 * (sell - avg_cost) / avg_cost); buys
 and holds pay 0. A step's reward therefore always lies in [-1, 1].
@@ -14,19 +15,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .indicators import feature_table
 from .market_data import Session, Timeframe, resample
 from .portfolio import (
-    PortfolioState,
-    TradeLogEntry,
-    buy_all,
-    features,
-    mark,
-    sell_all,
+    PortfolioState, TradeLogEntry, buy_all, features, mark, sell_all, value_and_ratios,
 )
 
 #: Scale applied to the fractional sale profit before the tanh squash.
@@ -83,6 +79,59 @@ def agent_reward(sell_price: float, avg_buy_price: float) -> float:
     if not avg_buy_price > 0:
         raise EnvError(f"avg_buy_price must be positive, got {avg_buy_price}")
     return float(np.tanh(REWARD_SCALE * (sell_price - avg_buy_price) / avg_buy_price))
+
+
+class SpanResult(NamedTuple):
+    """What one span did: the end state, the agent reward realized over the
+    span, the decision-bar fill and forced session-close sale (None when
+    there was none), and the portfolio value at every span bar."""
+
+    portfolio: PortfolioState
+    reward: float
+    trade: TradeLogEntry | None
+    liquidation: TradeLogEntry | None
+    values: list[float]
+
+
+def execute_span(
+    portfolio: PortfolioState, action: Action, closes: np.ndarray, timestamps: Sequence,
+    session_last: np.ndarray, decision: int, end: int, pf_rows: np.ndarray,
+) -> SpanResult:
+    """Trade `action` at closes[decision], then mark bars decision+1..end into
+    `pf_rows` as (cash, stock, unrealized) ratios. A span never crosses a
+    session close before `end`, so cash and shares are fixed over it and the
+    marks are one vector. If `end` closes its session the position is sold
+    there, and that bar's row and value are the ones after the sale.
+    """
+    price = float(closes[decision])
+    reward = 0.0
+    trade = None
+    if action is Action.BUY:
+        portfolio, bought = buy_all(portfolio, price)
+        if bought:
+            trade = TradeLogEntry(timestamps[decision], "buy", bought, price, 0.0)
+    elif action is Action.SELL:
+        portfolio, sale = sell_all(portfolio, price)
+        if sale is not None:
+            reward += agent_reward(sale.sell_price, sale.avg_cost)
+            trade = TradeLogEntry(timestamps[decision], "sell", sale.shares, price, reward)
+    span = slice(decision + 1, end + 1)
+    values, *ratios = value_and_ratios(
+        portfolio.cash, portfolio.shares, portfolio.cost_basis, closes[span]
+    )
+    pf_rows[span, 0], pf_rows[span, 1], pf_rows[span, 2] = ratios
+    values = values.tolist()
+    end_price = float(closes[end])
+    portfolio = mark(portfolio, end_price)
+    liquidation = None
+    if session_last[end] and portfolio.shares > 0:
+        portfolio, sale = sell_all(portfolio, end_price)
+        sale_reward = agent_reward(sale.sell_price, sale.avg_cost)
+        reward += sale_reward
+        liquidation = TradeLogEntry(timestamps[end], "sell", sale.shares, end_price, sale_reward)
+        values[-1], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = value_and_ratios(
+            portfolio.cash, portfolio.shares, portfolio.cost_basis, end_price)
+    return SpanResult(portfolio, reward, trade, liquidation, values)
 
 
 def normalize_market_window(feature_rows: np.ndarray, closes: np.ndarray) -> np.ndarray:
@@ -211,49 +260,26 @@ class TradingEnv:
         if self.done:
             raise EnvError("step() called on a finished episode; call reset()")
         action = Action(action) if not isinstance(action, Action) else action
-        c = self.cursor
-        price = float(self.closes[c])
-        reward = 0.0
-        trade = None
-        if action is Action.BUY:
-            self.portfolio, bought = buy_all(self.portfolio, price)
-            if bought:
-                trade = TradeLogEntry(self.timestamps[c], "buy", bought, price, 0.0)
-                self.trades.append(trade)
-        elif action is Action.SELL:
-            self.portfolio, sale = sell_all(self.portfolio, price)
-            if sale is not None:
-                reward = agent_reward(sale.sell_price, sale.avg_cost)
-                trade = TradeLogEntry(self.timestamps[c], "sell", sale.shares, price, reward)
-                self.trades.append(trade)
-        nxt = c + 1
-        next_price = float(self.closes[nxt])
-        self.portfolio = mark(self.portfolio, next_price)
-        forced = None
-        if self.session_last[nxt] and self.portfolio.shares > 0:
-            # A session's last bar never carries a position past the close.
-            self.portfolio, sale = sell_all(self.portfolio, next_price)
-            forced_reward = agent_reward(sale.sell_price, sale.avg_cost)
-            reward += forced_reward
-            forced = TradeLogEntry(self.timestamps[nxt], "sell", sale.shares, next_price, forced_reward)
-            self.trades.append(forced)
-        pf = features(self.portfolio)
-        self._pf_rows[nxt] = (pf.cash_ratio, pf.stock_ratio, pf.unrealized_profit_ratio)
+        nxt = self.cursor + 1
+        span = execute_span(self.portfolio, action, self.closes, self.timestamps,
+                            self.session_last, self.cursor, nxt, self._pf_rows)
+        self.portfolio = span.portfolio
+        self.trades.extend(t for t in (span.trade, span.liquidation) if t is not None)
         self.cursor = nxt
         self.done = nxt == self.n_bars - 1
         obs = self._observation()
         info = {
             "timestamp": self.timestamps[nxt],
             "portfolio_value": self.portfolio.total_value,
-            "trade": trade,
-            "forced_liquidation": forced,
+            "trade": span.trade,
+            "forced_liquidation": span.liquidation,
         }
         if self._trace_writer is not None:
             self._trace_writer.writerow(
                 [self.timestamps[nxt].isoformat(), action.name.lower(),
-                 repr(reward), repr(self.portfolio.total_value)]
+                 repr(span.reward), repr(self.portfolio.total_value)]
             )
-        return StepResult(obs, reward, self.done, info)
+        return StepResult(obs, span.reward, self.done, info)
 
     def _observation(self) -> np.ndarray:
         w = self.config.window_size

@@ -133,22 +133,33 @@ def sell_all(state: PortfolioState, price: float) -> tuple[PortfolioState, SaleR
     return new, record
 
 
+def value_and_ratios(cash: float, shares: int, cost_basis: float, price):
+    """Value, cash ratio, stock ratio and unrealized profit ratio of a position
+    marked at `price`, which may be one price or a float64 array of them.
+
+    The arithmetic is the same element by element either way, so a vector of
+    marks is bit-identical to marking one bar at a time. The profit ratio is
+    (price - avg_cost) / avg_cost, 0.0 when flat.
+    """
+    held = shares * price
+    value = cash + held
+    unrealized = 0.0
+    if shares > 0:
+        avg = cost_basis / shares
+        unrealized = (price - avg) / avg
+    return value, cash / value, held / value, unrealized
+
+
 def features(state: PortfolioState) -> PortfolioFeatures:
     """Cash/stock value ratios (summing to 1) and unrealized profit ratio.
 
-    The profit ratio is (last_price - avg_cost) / avg_cost, 0 when flat. No
-    clamping happens here; observation assembly clips it to [-1, 1].
+    No clamping happens here; observation assembly clips the profit ratio to
+    [-1, 1].
     """
-    tv = state.total_value
-    unrealized = 0.0
-    if state.shares > 0:
-        avg = state.cost_basis / state.shares
-        unrealized = (state.last_price - avg) / avg
-    return PortfolioFeatures(
-        cash_ratio=state.cash / tv,
-        stock_ratio=state.shares * state.last_price / tv,
-        unrealized_profit_ratio=unrealized,
+    _, cash_ratio, stock_ratio, unrealized = value_and_ratios(
+        state.cash, state.shares, state.cost_basis, state.last_price
     )
+    return PortfolioFeatures(cash_ratio, stock_ratio, unrealized)
 
 
 @dataclass(frozen=True)

@@ -545,6 +545,7 @@ range.validation_start = 2024-01-18
 range.validation_end = 2024-01-18
 range.test_start = 2024-01-19
 range.test_end = 2024-12-31
+run.fee_per_sell_share = 0.01
 agent.1m.total_timesteps = 96
 agent.1m.n_steps = 48
 agent.1m.batch_size = 24
@@ -552,7 +553,44 @@ agent.1m.n_epochs = 2
 agent.1m.learning_rate = 1e-3
 agent.1m.window_size = 4
 agent.1m.hidden = 8,8
+agent.10m.total_timesteps = 96
+agent.10m.n_steps = 48
+agent.10m.batch_size = 24
+agent.10m.n_epochs = 2
+agent.10m.learning_rate = 1e-3
+agent.10m.window_size = 4
+agent.10m.hidden = 8,8
+agent.1h.total_timesteps = 96
+agent.1h.n_steps = 48
+agent.1h.batch_size = 24
+agent.1h.n_epochs = 2
+agent.1h.learning_rate = 1e-3
+agent.1h.window_size = 4
+agent.1h.hidden = 8,8
+allocator.total_timesteps = 96
+allocator.n_steps = 48
+allocator.batch_size = 24
+allocator.n_epochs = 2
+allocator.learning_rate = 1e-3
+allocator.hidden = 8,8
+allocator.market_window = 20
+allocator.vol_window = 10
 """
+
+TINY_RUN_COMMANDS = (
+    ["synth"],
+    ["train-agent", "1m"],
+    ["train-agent", "10m"],
+    ["train-agent", "1h"],
+    ["train-allocator"],
+    ["backtest", "hierarchy"],
+    ["backtest", "agent:1m"],
+    ["backtest", "agent:10m"],
+    ["backtest", "agent:1h"],
+    ["backtest", "buyhold"],
+    ["analyze", "--granularity", "daily"],
+    ["report"],
+)
 
 
 def test_criterion_12_determinism(tmp_path, capsys):
@@ -560,28 +598,20 @@ def test_criterion_12_determinism(tmp_path, capsys):
         out = tmp_path / tag
         cfg = tmp_path / f"{tag}.cfg"
         cfg.write_text(TINY_RUN_CONFIG)
-        base = ["--config", str(cfg), "--out", str(out)]
-        assert main(["synth"] + base) == 0
-        assert main(["train-agent", "1m"] + base) == 0
-        assert main(["backtest", "agent:1m"] + base) == 0
-        return out
+        for command in TINY_RUN_COMMANDS:
+            assert main(command + ["--config", str(cfg), "--out", str(out)]) == 0, command
+        return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
-    out_a = run_once("a")
-    out_b = run_once("b")
-    artifacts = (
-        "checkpoints/agent_1m_seed0.ckpt",
-        "reports/agent_1m_equity.csv",
-        "reports/agent_1m_trades.csv",
-        "reports/agent_1m_metrics.json",
-        "reports/agent_1m_metrics.txt",
-    )
-    mismatched = [
-        name for name in artifacts
-        if (out_a / name).read_bytes() != (out_b / name).read_bytes()
-    ]
+    files_a = run_once("a")
+    files_b = run_once("b")
+    mismatched = sorted(name for name in files_a.keys() | files_b.keys()
+                        if files_a.get(name) != files_b.get(name))
     ok = not mismatched
-    _verdict(capsys, 12, ok, "repeated seeded train + backtest are byte-identical",
-             f"{len(artifacts)} artifacts compared" + (f", mismatched: {mismatched}" if mismatched else ""))
+    _verdict(capsys, 12, ok, "repeated seeded pipeline (4 learners, 5 backtests) is byte-identical",
+             f"{len(files_a)} artifacts compared"
+             + (f", mismatched: {mismatched}" if mismatched else ""))
+    # 4 checkpoints, 4 training curves, 3 data files and 25 reports at least.
+    assert len(files_a) >= 36
     assert not mismatched
 
 

@@ -20,6 +20,7 @@ from alloctrader.allocator import (
 from alloctrader.envs import EnvConfig, build_observation
 from alloctrader.indicators import feature_table
 from alloctrader.market_data import TIMEFRAME_ORDER, Timeframe
+from alloctrader.portfolio import PortfolioState, buy_all, features, mark, sell_all
 from alloctrader.ppo import NetworkSpec, PolicyParameters
 from conftest import constant_action_params, stub_registry
 
@@ -227,6 +228,51 @@ class TestStep:
                 rewards.append(env.step(c).reward)
             logs.append(rewards)
         assert logs[0] == logs[1]
+
+    def test_span_marks_equal_bar_by_bar_replay(self, regime_result):
+        # The 1m agent buys, the 10m agent sells and the 1h agent holds, so
+        # random choices give held, flat and liquidated spans of every length.
+        agents = {}
+        for tf, w, action in zip(TIMEFRAME_ORDER, (12, 8, 6), (BUY, SELL, HOLD)):
+            params = constant_action_params(NetworkSpec(w * 8, (16, 16), 3), action)
+            agents[tf] = RegisteredAgent(params, EnvConfig(timeframe=tf, window_size=w))
+        config = AllocatorConfig(market_window=20, vol_window=10, fee_per_sell_share=0.01)
+        env = HierarchyEnv(regime_result.sessions, AgentRegistry(agents), config)
+        env.reset()
+        rng = np.random.default_rng(12)
+        while not env.done:
+            env.step(int(rng.integers(0, 3)))
+        assert {t.side for t in env.trades} == {"buy", "sell"}
+
+        # Replay the trade log one bar at a time with the scalar primitives. A
+        # sale at a session's final bar is the liquidation, booked before the
+        # bar's mark is recorded; every other fill is a decision made after it.
+        start = env._start_cursor
+        bar_of = {ts: i for i, ts in enumerate(env.timestamps)}
+        fills = {}
+        for t in env.trades:
+            fills.setdefault(bar_of[t.timestamp], []).append(t)
+        state = PortfolioState.initial(config.initial_cash, float(env.closes[start]), 0.01)
+        equity, rows = [], []
+        for i in range(start, env.n_bars):
+            price = float(env.closes[i])
+            state = mark(state, price)
+            pending = fills.get(i, [])
+            if env.session_last[i] and pending and pending[0].side == "sell":
+                state, sale = sell_all(state, price)
+                assert sale.shares == pending.pop(0).shares
+            equity.append((env.timestamps[i], state.total_value))
+            pf = features(state)
+            rows.append((pf.cash_ratio, pf.stock_ratio, pf.unrealized_profit_ratio))
+            for t in pending:
+                if t.side == "buy":
+                    state, shares = buy_all(state, price)
+                else:
+                    state, sale = sell_all(state, price)
+                    shares = sale.shares
+                assert shares == t.shares and t.price == price
+        assert env.equity == equity
+        assert (env._pf_rows[start:] == np.array(rows)).all()
 
 
 class TestPhaseSeries:

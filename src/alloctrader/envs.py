@@ -2,9 +2,10 @@
 
 `execute_span` is the one place that trades, marks and liquidates: it trades at
 the decision bar's close, marks each bar of the span that follows, and
-force-liquidates if the span ends its session, so positions never survive
-overnight. `TradingEnv` runs it over one-bar spans, `allocator.HierarchyEnv`
-over spans of the chosen agent's timeframe. Cash carries across sessions.
+force-liquidates if the span ends its session. It never buys at a session's
+final bar, so positions never survive overnight. `TradingEnv` runs it over
+one-bar spans, `allocator.HierarchyEnv` over spans of the chosen agent's
+timeframe. Cash carries across sessions.
 
 Rewards: a realized sale pays tanh(5 * (sell - avg_cost) / avg_cost); buys
 and holds pay 0. A step's reward therefore always lies in [-1, 1].
@@ -101,12 +102,13 @@ def execute_span(
     `pf_rows` as (cash, stock, unrealized) ratios. A span never crosses a
     session close before `end`, so cash and shares are fixed over it and the
     marks are one vector. If `end` closes its session the position is sold
-    there, and that bar's row and value are the ones after the sale.
+    there, and that bar's row and value are the ones after the sale. A BUY
+    at a session's final bar acts as HOLD, since it would be held overnight.
     """
     price = float(closes[decision])
     reward = 0.0
     trade = None
-    if action is Action.BUY:
+    if action is Action.BUY and not session_last[decision]:
         portfolio, bought = buy_all(portfolio, price)
         if bought:
             trade = TradeLogEntry(timestamps[decision], "buy", bought, price, 0.0)

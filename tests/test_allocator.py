@@ -202,6 +202,16 @@ class TestStep:
             buy_env.step(int(rng.integers(0, 3)))
             assert not buy_env.session_last[buy_env.cursor] or buy_env.portfolio.shares == 0
 
+    def test_no_position_opened_at_a_session_close(self, buy_env):
+        # The forced 1m decision at a session open trades at the previous
+        # session's final close; a buy there would be held overnight.
+        buy_env.reset()
+        while not buy_env.done:
+            decision = buy_env.cursor
+            buy_env.step(Timeframe.ONE_HOUR)
+            if buy_env.session_last[decision]:
+                assert buy_env.portfolio.shares == 0
+
     def test_bad_choice_rejected(self, hold_env):
         hold_env.reset()
         with pytest.raises(AllocatorError, match="choice"):

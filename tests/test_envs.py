@@ -162,6 +162,17 @@ class TestStep:
                 assert env.portfolio.shares == 0
             done = result.done
 
+    def test_no_position_opened_at_a_session_close(self, short_sessions):
+        # A buy at a session's final bar would carry the position overnight.
+        env = _env(short_sessions, window=5)
+        env.reset()
+        done = False
+        while not done:
+            decision = env.cursor
+            done = env.step(Action.BUY).done
+            if env.session_last[decision]:
+                assert env.portfolio.shares == 0
+
     def test_rewards_always_bounded(self, short_sessions):
         rng = np.random.default_rng(6)
         env = _env(short_sessions, window=5)

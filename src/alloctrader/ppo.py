@@ -9,15 +9,19 @@ Conventions match the usual PPO recipe: clipped surrogate objective,
 generalized advantage estimation, per-minibatch advantage normalization,
 entropy bonus, Adam with global gradient-norm clipping, orthogonal
 initialization (gain sqrt(2) hidden, 0.01 policy head, 1.0 value head).
+Adam runs in place, in L2-sized row blocks of each array, and allocates
+nothing the size of the model.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +29,9 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per Adam block: 256 KB of float64. The six blocks one step touches
+# (gradient, m, v, parameters and two scratch buffers) fit in a 2 MB L2.
+ADAM_CHUNK = 32768
 
 CHECKPOINT_MAGIC = b"ATCK"
 CHECKPOINT_VERSION = 1
@@ -310,21 +317,49 @@ def _global_grad_norm(grads: dict) -> float:
 
 
 def _adam_step(params: PolicyParameters, grads: dict, hp: PpoHyperparams) -> float:
+    """One Adam step with global-norm clipping; returns the pre-clip norm.
+
+    Clipping scales `grads` in place. Each array is walked in blocks of whole
+    rows of about ADAM_CHUNK elements, and every operation runs on a block
+    while it sits in L2, through two block-sized scratch buffers, so nothing
+    the size of the model is allocated. Row blocks are views whatever the
+    memory order of an array. The per-element order of operations is that
+    of the textbook expression, so the result is the same bit for bit.
+    """
     norm = _global_grad_norm(grads)
     if norm > hp.max_grad_norm:
         scale = hp.max_grad_norm / norm
-        grads = {k: g * scale for k, g in grads.items()}
+        for g in grads.values():
+            g *= scale
     params.adam_t += 1
     bc1 = 1.0 - ADAM_BETA1 ** params.adam_t
     bc2 = 1.0 - ADAM_BETA2 ** params.adam_t
+    rows = {key: max(1, ADAM_CHUNK // (g.size // len(g))) for key, g in grads.items()}
+    width = max(g[:rows[key]].size for key, g in grads.items())
+    buf_a = np.empty(width)
+    buf_b = np.empty(width)
     for key, g in grads.items():
         m = params.adam_m[key]
         v = params.adam_v[key]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        params.arrays[key] -= hp.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p = params.arrays[key]
+        for lo in range(0, len(g), rows[key]):
+            block = slice(lo, lo + rows[key])
+            gs, ms, vs = g[block], m[block], v[block]
+            a = buf_a[:gs.size].reshape(gs.shape)
+            b = buf_b[:gs.size].reshape(gs.shape)
+            # m = b1*m + (1-b1)*g
+            ms *= ADAM_BETA1
+            ms += np.multiply(gs, 1.0 - ADAM_BETA1, out=a)
+            # v = b2*v + ((1-b2)*g)*g
+            vs *= ADAM_BETA2
+            np.multiply(gs, 1.0 - ADAM_BETA2, out=a)
+            vs += np.multiply(a, gs, out=a)
+            # p -= (lr*(m/bc1)) / (sqrt(v/bc2)+eps)
+            np.sqrt(np.divide(vs, bc2, out=a), out=a)
+            a += ADAM_EPS
+            np.divide(ms, bc1, out=b)
+            b *= hp.learning_rate
+            p[block] -= np.divide(b, a, out=b)
     return norm
 
 
@@ -352,9 +387,9 @@ def ppo_update(
 ) -> tuple[PolicyParameters, UpdateStats]:
     """Run n_epochs of shuffled minibatch updates over one rollout.
 
-    Returns fresh parameters (the input is not mutated) plus statistics
-    averaged over all minibatches. A non-finite loss aborts immediately with
-    the offending epoch and minibatch index.
+    Returns fresh parameters (neither the input parameters nor `batch` are
+    mutated) plus statistics averaged over all minibatches. A non-finite
+    loss aborts immediately with the offending epoch and minibatch index.
     """
     n = batch.observations.shape[0]
     params = params.copy()
@@ -477,10 +512,12 @@ def train(
                 obs = np.asarray(result.observation, dtype=np.float64)
         _, bootstrap = forward(params, obs)
         advantages, returns = gae(rew_buf, val_buf, done_buf, bootstrap, hp.gamma, hp.gae_lambda)
+        # The buffers go in uncopied: ppo_update only reads them, and it
+        # returns before the next rollout writes to them.
         batch = RolloutBatch(
-            observations=obs_buf.copy(),
-            actions=act_buf.copy(),
-            log_probs=logp_buf.copy(),
+            observations=obs_buf,
+            actions=act_buf,
+            log_probs=logp_buf,
             advantages=advantages,
             returns=returns,
         )
@@ -514,10 +551,12 @@ class Checkpoint:
     extra: dict
 
 
+_ARRAY_GROUPS = ("param", "adam_m", "adam_v")
+
+
 def _array_entries(params: PolicyParameters) -> list[tuple[str, np.ndarray]]:
     entries = []
-    for group, store in (("param", params.arrays), ("adam_m", params.adam_m),
-                         ("adam_v", params.adam_v)):
+    for group, store in zip(_ARRAY_GROUPS, (params.arrays, params.adam_m, params.adam_v)):
         for key in ARRAY_ORDER:
             entries.append((f"{group}.{key}", store[key]))
     return entries
@@ -534,7 +573,9 @@ def save_checkpoint(
 
     Layout: magic, format version, JSON header length, JSON header (sorted
     keys), then every array as little-endian float64 in header order. Saving
-    and loading round-trips every value bit for bit.
+    and loading round-trips every value bit for bit. The file is written
+    under a temporary name in the same directory and moved into place, so an
+    interrupted save leaves any earlier file at `path` untouched.
     """
     entries = _array_entries(params)
     header = {
@@ -551,16 +592,88 @@ def save_checkpoint(
         "update_count": params.update_count,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+            fh.write(blob)
+            for _, arr in entries:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _header_field(path: str, mapping: dict, key: str, valid: Callable, where: str = ""):
+    if key not in mapping:
+        raise CheckpointError(f"{path}: header has no {where}{key!r}")
+    value = mapping[key]
+    if not valid(value):
+        raise CheckpointError(
+            f"{path}: header {where}{key!r} has a bad value ({type(value).__name__} {value!r:.40})"
+        )
+    return value
+
+
+def _header_spec(path: str, header: dict) -> NetworkSpec:
+    net = _header_field(path, header, "network", lambda x: isinstance(x, dict))
+    hidden = _header_field(
+        path, net, "hidden", lambda x: isinstance(x, list) and all(map(_is_int, x)), "network."
+    )
+    try:
+        return NetworkSpec(
+            _header_field(path, net, "input_dim", _is_int, "network."),
+            tuple(hidden),
+            _header_field(path, net, "action_count", _is_int, "network."),
+        )
+    except PpoError as exc:
+        raise CheckpointError(f"{path}: bad network in header ({exc})") from exc
+
+
+def _header_hyperparams(path: str, header: dict) -> PpoHyperparams:
+    values = _header_field(path, header, "hyperparams", lambda x: isinstance(x, dict))
+    kinds = {f.name: f.type for f in fields(PpoHyperparams)}
+    for key in values:
+        if key not in kinds:
+            raise CheckpointError(f"{path}: header has unknown hyperparams.{key!r}")
+        _header_field(path, values, key, _is_int if kinds[key] == "int" else _is_number,
+                      "hyperparams.")
+    try:
+        return PpoHyperparams(**values)
+    except (TypeError, PpoError) as exc:
+        raise CheckpointError(f"{path}: bad hyperparams in header ({exc})") from exc
+
+
+def _expected_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
+    """Shape of every array a checkpoint of `spec` holds, keyed `group.key`."""
+    shapes = {}
+    for prefix, out_dim in (("policy_", spec.action_count), ("value_", 1)):
+        dims = (spec.input_dim, *spec.hidden, out_dim)
+        for layer in range(3):
+            shapes[f"{prefix}w{layer + 1}"] = (dims[layer], dims[layer + 1])
+            shapes[f"{prefix}b{layer + 1}"] = (dims[layer + 1],)
+    return {f"{group}.{key}": shapes[key] for group in _ARRAY_GROUPS for key in ARRAY_ORDER}
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint, verifying integrity."""
+    """Read a checkpoint written by save_checkpoint, verifying integrity.
+
+    Every defect (unreadable file, bad magic or version, a header key that
+    is missing or of the wrong type, an unknown, repeated or missing array,
+    an array whose shape disagrees with the declared network, a truncated
+    or overlong payload) raises CheckpointError.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -575,31 +688,53 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(data[12:12 + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-    net = header["network"]
-    spec = NetworkSpec(net["input_dim"], tuple(net["hidden"]), net["action_count"])
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header (not a JSON object)")
+    spec = _header_spec(path, header)
+    hp = _header_hyperparams(path, header)
+    adam_t = _header_field(path, header, "adam_t", _is_int)
+    seed = _header_field(path, header, "seed", _is_int)
+    extra = _header_field(path, header, "extra", lambda x: isinstance(x, dict))
+    update_count = (_header_field(path, header, "update_count", _is_int)
+                    if "update_count" in header else 0)
+    entries = _header_field(path, header, "arrays", lambda x: isinstance(x, list))
+    expected = _expected_shapes(spec)
     offset = 12 + header_len
-    stores = {"param": {}, "adam_m": {}, "adam_v": {}}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 8
+    loaded = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: header array entry is not an object")
+        name = _header_field(path, entry, "name", lambda x: isinstance(x, str), "arrays[].")
+        shape = _header_field(path, entry, "shape", lambda x: isinstance(x, list), "arrays[].")
+        if name not in expected:
+            raise CheckpointError(f"{path}: unknown array {name!r}")
+        if name in loaded:
+            raise CheckpointError(f"{path}: array {name!r} appears twice")
+        if tuple(shape) != expected[name]:
+            raise CheckpointError(
+                f"{path}: array {name!r} has shape {shape}, but the network declares "
+                f"{list(expected[name])}"
+            )
+        nbytes = math.prod(expected[name]) * 8
         if offset + nbytes > len(data):
-            raise CheckpointError(f"{path}: truncated payload at array {entry['name']}")
-        arr = np.frombuffer(data[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
+            raise CheckpointError(f"{path}: truncated payload at array {name}")
+        loaded[name] = (
+            np.frombuffer(data[offset:offset + nbytes], dtype="<f8").reshape(expected[name]).copy()
+        )
         offset += nbytes
-        group, key = entry["name"].split(".", 1)
-        stores[group][key] = arr
     if offset != len(data):
         raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes after payload")
-    missing = [k for k in ARRAY_ORDER if k not in stores["param"]]
+    missing = [name for name in expected if name not in loaded]
     if missing:
         raise CheckpointError(f"{path}: missing arrays {missing}")
+    stores = {group: {key: loaded[f"{group}.{key}"] for key in ARRAY_ORDER}
+              for group in _ARRAY_GROUPS}
     params = PolicyParameters(
         spec=spec,
         arrays=stores["param"],
         adam_m=stores["adam_m"],
         adam_v=stores["adam_v"],
-        adam_t=header["adam_t"],
-        update_count=header.get("update_count", 0),
+        adam_t=adam_t,
+        update_count=update_count,
     )
-    hp = PpoHyperparams(**header["hyperparams"])
-    return Checkpoint(params=params, hyperparams=hp, seed=header["seed"], extra=header["extra"])
+    return Checkpoint(params=params, hyperparams=hp, seed=seed, extra=extra)

@@ -1,6 +1,8 @@
 """Config validation and the full command-line pipeline on tiny settings."""
 
 import json
+import shutil
+import struct
 from datetime import date
 
 import pytest
@@ -332,6 +334,24 @@ class TestPipelineGuards:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+    def test_checkpoint_without_network_is_single_error_line(self, pipeline, tmp_path, capsys):
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        ckpt = copy / "checkpoints" / "agent_1h_seed0.ckpt"
+        blob = ckpt.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12:12 + header_len])
+        del header["network"]
+        new = json.dumps(header).encode()
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len:])
+        args = ["backtest", "hierarchy", "--config", str(cfg_path), "--out", str(copy)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "agent_1h_seed0.ckpt: header has no 'network'" in err
 
     def test_unknown_strategy_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):

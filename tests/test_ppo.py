@@ -1,11 +1,16 @@
 """Optimizer oracles: finite-difference gradients, GAE sums, Adam, checkpoints."""
 
+import json
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
 
 from alloctrader.ppo import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     ARRAY_ORDER,
     CHECKPOINT_MAGIC,
@@ -18,6 +23,7 @@ from alloctrader.ppo import (
     PpoHyperparams,
     RolloutBatch,
     _adam_step,
+    _global_grad_norm,
     forward,
     gae,
     greedy_action,
@@ -240,6 +246,26 @@ class TestLossAndGradients:
                 assert np.abs(grads[key]).max() == 0.0
 
 
+def _reference_adam_step(params, grads, hp):
+    """The textbook Adam step, one whole-array expression per operation."""
+    norm = _global_grad_norm(grads)
+    if norm > hp.max_grad_norm:
+        scale = hp.max_grad_norm / norm
+        grads = {k: g * scale for k, g in grads.items()}
+    params.adam_t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** params.adam_t
+    bc2 = 1.0 - ADAM_BETA2 ** params.adam_t
+    for key, g in grads.items():
+        m = params.adam_m[key]
+        v = params.adam_v[key]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        params.arrays[key] -= hp.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    return norm
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         params = _params(seed=11)
@@ -266,6 +292,40 @@ class TestAdam:
         scale = 0.5 / norm
         for k in ARRAY_ORDER:
             np.testing.assert_allclose(params.adam_m[k], 0.1 * 10.0 * scale, rtol=1e-12)
+
+    # (300, (130, 64)): policy_w1 holds 39,000 elements, more than one block
+    # with a ragged tail. SPEC: initialize returns a Fortran-ordered policy_w1.
+    @pytest.mark.parametrize("spec", [NetworkSpec(300, (130, 64)), SPEC],
+                             ids=["ragged-blocks", "fortran-order"])
+    def test_thirty_steps_bit_identical(self, spec):
+        hp = PpoHyperparams(total_timesteps=32, learning_rate=3e-3, n_steps=32,
+                            batch_size=8, max_grad_norm=0.5)
+        fast = _params(seed=21, spec=spec)
+        slow = _params(seed=21, spec=spec)
+        rng = np.random.default_rng(22)
+        clipped = []
+        for step in range(30):
+            size = 1.0 if step % 2 == 0 else 1e-4 / math.sqrt(spec.input_dim)
+            grads = {k: rng.standard_normal(v.shape) * size for k, v in fast.arrays.items()}
+            want = _reference_adam_step(slow, {k: g.copy() for k, g in grads.items()}, hp)
+            got = _adam_step(fast, grads, hp)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            clipped.append(got > hp.max_grad_norm)
+            for store in ("arrays", "adam_m", "adam_v"):
+                for k in ARRAY_ORDER:
+                    have = getattr(fast, store)[k].tobytes()
+                    assert have == getattr(slow, store)[k].tobytes(), (step, store, k)
+        assert fast.adam_t == slow.adam_t == 30
+        assert clipped == [step % 2 == 0 for step in range(30)]
+
+    def test_clipping_scales_grads_in_place(self):
+        params = _params(seed=23)
+        hp = PpoHyperparams(total_timesteps=32, learning_rate=1e-3, n_steps=32,
+                            batch_size=8, max_grad_norm=0.5)
+        grads = {k: np.full_like(v, 2.0) for k, v in params.arrays.items()}
+        norm = _adam_step(params, grads, hp)
+        for k in ARRAY_ORDER:
+            np.testing.assert_array_equal(grads[k], 2.0 * (0.5 / norm))
 
 
 class TestNormalizeAdvantages:
@@ -294,11 +354,16 @@ class TestPpoUpdate:
     def test_input_params_not_mutated(self):
         params = _params(seed=15)
         snapshot = {k: v.copy() for k, v in params.arrays.items()}
-        new_params, _ = ppo_update(params, self._batch(params), HP, np.random.default_rng(0))
+        batch = self._batch(params)
+        batch_before = {k: v.copy() for k, v in vars(batch).items()}
+        new_params, _ = ppo_update(params, batch, HP, np.random.default_rng(0))
         for k in ARRAY_ORDER:
             np.testing.assert_array_equal(params.arrays[k], snapshot[k])
             assert not np.array_equal(new_params.arrays[k], snapshot[k])
         assert params.update_count == 0 and new_params.update_count == 1
+        # train() hands ppo_update its rollout buffers uncopied.
+        for k, v in vars(batch).items():
+            assert v.tobytes() == batch_before[k].tobytes(), k
 
     def test_deterministic_given_rng_state(self):
         params = _params(seed=16)
@@ -382,6 +447,70 @@ class TestTrain:
         assert len(lines) == 5
 
 
+def _rewrite_header(path, mutate):
+    """Replace a checkpoint's JSON header with `mutate(header)`, keeping the payload."""
+    blob = path.read_bytes()
+    _, header_len = struct.unpack_from("<II", blob, 4)
+    header = mutate(json.loads(blob[12:12 + header_len]))
+    new = json.dumps(header).encode()
+    path.write_bytes(blob[:4] + struct.pack("<II", 1, len(new)) + new + blob[12 + header_len:])
+
+
+def _dig(header, keys):
+    target = header
+    for key in keys[:-1]:
+        target = target[key]
+    return target
+
+
+def _drop(header, *keys):
+    del _dig(header, keys)[keys[-1]]
+    return header
+
+
+def _set(header, keys, value):
+    _dig(header, keys)[keys[-1]] = value
+    return header
+
+
+_BAD_HEADERS = [
+    ("not-an-object", lambda h: [h], "not a JSON object"),
+    ("no-network", lambda h: _drop(h, "network"), "no 'network'"),
+    ("no-input-dim", lambda h: _drop(h, "network", "input_dim"), "no network.'input_dim'"),
+    ("hidden-string", lambda h: _set(h, ("network", "hidden"), "8,8"),
+     "network.'hidden' has a bad value"),
+    ("hidden-one-layer", lambda h: _set(h, ("network", "hidden"), [8]), "bad network"),
+    ("action-count-bool", lambda h: _set(h, ("network", "action_count"), True),
+     "'action_count' has a bad value"),
+    ("adam-t-string", lambda h: _set(h, ("adam_t",), "8"), "'adam_t' has a bad value"),
+    ("no-seed", lambda h: _drop(h, "seed"), "no 'seed'"),
+    ("extra-list", lambda h: _set(h, ("extra",), []), "'extra' has a bad value"),
+    ("update-count-float", lambda h: _set(h, ("update_count",), 2.5),
+     "'update_count' has a bad value"),
+    ("no-hyperparams", lambda h: _drop(h, "hyperparams"), "no 'hyperparams'"),
+    ("learning-rate-string", lambda h: _set(h, ("hyperparams", "learning_rate"), "fast"),
+     "'learning_rate' has a bad value"),
+    ("n-steps-float", lambda h: _set(h, ("hyperparams", "n_steps"), 64.0),
+     "'n_steps' has a bad value"),
+    ("unknown-hyperparam", lambda h: _set(h, ("hyperparams", "momentum"), 0.9),
+     "unknown hyperparams.'momentum'"),
+    ("batch-size-zero", lambda h: _set(h, ("hyperparams", "batch_size"), 0), "bad hyperparams"),
+    ("arrays-object", lambda h: _set(h, ("arrays",), {}), "'arrays' has a bad value"),
+    ("array-entry-string", lambda h: _set(h, ("arrays", 0), "param.policy_w1"), "not an object"),
+    ("no-shape", lambda h: _drop(h, "arrays", 0, "shape"), r"no arrays\[\].'shape'"),
+    ("unknown-group", lambda h: _set(h, ("arrays", 0, "name"), "grad.policy_w1"),
+     "unknown array 'grad.policy_w1'"),
+    ("unknown-key", lambda h: _set(h, ("arrays", 0, "name"), "param.policy_w9"),
+     "unknown array 'param.policy_w9'"),
+    ("duplicate-array", lambda h: _set(h, ("arrays", 1, "name"), "param.policy_w1"),
+     "'param.policy_w1' appears twice"),
+    ("input-dim-mismatch", lambda h: _set(h, ("network", "input_dim"), 12),
+     r"'param.policy_w1' has shape \[11, 8\], but the network declares \[12, 8\]"),
+    ("hidden-mismatch", lambda h: _set(h, ("network", "hidden"), [8, 9]),
+     r"'param.policy_w2' has shape \[8, 8\], but the network declares \[8, 9\]"),
+]
+
+
 class TestCheckpoint:
     def _trained(self, seed=4):
         hp = PpoHyperparams(total_timesteps=128, learning_rate=1e-3, n_steps=64,
@@ -452,3 +581,38 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "mutate, match", [pytest.param(m, r, id=i) for i, m, r in _BAD_HEADERS]
+    )
+    def test_bad_header_rejected(self, tmp_path, mutate, match):
+        params, hp = self._trained()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params, hp, seed=4)
+        _rewrite_header(path, mutate)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(str(path))
+
+    def test_missing_adam_arrays_rejected(self, tmp_path):
+        params, hp = self._trained()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params, hp, seed=4)
+        _rewrite_header(path, lambda h: _set(h, ("arrays",), h["arrays"][:-1]))
+        # The dropped entry's 8 bytes (adam_v.value_b3) would now trail.
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match=r"missing arrays \['adam_v.value_b3'\]"):
+            load_checkpoint(str(path))
+
+    def test_failed_save_leaves_old_file(self, tmp_path):
+        params, hp = self._trained()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params, hp, seed=4)
+        before = path.read_bytes()
+        broken = params.copy()
+        # The last array written cannot be converted to float64, so the save
+        # fails after the header and 35 arrays have been written.
+        broken.adam_v["value_b3"] = np.array(["not a number"])
+        with pytest.raises(ValueError):
+            save_checkpoint(str(path), broken, hp, seed=5)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]

@@ -149,12 +149,15 @@ class DecisionRecord:
     log_return: float
 
 
+_DECISION_LOG_FIELDS = (
+    "timestamp", "chosen_timeframe", "forced_flag", "span_bars", "span_log_return"
+)
+
+
 def write_decision_log(decisions: Sequence[AllocationDecision], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["timestamp", "chosen_timeframe", "forced_flag", "span_bars", "span_log_return"]
-        )
+        writer.writerow(_DECISION_LOG_FIELDS)
         for d in decisions:
             writer.writerow(
                 [d.timestamp.isoformat(), d.timeframe.label, int(d.forced),
@@ -170,15 +173,21 @@ def read_decision_log(path: str) -> tuple[DecisionRecord, ...]:
         if header is None:
             raise AllocatorError(f"{path}: empty decision log")
         for row in reader:
-            records.append(
-                DecisionRecord(
-                    timestamp=datetime.fromisoformat(row[0]),
-                    timeframe=Timeframe.from_label(row[1]),
-                    forced=bool(int(row[2])),
-                    span_bars=int(row[3]),
-                    log_return=float(row[4]),
+            if len(row) < len(_DECISION_LOG_FIELDS):
+                raise AllocatorError(f"{path}: row {reader.line_num} has {len(row)} fields, "
+                                     f"expected {len(_DECISION_LOG_FIELDS)}")
+            try:
+                records.append(
+                    DecisionRecord(
+                        timestamp=datetime.fromisoformat(row[0]),
+                        timeframe=Timeframe.from_label(row[1]),
+                        forced=bool(int(row[2])),
+                        span_bars=int(row[3]),
+                        log_return=float(row[4]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise AllocatorError(f"{path}: row {reader.line_num}: {exc}") from exc
     return tuple(records)
 
 

@@ -15,6 +15,7 @@ import sys
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .market_data import (
 )
 from .portfolio import PortfolioError, PortfolioState, TradeLogEntry, write_trade_log
 from .ppo import (
+    Checkpoint,
     CheckpointError,
     NetworkSpec,
     PpoError,
@@ -202,6 +204,19 @@ def cmd_train_agent(args) -> int:
     return 0
 
 
+def _extra(path, ckpt: Checkpoint, key: str, convert: Callable):
+    """`convert(ckpt.extra[key])`, or CheckpointError naming the file and the key."""
+    if key not in ckpt.extra:
+        raise CheckpointError(f"{path}: checkpoint extra has no {key!r}")
+    value = ckpt.extra[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CheckpointError(
+            f"{path}: checkpoint extra {key!r} has a bad value ({value!r:.40})"
+        ) from exc
+
+
 def _load_registry(cfg: RunConfig, paths: _Paths) -> AgentRegistry:
     agents = {}
     for tf in TIMEFRAME_ORDER:
@@ -209,11 +224,10 @@ def _load_registry(cfg: RunConfig, paths: _Paths) -> AgentRegistry:
         if not path.exists():
             raise CheckpointError(f"missing checkpoint: {tf.label} (expected {path})")
         ckpt = load_checkpoint(str(path))
-        extra = ckpt.extra
         env_config = EnvConfig(
-            timeframe=Timeframe.from_label(extra["timeframe"]),
-            window_size=int(extra["window_size"]),
-            initial_cash=float(extra["initial_cash"]),
+            timeframe=_extra(path, ckpt, "timeframe", Timeframe.from_label),
+            window_size=_extra(path, ckpt, "window_size", int),
+            initial_cash=_extra(path, ckpt, "initial_cash", float),
             fee_per_sell_share=cfg.fee_per_sell_share,
         )
         agents[tf] = RegisteredAgent(params=ckpt.params, config=env_config)
@@ -296,8 +310,8 @@ def _backtest_agent(cfg: RunConfig, paths: _Paths, sessions, test_start: date, l
     ckpt = load_checkpoint(str(path))
     env_config = EnvConfig(
         timeframe=tf,
-        window_size=int(ckpt.extra["window_size"]),
-        initial_cash=float(ckpt.extra["initial_cash"]),
+        window_size=_extra(path, ckpt, "window_size", int),
+        initial_cash=_extra(path, ckpt, "initial_cash", float),
         fee_per_sell_share=cfg.fee_per_sell_share,
     )
     env = TradingEnv(sessions, env_config)
@@ -329,9 +343,9 @@ def _backtest_hierarchy(cfg: RunConfig, paths: _Paths, sessions, test_start: dat
     registry = _load_registry(cfg, paths)
     ckpt = load_checkpoint(str(alloc_path))
     alloc_config = AllocatorConfig(
-        market_window=int(ckpt.extra["market_window"]),
-        vol_window=int(ckpt.extra["vol_window"]),
-        initial_cash=float(ckpt.extra["initial_cash"]),
+        market_window=_extra(alloc_path, ckpt, "market_window", int),
+        vol_window=_extra(alloc_path, ckpt, "vol_window", int),
+        initial_cash=_extra(alloc_path, ckpt, "initial_cash", float),
         fee_per_sell_share=cfg.fee_per_sell_share,
     )
     report = run_hierarchy(sessions, registry, ckpt.params, alloc_config, start_day=test_start)

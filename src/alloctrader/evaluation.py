@@ -176,8 +176,15 @@ def read_equity_csv(path: str) -> EquityCurve:
         reader = csv.reader(fh)
         next(reader, None)
         for row in reader:
-            timestamps.append(datetime.fromisoformat(row[0]))
-            values.append(float(row[1]))
+            if len(row) < 2:
+                raise EvaluationError(
+                    f"{path}: row {reader.line_num} has {len(row)} fields, expected 2"
+                )
+            try:
+                timestamps.append(datetime.fromisoformat(row[0]))
+                values.append(float(row[1]))
+            except ValueError as exc:
+                raise EvaluationError(f"{path}: row {reader.line_num}: {exc}") from exc
     return EquityCurve(tuple(timestamps), np.array(values))
 
 

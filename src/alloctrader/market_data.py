@@ -310,9 +310,15 @@ def resample_bars(bars: Sequence[Bar], bars_per_window: int) -> tuple[Bar, ...]:
 
 
 def resample(session: Session, tf: Timeframe) -> tuple[Bar, ...]:
-    """Resample a session's base bars to the given timeframe."""
+    """Resample a session's base bars to the given timeframe.
+
+    At one minute the session's own bars are returned: they are frozen and
+    equal to what resampling them one by one would build.
+    """
     if not session.bars:
         raise MarketDataError(f"session {session.day} is empty")
+    if tf is Timeframe.ONE_MINUTE:
+        return session.bars
     return resample_bars(session.bars, tf.minutes)
 
 

@@ -10,7 +10,9 @@ generalized advantage estimation, per-minibatch advantage normalization,
 entropy bonus, Adam with global gradient-norm clipping, orthogonal
 initialization (gain sqrt(2) hidden, 0.01 policy head, 1.0 value head).
 Adam runs in place, in L2-sized row blocks of each array, and allocates
-nothing the size of the model.
+nothing the size of the model. Each minibatch's policy-net work (forward,
+backward, squared-gradient sums, Adam) runs on a worker thread while the
+value net's runs on the caller's, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import json
 import math
 import os
 import struct
+import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -253,6 +257,73 @@ class UpdateStats:
     grad_norm: float
 
 
+# The policy and value nets share no arrays, so each minibatch's work splits
+# into two halves that write disjoint memory: the policy half runs on one
+# persistent worker thread while the calling thread runs the value half.
+# numpy releases the interpreter lock inside BLAS and ufunc loops, so the
+# halves overlap; the arithmetic of each is unchanged, so results are the
+# same bit for bit whatever the scheduling. The thread starts on first use.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _both_halves(policy_half: Callable, value_half: Callable) -> tuple:
+    """Run policy_half on the worker and value_half here; return both results.
+
+    Both have finished when this returns or raises. An error from the value
+    half wins over one from the policy half.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ppo-policy")
+    future = _worker.submit(policy_half)
+    try:
+        value = value_half()
+    except BaseException:
+        future.exception()
+        raise
+    return future.result(), value
+
+
+def _policy_loss_and_grads(arrays, observations, actions, old_log_probs, advantages, hp):
+    """The policy net's half of a minibatch: loss parts and policy_* gradients."""
+    batch = observations.shape[0]
+    idx = np.arange(batch)
+    logits, pcache = _net_forward(arrays, "policy_", observations)
+    logp_all = _log_softmax(logits)
+    probs = np.exp(logp_all)
+    logp_taken = logp_all[idx, actions]
+    ratio = np.exp(logp_taken - old_log_probs)
+    unclipped = ratio * advantages
+    clipped_ratio = np.clip(ratio, 1.0 - hp.clip_range, 1.0 + hp.clip_range)
+    clipped = clipped_ratio * advantages
+    policy_loss = -np.minimum(unclipped, clipped).mean()
+    entropy = -(probs * logp_all).sum(axis=1)
+
+    # Policy gradient flows only where the unclipped branch is active.
+    active = unclipped <= clipped
+    dlogp_taken = np.where(active, -advantages * ratio, 0.0) / batch
+    onehot = np.zeros_like(probs)
+    onehot[idx, actions] = 1.0
+    dlogits = dlogp_taken[:, None] * (onehot - probs)
+    # Entropy bonus: d(-c * mean(H))/dlogits = c/B * p * (log p + H).
+    dlogits += (hp.entropy_coef / batch) * probs * (logp_all + entropy[:, None])
+    grads = _net_backward(arrays, "policy_", pcache, dlogits)
+    clip_fraction = float((ratio != clipped_ratio).mean())
+    return policy_loss, float(entropy.mean()), clip_fraction, grads
+
+
+def _value_loss_and_grads(arrays, observations, returns, hp):
+    """The value net's half of a minibatch: value loss and value_* gradients."""
+    batch = observations.shape[0]
+    vout, vcache = _net_forward(arrays, "value_", observations)
+    v = vout[:, 0]
+    value_loss = float(((v - returns) ** 2).mean())
+    dv = (hp.value_coef * 2.0 / batch) * (v - returns)
+    return value_loss, _net_backward(arrays, "value_", vcache, dv[:, None])
+
+
 def ppo_loss_and_grads(
     params: PolicyParameters,
     observations: np.ndarray,
@@ -266,79 +337,56 @@ def ppo_loss_and_grads(
 
     loss = -mean(min(ratio * A, clip(ratio) * A))
            + value_coef * mean((V - R)^2) - entropy_coef * mean(H).
+
+    The policy half runs on the worker thread, the value half on this one.
     """
     arrays = params.arrays
-    batch = observations.shape[0]
-    idx = np.arange(batch)
-
-    logits, pcache = _net_forward(arrays, "policy_", observations)
-    logp_all = _log_softmax(logits)
-    probs = np.exp(logp_all)
-    logp_taken = logp_all[idx, actions]
-    ratio = np.exp(logp_taken - old_log_probs)
-    unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - hp.clip_range, 1.0 + hp.clip_range) * advantages
-    policy_loss = -np.minimum(unclipped, clipped).mean()
-    entropy = -(probs * logp_all).sum(axis=1)
-    entropy_mean = float(entropy.mean())
-
-    vout, vcache = _net_forward(arrays, "value_", observations)
-    v = vout[:, 0]
-    value_loss = float(((v - returns) ** 2).mean())
-
+    (policy_loss, entropy_mean, clip_fraction, grads), (value_loss, value_grads) = _both_halves(
+        lambda: _policy_loss_and_grads(
+            arrays, observations, actions, old_log_probs, advantages, hp
+        ),
+        lambda: _value_loss_and_grads(arrays, observations, returns, hp),
+    )
+    grads.update(value_grads)
     loss = float(policy_loss + hp.value_coef * value_loss - hp.entropy_coef * entropy_mean)
-
-    # Policy gradient flows only where the unclipped branch is active.
-    active = unclipped <= clipped
-    dlogp_taken = np.where(active, -advantages * ratio, 0.0) / batch
-    onehot = np.zeros_like(probs)
-    onehot[idx, actions] = 1.0
-    dlogits = dlogp_taken[:, None] * (onehot - probs)
-    # Entropy bonus: d(-c * mean(H))/dlogits = c/B * p * (log p + H).
-    dlogits += (hp.entropy_coef / batch) * probs * (logp_all + entropy[:, None])
-    grads = _net_backward(arrays, "policy_", pcache, dlogits)
-
-    dv = (hp.value_coef * 2.0 / batch) * (v - returns)
-    grads.update(_net_backward(arrays, "value_", vcache, dv[:, None]))
-
     stats = UpdateStats(
         loss=loss,
         policy_loss=float(policy_loss),
         value_loss=value_loss,
         entropy=entropy_mean,
-        clip_fraction=float((ratio != np.clip(ratio, 1.0 - hp.clip_range, 1.0 + hp.clip_range)).mean()),
+        clip_fraction=clip_fraction,
         grad_norm=0.0,
     )
     return loss, grads, stats
 
 
+def _square_sums(grads: dict, prefix: str) -> dict[str, float]:
+    return {key: float((g * g).sum()) for key, g in grads.items() if key.startswith(prefix)}
+
+
 def _global_grad_norm(grads: dict) -> float:
-    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """sqrt of the per-array squared sums, added up in `grads` order."""
+    policy, value = _both_halves(
+        lambda: _square_sums(grads, "policy_"), lambda: _square_sums(grads, "value_")
+    )
+    sums = policy | value
+    return math.sqrt(sum(sums[key] for key in grads))
 
 
-def _adam_step(params: PolicyParameters, grads: dict, hp: PpoHyperparams) -> float:
-    """One Adam step with global-norm clipping; returns the pre-clip norm.
-
-    Clipping scales `grads` in place. Each array is walked in blocks of whole
-    rows of about ADAM_CHUNK elements, and every operation runs on a block
-    while it sits in L2, through two block-sized scratch buffers, so nothing
-    the size of the model is allocated. Row blocks are views whatever the
-    memory order of an array. The per-element order of operations is that
-    of the textbook expression, so the result is the same bit for bit.
-    """
-    norm = _global_grad_norm(grads)
-    if norm > hp.max_grad_norm:
-        scale = hp.max_grad_norm / norm
-        for g in grads.values():
+def _adam_half(params: PolicyParameters, grads: dict, prefix: str, scale: float | None,
+               hp: PpoHyperparams) -> None:
+    """Clip-scale and Adam-update the arrays whose names start with `prefix`."""
+    half = {key: g for key, g in grads.items() if key.startswith(prefix)}
+    if scale is not None:
+        for g in half.values():
             g *= scale
-    params.adam_t += 1
     bc1 = 1.0 - ADAM_BETA1 ** params.adam_t
     bc2 = 1.0 - ADAM_BETA2 ** params.adam_t
-    rows = {key: max(1, ADAM_CHUNK // (g.size // len(g))) for key, g in grads.items()}
-    width = max(g[:rows[key]].size for key, g in grads.items())
+    rows = {key: max(1, ADAM_CHUNK // (g.size // len(g))) for key, g in half.items()}
+    width = max(g[:rows[key]].size for key, g in half.items())
     buf_a = np.empty(width)
     buf_b = np.empty(width)
-    for key, g in grads.items():
+    for key, g in half.items():
         m = params.adam_m[key]
         v = params.adam_v[key]
         p = params.arrays[key]
@@ -360,6 +408,27 @@ def _adam_step(params: PolicyParameters, grads: dict, hp: PpoHyperparams) -> flo
             np.divide(ms, bc1, out=b)
             b *= hp.learning_rate
             p[block] -= np.divide(b, a, out=b)
+
+
+def _adam_step(params: PolicyParameters, grads: dict, hp: PpoHyperparams) -> float:
+    """One Adam step with global-norm clipping; returns the pre-clip norm.
+
+    Clipping scales `grads` in place. The policy_* arrays are updated on the
+    worker thread and the value_* arrays on this one, each half through its
+    own pair of scratch buffers. Each array is walked in blocks of whole rows
+    of about ADAM_CHUNK elements, and every operation runs on a block while
+    it sits in L2, so nothing the size of the model is allocated. Row blocks
+    are views whatever the memory order of an array. The per-element order
+    of operations is that of the textbook expression, so the result is the
+    same bit for bit.
+    """
+    norm = _global_grad_norm(grads)
+    scale = hp.max_grad_norm / norm if norm > hp.max_grad_norm else None
+    params.adam_t += 1
+    _both_halves(
+        lambda: _adam_half(params, grads, "policy_", scale, hp),
+        lambda: _adam_half(params, grads, "value_", scale, hp),
+    )
     return norm
 
 

@@ -337,6 +337,22 @@ class TestDecisionLog:
             assert rec.span_bars == d.span_bars
             assert rec.log_return == d.log_return
 
+    @pytest.mark.parametrize("row, match", [
+        ("2024-01-02T14:30:00+00:00,1m,0,1", "row 3 has 4 fields, expected 5"),
+        ("", "row 3 has 0 fields, expected 5"),
+        ("2024-01-02T14:30:00+00:00,1m,1.0,1,0.0", "row 3: invalid literal for int"),
+        ("yesterday,1m,0,1,0.0", "row 3: Invalid isoformat string: .yesterday."),
+        ("2024-01-02T14:30:00+00:00,1m,0,1,nope", "row 3: could not convert string to float"),
+        ("2024-01-02T14:30:00+00:00,2m,0,1,0.0", "row 3: unknown timeframe label"),
+    ], ids=["short-row", "blank-row", "forced-flag", "timestamp", "float", "timeframe"])
+    def test_bad_row_names_file_and_row(self, tmp_path, row, match):
+        path = tmp_path / "decisions.csv"
+        good = "2024-01-02T14:30:00+00:00,1m,0,1,0.0"
+        path.write_text(f"timestamp,chosen_timeframe,forced_flag,span_bars,span_log_return\n"
+                        f"{good}\n{row}\n{good}\n")
+        with pytest.raises(AllocatorError, match=f"decisions.csv: {match}"):
+            read_decision_log(str(path))
+
     def test_header(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         write_decision_log([], path)

@@ -190,6 +190,16 @@ allocator.vol_window = 10
 """
 
 
+def _rewrite_header(ckpt, mutate):
+    """Apply `mutate` to a checkpoint's JSON header in place."""
+    blob = ckpt.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + header_len])
+    mutate(header)
+    new = json.dumps(header).encode()
+    ckpt.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len:])
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run the whole CLI pipeline once into a shared output directory."""
@@ -339,19 +349,68 @@ class TestPipelineGuards:
         cfg_path, out = pipeline
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
-        ckpt = copy / "checkpoints" / "agent_1h_seed0.ckpt"
-        blob = ckpt.read_bytes()
-        (header_len,) = struct.unpack_from("<I", blob, 8)
-        header = json.loads(blob[12:12 + header_len])
-        del header["network"]
-        new = json.dumps(header).encode()
-        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len:])
+        _rewrite_header(copy / "checkpoints" / "agent_1h_seed0.ckpt",
+                        lambda header: header.pop("network"))
         args = ["backtest", "hierarchy", "--config", str(cfg_path), "--out", str(copy)]
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "agent_1h_seed0.ckpt: header has no 'network'" in err
+
+    @pytest.mark.parametrize("strategy, name, key, value, match", [
+        ("agent:1h", "agent_1h", "window_size", None, "extra has no 'window_size'"),
+        ("agent:1m", "agent_1m", "window_size", "x", "extra 'window_size' has a bad value ('x')"),
+        ("agent:10m", "agent_10m", "initial_cash", None, "extra has no 'initial_cash'"),
+        ("agent:1m", "agent_1m", "initial_cash", [1], "extra 'initial_cash' has a bad value"),
+        ("hierarchy", "agent_10m", "timeframe", "5m", "extra 'timeframe' has a bad value ('5m')"),
+        ("hierarchy", "agent_1h", "initial_cash", "cash", "extra 'initial_cash' has a bad value"),
+        ("hierarchy", "allocator", "market_window", None, "extra has no 'market_window'"),
+        ("hierarchy", "allocator", "vol_window", "x", "extra 'vol_window' has a bad value ('x')"),
+        ("hierarchy", "allocator", "initial_cash", None, "extra has no 'initial_cash'"),
+    ], ids=["agent-no-window", "agent-bad-window", "agent-no-cash", "agent-bad-cash",
+            "registry-bad-timeframe", "registry-bad-cash", "allocator-no-market-window",
+            "allocator-bad-vol-window", "allocator-no-cash"])
+    def test_bad_checkpoint_extra_is_single_error_line(
+        self, pipeline, tmp_path, capsys, strategy, name, key, value, match
+    ):
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+
+        def mutate(header):
+            if value is None:
+                del header["extra"][key]
+            else:
+                header["extra"][key] = value
+
+        _rewrite_header(copy / "checkpoints" / f"{name}_seed0.ckpt", mutate)
+        args = ["backtest", strategy, "--config", str(cfg_path), "--out", str(copy)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert f"{name}_seed0.ckpt: checkpoint {match}" in err
+
+    @pytest.mark.parametrize("row, match", [
+        ("2024-01-02T14:30:00+00:00,1m,0", "row 3 has 3 fields, expected 5"),
+        ("2024-01-02T14:30:00+00:00,1m,yes,1,0.0", "row 3: invalid literal for int()"),
+        ("yesterday,1m,0,1,0.0", "row 3: Invalid isoformat string"),
+        ("2024-01-02T14:30:00+00:00,1m,0,1,up", "row 3: could not convert string to float"),
+    ], ids=["short-row", "forced-flag", "timestamp", "float"])
+    def test_bad_decision_log_is_single_error_line(self, pipeline, tmp_path, capsys, row, match):
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        log = copy / "reports" / "hierarchy_allocations.csv"
+        lines = log.read_text().splitlines()
+        log.write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n")
+        args = ["analyze", "--config", str(cfg_path), "--out", str(copy)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert f"hierarchy_allocations.csv: {match}" in err
 
     def test_unknown_strategy_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):

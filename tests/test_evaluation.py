@@ -71,6 +71,17 @@ class TestEquityCurve:
         assert back.timestamps == curve.timestamps
         np.testing.assert_array_equal(back.values, curve.values)
 
+    @pytest.mark.parametrize("row, match", [
+        ("2024-01-02T14:31:00+00:00", "row 3 has 1 fields, expected 2"),
+        ("14:31,10000.5", "row 3: Invalid isoformat string"),
+        ("2024-01-02T14:31:00+00:00,ten", "row 3: could not convert string to float"),
+    ], ids=["short-row", "timestamp", "float"])
+    def test_bad_row_names_file_and_row(self, tmp_path, row, match):
+        path = tmp_path / "equity.csv"
+        path.write_text(f"timestamp,value\n2024-01-02T14:30:00+00:00,10000.0\n{row}\n")
+        with pytest.raises(EvaluationError, match=f"equity.csv: {match}"):
+            read_equity_csv(str(path))
+
 
 class TestCumulativeReturn:
     def test_ten_percent_gain(self):

@@ -249,6 +249,12 @@ class TestResample:
         out = resample(session, Timeframe.ONE_HOUR)
         assert out == (session.bars[0],)
 
+    def test_one_minute_returns_session_bars(self):
+        session = _session_of(390)
+        out = resample(session, Timeframe.ONE_MINUTE)
+        assert out is session.bars
+        assert out == resample_bars(session.bars, 1)
+
     def test_volume_conserved_any_window(self):
         session = _session_of(97)
         total = sum(b.volume for b in session.bars)

@@ -4,10 +4,18 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alloctrader
+from alloctrader import ppo
 from alloctrader.ppo import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -22,8 +30,8 @@ from alloctrader.ppo import (
     PpoError,
     PpoHyperparams,
     RolloutBatch,
+    UpdateStats,
     _adam_step,
-    _global_grad_norm,
     forward,
     gae,
     greedy_action,
@@ -183,6 +191,58 @@ class TestGae:
         assert adv[0] == 0.0
 
 
+# (300, (130, 64)): policy_w1 holds 39,000 elements, more than one Adam block
+# with a ragged tail. SPEC: initialize returns a Fortran-ordered policy_w1.
+TWO_SPECS = pytest.mark.parametrize("spec", [NetworkSpec(300, (130, 64)), SPEC],
+                                    ids=["ragged-blocks", "fortran-order"])
+
+
+def _reference_loss_and_grads(params, observations, actions, old_log_probs, advantages,
+                              returns, hp):
+    """ppo_loss_and_grads as one serial pass over both nets."""
+    arrays = params.arrays
+    batch = observations.shape[0]
+    idx = np.arange(batch)
+    logits, pcache = ppo._net_forward(arrays, "policy_", observations)
+    logp_all = ppo._log_softmax(logits)
+    probs = np.exp(logp_all)
+    logp_taken = logp_all[idx, actions]
+    ratio = np.exp(logp_taken - old_log_probs)
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, 1.0 - hp.clip_range, 1.0 + hp.clip_range) * advantages
+    policy_loss = -np.minimum(unclipped, clipped).mean()
+    entropy = -(probs * logp_all).sum(axis=1)
+    entropy_mean = float(entropy.mean())
+    vout, vcache = ppo._net_forward(arrays, "value_", observations)
+    v = vout[:, 0]
+    value_loss = float(((v - returns) ** 2).mean())
+    loss = float(policy_loss + hp.value_coef * value_loss - hp.entropy_coef * entropy_mean)
+    active = unclipped <= clipped
+    dlogp_taken = np.where(active, -advantages * ratio, 0.0) / batch
+    onehot = np.zeros_like(probs)
+    onehot[idx, actions] = 1.0
+    dlogits = dlogp_taken[:, None] * (onehot - probs)
+    dlogits += (hp.entropy_coef / batch) * probs * (logp_all + entropy[:, None])
+    grads = ppo._net_backward(arrays, "policy_", pcache, dlogits)
+    dv = (hp.value_coef * 2.0 / batch) * (v - returns)
+    grads.update(ppo._net_backward(arrays, "value_", vcache, dv[:, None]))
+    stats = UpdateStats(
+        loss=loss,
+        policy_loss=float(policy_loss),
+        value_loss=value_loss,
+        entropy=entropy_mean,
+        clip_fraction=float(
+            (ratio != np.clip(ratio, 1.0 - hp.clip_range, 1.0 + hp.clip_range)).mean()
+        ),
+        grad_norm=0.0,
+    )
+    return loss, grads, stats
+
+
+def _bytes(stats):
+    return np.array(astuple(stats), dtype=np.float64).tobytes()
+
+
 class TestLossAndGradients:
     def test_entropy_of_uniform_policy_is_ln3(self):
         params = _params()
@@ -245,10 +305,27 @@ class TestLossAndGradients:
             if key.startswith("policy_"):
                 assert np.abs(grads[key]).max() == 0.0
 
+    @TWO_SPECS
+    def test_matches_serial_reference(self, spec):
+        params = _params(seed=24, spec=spec)
+        for seed in range(5):
+            # Wide ratio noise puts some samples outside the clip range.
+            minibatch = _minibatch(params, n=16, seed=seed, ratio_noise=0.5)
+            loss, grads, stats = ppo_loss_and_grads(params, *minibatch, HP)
+            want_loss, want_grads, want_stats = _reference_loss_and_grads(
+                params, *minibatch, HP)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert list(grads) == list(want_grads)
+            for k, g in want_grads.items():
+                assert grads[k].tobytes() == g.tobytes(), (seed, k)
+            assert _bytes(stats) == _bytes(want_stats)
+            assert 0.0 < stats.clip_fraction < 1.0
+            _adam_step(params, grads, HP)
+
 
 def _reference_adam_step(params, grads, hp):
     """The textbook Adam step, one whole-array expression per operation."""
-    norm = _global_grad_norm(grads)
+    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if norm > hp.max_grad_norm:
         scale = hp.max_grad_norm / norm
         grads = {k: g * scale for k, g in grads.items()}
@@ -293,10 +370,7 @@ class TestAdam:
         for k in ARRAY_ORDER:
             np.testing.assert_allclose(params.adam_m[k], 0.1 * 10.0 * scale, rtol=1e-12)
 
-    # (300, (130, 64)): policy_w1 holds 39,000 elements, more than one block
-    # with a ragged tail. SPEC: initialize returns a Fortran-ordered policy_w1.
-    @pytest.mark.parametrize("spec", [NetworkSpec(300, (130, 64)), SPEC],
-                             ids=["ragged-blocks", "fortran-order"])
+    @TWO_SPECS
     def test_thirty_steps_bit_identical(self, spec):
         hp = PpoHyperparams(total_timesteps=32, learning_rate=3e-3, n_steps=32,
                             batch_size=8, max_grad_norm=0.5)
@@ -365,6 +439,45 @@ class TestPpoUpdate:
         for k, v in vars(batch).items():
             assert v.tobytes() == batch_before[k].tobytes(), k
 
+    @TWO_SPECS
+    def test_three_epochs_match_serial_reference(self, spec):
+        hp = PpoHyperparams(total_timesteps=64, learning_rate=3e-3, n_steps=64,
+                            batch_size=16, n_epochs=3, entropy_coef=0.01, max_grad_norm=0.5)
+        params = _params(seed=25, spec=spec)
+        batch = self._batch(params, n=48, seed=26)
+        # Switch threads as often as the interpreter allows: no interleaving
+        # of the two halves may move a bit.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, stats = ppo_update(params, batch, hp, np.random.default_rng(27))
+        finally:
+            sys.setswitchinterval(interval)
+
+        want = params.copy()
+        rng = np.random.default_rng(27)
+        rows, norms = [], []
+        for _ in range(hp.n_epochs):
+            perm = rng.permutation(48)
+            for start in range(0, 48, hp.batch_size):
+                mb = perm[start:start + hp.batch_size]
+                _, grads, s = _reference_loss_and_grads(
+                    want, batch.observations[mb], batch.actions[mb], batch.log_probs[mb],
+                    normalize_advantages(batch.advantages[mb]), batch.returns[mb], hp)
+                norms.append(_reference_adam_step(want, grads, hp))
+                rows.append((s.loss, s.policy_loss, s.value_loss, s.entropy, s.clip_fraction))
+        totals = np.zeros(5)
+        for row in rows:
+            totals += row
+        mean = totals / len(rows)
+        want_stats = UpdateStats(*(float(x) for x in mean), grad_norm=float(np.mean(norms)))
+
+        assert got.adam_t == want.adam_t == 9
+        for store in ("arrays", "adam_m", "adam_v"):
+            for k in ARRAY_ORDER:
+                assert getattr(got, store)[k].tobytes() == getattr(want, store)[k].tobytes()
+        assert _bytes(stats) == _bytes(want_stats)
+
     def test_deterministic_given_rng_state(self):
         params = _params(seed=16)
         batch = self._batch(params)
@@ -404,6 +517,75 @@ class TestPpoUpdate:
             current, batch.observations, batch.actions, batch.log_probs,
             batch.advantages, batch.returns, hp)
         assert after.value_loss < before.value_loss
+
+
+def _tracked(monkeypatch, delay=0.0):
+    """Wrap the policy half so each call records its thread and its end."""
+    calls = []
+    real = ppo._policy_loss_and_grads
+
+    def policy_half(*args):
+        try:
+            time.sleep(delay)
+            return real(*args)
+        finally:
+            calls.append(threading.current_thread())
+
+    monkeypatch.setattr(ppo, "_policy_loss_and_grads", policy_half)
+    return calls
+
+
+class TestWorkerThread:
+    def test_policy_half_runs_on_worker(self, monkeypatch):
+        calls = _tracked(monkeypatch)
+        params = _params(seed=28)
+        ppo_loss_and_grads(params, *_minibatch(params, n=8, seed=29), HP)
+        assert len(calls) == 1 and calls[0] is not threading.main_thread()
+
+    def test_worker_error_propagates(self, monkeypatch):
+        calls = _tracked(monkeypatch)
+        params = _params(seed=30)
+        obs, actions, old_logp, adv, ret = _minibatch(params, n=8, seed=31)
+        actions[3] = params.spec.action_count
+        with pytest.raises(IndexError):
+            ppo_loss_and_grads(params, obs, actions, old_logp, adv, ret, HP)
+        assert len(calls) == 1
+
+    def test_value_error_waits_for_worker(self, monkeypatch):
+        calls = _tracked(monkeypatch, delay=0.3)
+        params = _params(seed=32)
+        obs, actions, old_logp, adv, _ = _minibatch(params, n=8, seed=33)
+        bad_returns = np.zeros(9)
+        with pytest.raises(ValueError):
+            ppo_loss_and_grads(params, obs, actions, old_logp, adv, bad_returns, HP)
+        # The slow policy half had ended when the value half's error came out.
+        assert len(calls) == 1
+
+    def test_tiny_train_exits_promptly(self):
+        code = "\n".join([
+            "import threading, time",
+            "import numpy as np",
+            "from alloctrader import cli, ppo",
+            "from toyenv import ToyTradingEnv",
+            "spec = ppo.NetworkSpec(11, (8, 8))",
+            "params = ppo.PolicyParameters.initialize(spec, np.random.default_rng(0))",
+            "obs = np.zeros(11)",
+            "ppo.sample_action(params, obs, np.random.default_rng(1))",
+            "ppo.greedy_action(params, obs)",
+            "assert threading.active_count() == 1, 'inference started a thread'",
+            "hp = ppo.PpoHyperparams(total_timesteps=64, learning_rate=1e-3, n_steps=32,",
+            "                        batch_size=16, n_epochs=2)",
+            "ppo.train(ToyTradingEnv, spec, hp, seed=0)",
+            "assert threading.active_count() == 2",
+            "print(time.time(), flush=True)",
+        ])
+        paths = [str(Path(alloctrader.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        exited = time.time()
+        assert proc.returncode == 0, proc.stderr
+        assert exited - float(proc.stdout) < 5.0
 
 
 class TestTrain:

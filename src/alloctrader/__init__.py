@@ -5,7 +5,25 @@ a meta-agent (the allocator) picks which agent is active next and is paid the
 log-return of portfolio value over each decision span. The package covers the
 whole experiment loop: data ingestion/synthesis, feature computation,
 training, backtesting, and evaluation reports.
+
+Importing the package caps BLAS at one thread unless the environment says
+otherwise: the PPO update already runs its two nets on two threads, and at
+these matrix sizes more BLAS threads only add start-up and contention. The
+cap has no effect when numpy was imported before this package.
 """
+
+import os as _os
+
+for _name in (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+):
+    _os.environ.setdefault(_name, "1")
+del _name
 
 from .allocator import (
     AgentRegistry,
@@ -19,7 +37,16 @@ from .allocator import (
     run_hierarchy,
 )
 from .config import ConfigError, RunConfig, default_config, load_config
-from .envs import Action, EnvConfig, EnvError, StepResult, TradingEnv, agent_reward
+from .envs import (
+    Action,
+    AgentRun,
+    EnvConfig,
+    EnvError,
+    StepResult,
+    TradingEnv,
+    agent_reward,
+    run_agent,
+)
 from .evaluation import (
     EquityCurve,
     EvaluationError,

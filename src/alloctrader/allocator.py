@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .envs import (
     Action,
     EnvConfig,
@@ -155,7 +156,7 @@ _DECISION_LOG_FIELDS = (
 
 
 def write_decision_log(decisions: Sequence[AllocationDecision], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_DECISION_LOG_FIELDS)
         for d in decisions:

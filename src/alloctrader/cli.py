@@ -30,8 +30,9 @@ from .allocator import (
     run_hierarchy,
     write_decision_log,
 )
+from .atomic import atomic_write
 from .config import ConfigError, RunConfig, default_config, load_config
-from .envs import EnvConfig, EnvError, TradingEnv
+from .envs import EnvConfig, EnvError, TradingEnv, run_agent
 from .evaluation import (
     EquityCurve,
     EvaluationError,
@@ -61,7 +62,6 @@ from .ppo import (
     NetworkSpec,
     PpoError,
     PolicyParameters,
-    greedy_action,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -137,7 +137,7 @@ def cmd_synth(args) -> int:
     bars_path = paths.data / "synthetic_bars.csv"
     write_sessions_csv(result.sessions, str(bars_path))
     result.calendar.to_file(str(paths.data / "synthetic_calendar.csv"))
-    with open(paths.data / "synthetic_regimes.csv", "w", newline="") as fh:
+    with atomic_write(paths.data / "synthetic_regimes.csv", newline="") as fh:
         fh.write("timestamp,regime\n")
         for session, labels in zip(result.sessions, result.regimes):
             for bar, regime in zip(session.bars, labels):
@@ -325,13 +325,7 @@ def _backtest_agent(cfg: RunConfig, paths: _Paths, sessions, test_start: date, l
             f"insufficient warmup before test start {test_start}: bar {cursor} "
             f"but observations need {env.min_cursor + 1} bars of history"
         )
-    obs = env.reset(cursor)
-    points = [(env.current_timestamp, env.portfolio_value)]
-    while not env.done:
-        result = env.step(greedy_action(ckpt.params, obs))
-        obs = result.observation
-        points.append((result.info["timestamp"], result.info["portfolio_value"]))
-    curve = EquityCurve.from_pairs(points)
+    curve = EquityCurve.from_pairs(run_agent(env, ckpt.params, cursor).equity)
     name = f"agent_{tf.label}"
     _write_backtest(paths, name, curve, env.trades, annualization_factor(curve.timestamps))
 
@@ -394,10 +388,10 @@ def cmd_analyze(args) -> int:
         )
     report = quartile_allocation(decisions, sessions, args.granularity)
     stem = paths.reports / f"quartiles_{args.granularity}"
-    with open(f"{stem}.json", "w") as fh:
+    with atomic_write(f"{stem}.json") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(f"{stem}.txt", "w") as fh:
+    with atomic_write(f"{stem}.txt") as fh:
         fh.write(report.to_text())
     report.to_plot_csv(f"{stem}.csv")
     print(report.to_text(), end="")
@@ -428,7 +422,8 @@ def cmd_report(args) -> int:
         lines.append("")
         lines.append(path.read_text().rstrip("\n"))
     text = "\n".join(lines) + "\n"
-    (paths.reports / "summary.txt").write_text(text)
+    with atomic_write(paths.reports / "summary.txt") as fh:
+        fh.write(text)
     print(text, end="")
     return 0
 

@@ -5,7 +5,8 @@ the decision bar's close, marks each bar of the span that follows, and
 force-liquidates if the span ends its session. It never buys at a session's
 final bar, so positions never survive overnight. `TradingEnv` runs it over
 one-bar spans, `allocator.HierarchyEnv` over spans of the chosen agent's
-timeframe. Cash carries across sessions.
+timeframe. Cash carries across sessions. `run_agent` is the greedy
+single-agent episode that backtests run.
 
 Rewards: a realized sale pays tanh(5 * (sell - avg_cost) / avg_cost); buys
 and holds pay 0. A step's reward therefore always lies in [-1, 1].
@@ -13,18 +14,19 @@ and holds pay 0. A step's reward therefore always lies in [-1, 1].
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .indicators import feature_table
 from .market_data import Session, Timeframe, resample
 from .portfolio import (
     PortfolioState, TradeLogEntry, buy_all, features, mark, sell_all, value_and_ratios,
 )
+from .ppo import PolicyParameters, SplitGreedyPolicy, greedy_action
 
 #: Scale applied to the fractional sale profit before the tanh squash.
 REWARD_SCALE = 5.0
@@ -36,6 +38,11 @@ CCI_DIVISOR = 200.0
 #: Observation features per bar: five market columns plus three portfolio
 #: columns (cash ratio, stock ratio, clamped unrealized profit ratio).
 FEATURES_PER_BAR = 8
+MARKET_FEATURES = 5
+
+#: Cursors per block in `run_agent`: their market windows are normalized and
+#: multiplied by the first layer in one GEMM (about 2.5 MB at window 240).
+AGENT_BLOCK = 256
 
 
 class EnvError(RuntimeError):
@@ -141,45 +148,52 @@ def normalize_market_window(feature_rows: np.ndarray, closes: np.ndarray) -> np.
 
     RSI / 100, MACD histogram divided by the bar's own close, CCI / 200,
     %B as-is, volume z-scored within the window (0 when constant).
+    `feature_rows` may also be a stack (..., window, 5) of windows, with
+    `closes` (..., window); each window comes out with the same bytes as
+    when normalized alone.
     """
-    w = feature_rows.shape[0]
-    out = np.empty((w, 5))
-    out[:, 0] = feature_rows[:, 0] / RSI_DIVISOR
-    out[:, 1] = feature_rows[:, 1] / closes
-    out[:, 2] = feature_rows[:, 2] / CCI_DIVISOR
-    out[:, 3] = feature_rows[:, 3]
-    vol = feature_rows[:, 4]
-    sd = vol.std()
-    out[:, 4] = (vol - vol.mean()) / sd if sd > 0 else 0.0
+    out = np.empty(feature_rows.shape)
+    out[..., 0] = feature_rows[..., 0] / RSI_DIVISOR
+    out[..., 1] = feature_rows[..., 1] / closes
+    out[..., 2] = feature_rows[..., 2] / CCI_DIVISOR
+    out[..., 3] = feature_rows[..., 3]
+    # Contiguous rows, so each window's sums run in the same pairwise order.
+    # The mean and the population std are those of np.mean and np.std, step
+    # for step.
+    vol = np.ascontiguousarray(feature_rows[..., 4])
+    n = vol.shape[-1]
+    centered = vol - np.add.reduce(vol, axis=-1, keepdims=True) / n
+    sd = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / n)
+    out[..., 4] = 0.0
+    np.divide(centered, sd, out=out[..., 4], where=sd > 0)
+    return out
+
+
+def portfolio_window(portfolio_rows: np.ndarray) -> np.ndarray:
+    """(window, 3) portfolio columns of an observation: cash ratio, stock
+    ratio and the unrealized profit ratio clamped to [-1, 1]."""
+    out = portfolio_rows.copy()
+    np.clip(out[:, 2], -1.0, 1.0, out=out[:, 2])
     return out
 
 
 def build_observation(
     feature_rows: np.ndarray, closes: np.ndarray, portfolio_rows: np.ndarray
 ) -> np.ndarray:
-    """Assemble a flattened (window * 8) observation from per-bar inputs.
-
-    Five normalized market columns (see normalize_market_window) followed by
-    cash ratio, stock ratio and the unrealized profit ratio clamped to
-    [-1, 1].
-    """
+    """Assemble a flattened (window * 8) observation from per-bar inputs:
+    five normalized market columns (see normalize_market_window), then the
+    three portfolio columns (see portfolio_window)."""
     w = feature_rows.shape[0]
     out = np.empty((w, FEATURES_PER_BAR))
-    out[:, :5] = normalize_market_window(feature_rows, closes)
-    out[:, 5] = portfolio_rows[:, 0]
-    out[:, 6] = portfolio_rows[:, 1]
-    out[:, 7] = np.clip(portfolio_rows[:, 2], -1.0, 1.0)
+    out[:, :MARKET_FEATURES] = normalize_market_window(feature_rows, closes)
+    out[:, MARKET_FEATURES:] = portfolio_window(portfolio_rows)
     return out.reshape(-1)
 
 
 class TradingEnv:
-    """Episode over resampled bars with an all-in/all-out single position.
+    """Episode over resampled bars with an all-in/all-out single position."""
 
-    Optional `trace` is an open text file; every step appends a CSV row
-    `timestamp,action,reward,portfolio_value`.
-    """
-
-    def __init__(self, sessions: Sequence[Session], config: EnvConfig, trace=None):
+    def __init__(self, sessions: Sequence[Session], config: EnvConfig):
         if not sessions:
             raise EnvError("no sessions provided")
         self.config = config
@@ -201,11 +215,6 @@ class TradingEnv:
             np.asarray(highs), np.asarray(lows), self.closes, np.asarray(volumes)
         )
         self.min_cursor = self.first_valid + config.window_size - 1
-        self._trace = trace
-        self._trace_writer = None
-        if trace is not None:
-            self._trace_writer = csv.writer(trace)
-            self._trace_writer.writerow(["timestamp", "action", "reward", "portfolio_value"])
         self.cursor = -1
         self.done = True
         self.portfolio: PortfolioState | None = None
@@ -259,6 +268,17 @@ class TradingEnv:
 
     def step(self, action: Action | int) -> StepResult:
         """Trade at the current bar close, advance one bar, settle rewards."""
+        span = self._advance(action)
+        info = {
+            "timestamp": self.timestamps[self.cursor],
+            "portfolio_value": self.portfolio.total_value,
+            "trade": span.trade,
+            "forced_liquidation": span.liquidation,
+        }
+        return StepResult(self._observation(), span.reward, self.done, info)
+
+    def _advance(self, action: Action | int) -> SpanResult:
+        """`step` without the observation: trade, mark and book one bar."""
         if self.done:
             raise EnvError("step() called on a finished episode; call reset()")
         action = Action(action) if not isinstance(action, Action) else action
@@ -269,21 +289,58 @@ class TradingEnv:
         self.trades.extend(t for t in (span.trade, span.liquidation) if t is not None)
         self.cursor = nxt
         self.done = nxt == self.n_bars - 1
-        obs = self._observation()
-        info = {
-            "timestamp": self.timestamps[nxt],
-            "portfolio_value": self.portfolio.total_value,
-            "trade": span.trade,
-            "forced_liquidation": span.liquidation,
-        }
-        if self._trace_writer is not None:
-            self._trace_writer.writerow(
-                [self.timestamps[nxt].isoformat(), action.name.lower(),
-                 repr(span.reward), repr(self.portfolio.total_value)]
-            )
-        return StepResult(obs, span.reward, self.done, info)
+        return span
 
     def _observation(self) -> np.ndarray:
         w = self.config.window_size
         window = slice(self.cursor - w + 1, self.cursor + 1)
         return build_observation(self.features[window], self.closes[window], self._pf_rows[window])
+
+
+class AgentRun(NamedTuple):
+    """A greedy episode: (timestamp, portfolio value) at the start cursor and
+    after every step, and how many steps asked greedy_action (see run_agent)."""
+
+    equity: list
+    fallbacks: int
+
+
+def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRun:
+    """Greedy episode of `params` over `env` from `cursor` to the last bar.
+
+    It takes the same actions, and so leaves the same trades and equity, as
+    stepping `env` with greedy_action on each observation. The policy's first
+    layer is split (SplitGreedyPolicy): the market columns of AGENT_BLOCK
+    cursors at a time are multiplied in one GEMM, since they do not depend on
+    the portfolio, and each step multiplies only its portfolio columns. A
+    step whose top two logits are too close for the rounding bound builds
+    the full observation and asks greedy_action; `fallbacks` counts those.
+    """
+    if params.spec.input_dim != env.observation_size:
+        raise EnvError(
+            f"agent network expects input {params.spec.input_dim}, "
+            f"environment produces {env.observation_size}"
+        )
+    env.reset(cursor)
+    w = env.config.window_size
+    market = np.arange(env.observation_size) % FEATURES_PER_BAR < MARKET_FEATURES
+    policy = SplitGreedyPolicy(params, market)
+    equity = [(env.current_timestamp, env.portfolio_value)]
+    fallbacks = 0
+    last = env.n_bars - 1
+    for lo in range(cursor, last, AGENT_BLOCK):
+        hi = min(lo + AGENT_BLOCK, last)
+        rows = slice(lo - w + 1, hi)
+        windows = sliding_window_view(env.features[rows], w, axis=0).transpose(0, 2, 1)
+        closes = sliding_window_view(env.closes[rows], w)
+        xa = normalize_market_window(windows, closes).reshape(hi - lo, -1)
+        za, norms = policy.first_layer_a(xa)
+        for t in range(lo, hi):
+            xb = portfolio_window(env._pf_rows[t - w + 1:t + 1]).reshape(-1)
+            action = policy.action(za[t - lo], float(norms[t - lo]), xb)
+            if action is None:
+                action = greedy_action(params, env._observation())
+                fallbacks += 1
+            env._advance(action)
+            equity.append((env.timestamps[env.cursor], env.portfolio.total_value))
+    return AgentRun(equity, fallbacks)

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .market_data import Session, TIMEFRAME_ORDER, Timeframe
 
 logger = logging.getLogger(__name__)
@@ -162,7 +163,7 @@ def compute_metrics(curve, periods_per_year: float, risk_free_rate: float = 0.0)
 
 
 def write_equity_csv(curve: EquityCurve, path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "value"])
         for ts, v in zip(curve.timestamps, curve.values):
@@ -250,7 +251,7 @@ class QuartileAllocationReport:
         return "\n".join(lines) + "\n"
 
     def to_plot_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["quartile", "units", "vol_min", "vol_max"]
@@ -328,9 +329,9 @@ def annualization_factor(timestamps: Sequence[datetime], sessions_per_year: floa
 
 
 def write_metrics(report: MetricsReport, json_path: str, text_path: str | None = None) -> None:
-    with open(json_path, "w") as fh:
+    with atomic_write(json_path) as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if text_path is not None:
-        with open(text_path, "w") as fh:
+        with atomic_write(text_path) as fh:
             fh.write(report.to_text())

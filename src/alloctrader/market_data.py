@@ -9,12 +9,15 @@ stamped 09:30 through 15:59 (390 bars).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .atomic import atomic_write
 
 CSV_HEADER = ("timestamp", "open", "high", "low", "close", "volume")
 
@@ -83,7 +86,7 @@ class Bar:
             raise MarketDataError(f"bar timestamp not minute-aligned: {self.timestamp}")
         for name in ("open", "high", "low", "close"):
             p = getattr(self, name)
-            if not (np.isfinite(p) and p > 0):
+            if not (math.isfinite(p) and p > 0):
                 raise MarketDataError(f"non-positive {name} price: {p}")
         if not (self.low <= self.open <= self.high and self.low <= self.close <= self.high):
             raise MarketDataError(
@@ -187,7 +190,7 @@ class TradingCalendar:
         return cls(days)
 
     def to_file(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             for d in sorted(self.days):
                 o, c = self.days[d]
                 fh.write(f"{d.isoformat()},{o.strftime('%H:%M')},{c.strftime('%H:%M')}\n")
@@ -274,7 +277,7 @@ def write_sessions_csv(sessions: Iterable[Session], path: str) -> None:
 
     Prices use shortest round-trip decimal form (`repr`), timestamps ISO-8601.
     """
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for session in sessions:

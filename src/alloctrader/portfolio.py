@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Iterable
 
+from .atomic import atomic_write
+
 
 class PortfolioError(ValueError):
     """Invalid portfolio state or operation (non-positive price, bad cash)."""
@@ -175,7 +177,7 @@ class TradeLogEntry:
 
 def write_trade_log(entries: Iterable[TradeLogEntry], path: str) -> None:
     """Write fills as CSV: timestamp, side, shares, price, realized_reward."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "side", "shares", "price", "realized_reward"])
         for e in entries:

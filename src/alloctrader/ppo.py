@@ -17,10 +17,8 @@ value net's runs on the caller's, with bit-identical results.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import struct
 import threading
 from collections import deque
@@ -29,6 +27,8 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .atomic import atomic_write
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -163,9 +163,14 @@ class PolicyParameters:
 
 def _net_forward(arrays: dict, prefix: str, x: np.ndarray):
     a1 = np.tanh(x @ arrays[prefix + "w1"] + arrays[prefix + "b1"])
-    a2 = np.tanh(a1 @ arrays[prefix + "w2"] + arrays[prefix + "b2"])
-    out = a2 @ arrays[prefix + "w3"] + arrays[prefix + "b3"]
+    out, a2 = _net_tail(arrays, prefix, a1)
     return out, (x, a1, a2)
+
+
+def _net_tail(arrays: dict, prefix: str, a1: np.ndarray):
+    """Layers 2 and 3 from the first layer's activations: (output, a2)."""
+    a2 = np.tanh(a1 @ arrays[prefix + "w2"] + arrays[prefix + "b2"])
+    return a2 @ arrays[prefix + "w3"] + arrays[prefix + "b3"], a2
 
 
 def _net_backward(arrays: dict, prefix: str, cache, dout: np.ndarray) -> dict:
@@ -208,6 +213,90 @@ def greedy_action(params: PolicyParameters, observation: np.ndarray) -> int:
     obs = np.atleast_2d(np.asarray(observation, dtype=np.float64))
     logits, _ = _net_forward(params.arrays, "policy_", obs)
     return int(np.argmax(logits[0]))
+
+
+# Unit roundoff of float64, and a bound on the absolute error of np.tanh for
+# float64: numpy's accuracy tests hold it to 2 ulps; 4 are allowed here, and
+# on results in [-1, 1] 4 ulps are at most 8u.
+_UNIT_ROUNDOFF = 2.0 ** -53
+_TANH_ERROR = 8 * _UNIT_ROUNDOFF
+# Covers the rounding of the bound's own arithmetic, whose relative error is
+# below gamma_n for n of a few thousand, under 1e-12.
+_BOUND_MARGIN = 1.0 + 2.0 ** -20
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = nu / (1 - nu): an n-term float64 dot product or sum,
+    in any order and with or without FMA, is within gamma_n * sum|terms| of
+    its exact value."""
+    nu = n * _UNIT_ROUNDOFF
+    return nu / (1.0 - nu)
+
+
+class SplitGreedyPolicy:
+    """greedy_action with the policy's first layer split into two row sets.
+
+    `part_a` marks the inputs of set a. `first_layer_a` multiplies a block of
+    many inputs' a-parts by their rows of w1 in one GEMM; `action` adds the
+    b-part's matvec and b1, and runs layers 2 and 3 through `_net_tail`.
+
+    The split sum rounds differently from x @ w1, so `action` also bounds
+    |logits - greedy_action's logits| by the summation bound through all
+    three layers: ||x||_1 per input, the weight norms once here. When the top
+    two logits are within twice that bound the argmax could differ, and
+    `action` returns None; the caller then asks greedy_action. Every action
+    returned or asked for therefore equals greedy_action's.
+    """
+
+    def __init__(self, params: PolicyParameters, part_a: np.ndarray):
+        arrays = params.arrays
+        w1, b1 = arrays["policy_w1"], arrays["policy_b1"]
+        self._arrays = arrays
+        self._w1_a = np.ascontiguousarray(w1[part_a])
+        self._w1_b = np.ascontiguousarray(w1[~part_a])
+        self._b1 = b1
+        h1, h2 = params.spec.hidden
+        # Layer 1: each path's z1 is within gamma_{n+1} (||x||_1 max|w1| + max|b1|)
+        # of the exact value, so the two differ by twice that (plus tanh's error
+        # on each side once activated).
+        g1 = 2.0 * _gamma(w1.shape[0] + 1)
+        self._l1_per_norm = g1 * float(np.abs(w1).max())
+        self._l1_const = g1 * float(np.abs(b1).max()) + 2 * _TANH_ERROR
+        # Layers 2 and 3 take activations in [-1, 1]: a difference d in the
+        # input moves an output by at most d times the largest column sum of
+        # |w|, and each path rounds by gamma_{rows+1} (that column sum + |b|).
+        self._later = []
+        for key, rows, tanh_error in (("2", h1, 2 * _TANH_ERROR), ("3", h2, 0.0)):
+            colsum = float(np.abs(arrays["policy_w" + key]).sum(axis=0).max())
+            bias = float(np.abs(arrays["policy_b" + key]).max())
+            self._later.append(
+                (colsum, 2.0 * _gamma(rows + 1) * (colsum + bias) + tanh_error)
+            )
+
+    def first_layer_a(self, xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(xa @ w1_a, ||xa||_1 per row) for a (rows, |a|) block of a-parts."""
+        return xa @ self._w1_a, np.abs(xa).sum(axis=1)
+
+    def logit_error_bound(self, x_norm: float) -> float:
+        """Bound on |logits - greedy_action's logits| for an input of 1-norm x_norm."""
+        bound = self._l1_per_norm * x_norm + self._l1_const
+        for colsum, rounding in self._later:
+            bound = colsum * bound + rounding
+        return bound * _BOUND_MARGIN
+
+    def logits(self, za: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """Logits from an a-part's first-layer product and the b-part."""
+        a1 = np.tanh(za + xb @ self._w1_b + self._b1)
+        return _net_tail(self._arrays, "policy_", a1)[0]
+
+    def action(self, za: np.ndarray, norm_a: float, xb: np.ndarray) -> int | None:
+        """greedy_action's action, or None when rounding could change it."""
+        logits = self.logits(za, xb).tolist()
+        best = max(range(len(logits)), key=logits.__getitem__)
+        runner_up = max(v for i, v in enumerate(logits) if i != best)
+        bound = self.logit_error_bound(norm_a + float(np.abs(xb).sum()))
+        # False for NaN logits or bounds, which also go to greedy_action.
+        return best if logits[best] - runner_up > 2.0 * bound else None
 
 
 def gae(
@@ -520,7 +609,7 @@ class TrainingCurve:
 
         names = ["timesteps", "mean_step_reward", "mean_episode_return", "loss",
                  "policy_loss", "value_loss", "entropy", "clip_fraction"]
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = _csv.writer(fh)
             writer.writerow(names)
             for p in self.points:
@@ -661,19 +750,12 @@ def save_checkpoint(
         "update_count": params.update_count,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-            fh.write(blob)
-            for _, arr in entries:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+        fh.write(blob)
+        for _, arr in entries:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def _is_int(value) -> bool:

@@ -1,12 +1,17 @@
 """Config validation and the full command-line pipeline on tiny settings."""
 
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 
+import alloctrader
 from alloctrader.cli import main
 from alloctrader.config import (
     ConfigError,
@@ -449,3 +454,34 @@ class TestDeterminism:
         assert main(args) == 0
         assert "dropped 0 out-of-session rows" in capsys.readouterr().out
         assert (dest / "data" / "sessions.csv").read_bytes() == bars.read_bytes()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _import_in_fresh_process(**preset) -> dict:
+    """Import alloctrader first thing in a new interpreter; report its
+    thread count and BLAS variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = str(Path(alloctrader.__file__).resolve().parent.parent)
+    code = ("import json, os, alloctrader; print(json.dumps({'threads': "
+            "len(os.listdir('/proc/self/task')), 'env': {k: os.environ[k] for k in %r}}))"
+            % (BLAS_THREAD_VARS,))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+class TestBlasThreads:
+    def test_one_blas_thread_by_default(self):
+        report = _import_in_fresh_process()
+        assert report["threads"] == 1
+        assert report["env"] == {k: "1" for k in BLAS_THREAD_VARS}
+
+    def test_preset_value_wins(self):
+        report = _import_in_fresh_process(OPENBLAS_NUM_THREADS="2")
+        assert report["env"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert report["env"]["OMP_NUM_THREADS"] == "1"

@@ -1,12 +1,11 @@
 """Trading environment: reward oracle, step semantics, liquidation invariant."""
 
-import io
-
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 from mpmath import tanh as mp_tanh
 
+from alloctrader import envs
 from alloctrader.envs import (
     Action,
     EnvConfig,
@@ -15,16 +14,24 @@ from alloctrader.envs import (
     agent_reward,
     build_observation,
     normalize_market_window,
+    run_agent,
 )
 from alloctrader.market_data import Timeframe
+from alloctrader.ppo import (
+    NetworkSpec,
+    PolicyParameters,
+    SplitGreedyPolicy,
+    _net_forward,
+    greedy_action,
+)
 
 mp.dps = 50
 
 
-def _env(sessions, timeframe=Timeframe.ONE_MINUTE, window=5, cash=10_000.0, fee=0.0, trace=None):
+def _env(sessions, timeframe=Timeframe.ONE_MINUTE, window=5, cash=10_000.0, fee=0.0):
     cfg = EnvConfig(timeframe=timeframe, window_size=window, initial_cash=cash,
                     fee_per_sell_share=fee)
-    return TradingEnv(sessions, cfg, trace=trace)
+    return TradingEnv(sessions, cfg)
 
 
 class TestAgentReward:
@@ -210,17 +217,6 @@ class TestStep:
             rewards.append([env.step(a).reward for a in actions])
         assert rewards[0] == rewards[1]
 
-    def test_trace_csv(self, short_sessions):
-        buf = io.StringIO()
-        env = _env(short_sessions, window=5, trace=buf)
-        env.reset()
-        env.step(Action.BUY)
-        env.step(Action.SELL)
-        lines = buf.getvalue().strip().split("\r\n")
-        assert lines[0] == "timestamp,action,reward,portfolio_value"
-        assert len(lines) == 3
-        assert lines[1].split(",")[1] == "buy"
-
     def test_fee_reduces_proceeds(self, short_sessions):
         free = _env(short_sessions, window=5)
         paid = _env(short_sessions, window=5, fee=0.01)
@@ -229,3 +225,161 @@ class TestStep:
             env.step(Action.BUY)
             env.step(Action.SELL)
         assert paid.portfolio.cash < free.portfolio.cash
+
+
+def _agent_params(window, hidden, seed):
+    """Random agent whose head is scaled up so its actions change often."""
+    params = PolicyParameters.initialize(
+        NetworkSpec(window * 8, hidden, 3), np.random.default_rng(seed)
+    )
+    params.arrays["policy_w3"] *= 100.0
+    return params
+
+
+def _step_loop(env, params, cursor):
+    """The plain greedy episode: env.step(greedy_action(obs)) to the end."""
+    obs = env.reset(cursor)
+    equity = [(env.current_timestamp, env.portfolio_value)]
+    while not env.done:
+        result = env.step(greedy_action(params, obs))
+        obs = result.observation
+        equity.append((result.info["timestamp"], result.info["portfolio_value"]))
+    return equity, list(env.trades)
+
+
+class TestRunAgent:
+    @pytest.mark.parametrize(
+        "timeframe, window, hidden, fee, seed, block",
+        [
+            (Timeframe.ONE_MINUTE, 5, (16, 16), 0.0, 0, 256),
+            (Timeframe.ONE_MINUTE, 7, (16, 16), 0.01, 1, 256),
+            (Timeframe.ONE_MINUTE, 3, (32, 16), 0.0, 2, 256),
+            (Timeframe.ONE_MINUTE, 9, (16, 8), 0.02, 3, 7),
+            (Timeframe.TEN_MINUTE, 4, (16, 16), 0.0, 4, 5),
+        ],
+    )
+    def test_matches_greedy_step_loop(self, short_sessions, monkeypatch,
+                                      timeframe, window, hidden, fee, seed, block):
+        monkeypatch.setattr(envs, "AGENT_BLOCK", block)
+        params = _agent_params(window, hidden, seed)
+        if window * 8 < hidden[0]:
+            w1 = params.arrays["policy_w1"]
+            assert w1.flags.f_contiguous and not w1.flags.c_contiguous
+        for cursor_offset in (0, 13):
+            loop_env = _env(short_sessions, timeframe, window, fee=fee)
+            cursor = loop_env.min_cursor + cursor_offset
+            equity, trades = _step_loop(loop_env, params, cursor)
+            env = _env(short_sessions, timeframe, window, fee=fee)
+            run = run_agent(env, params, cursor)
+            assert run.equity == equity
+            assert env.trades == trades
+            assert trades, "the agent should trade"
+            assert env.done and env.cursor == env.n_bars - 1
+
+    def test_zero_policy_head_falls_back_on_every_step(self, short_sessions):
+        # All logits tie at 0, so no bound can rule out a different argmax.
+        params = _agent_params(5, (16, 16), 0)
+        params.arrays["policy_w3"][:] = 0.0
+        loop_env = _env(short_sessions, window=5)
+        equity, trades = _step_loop(loop_env, params, loop_env.min_cursor)
+        env = _env(short_sessions, window=5)
+        run = run_agent(env, params, env.min_cursor)
+        assert run.fallbacks == len(run.equity) - 1 > 0
+        assert run.equity == equity and env.trades == trades
+        assert trades[0].side == "buy"  # greedy_action's first index wins the tie
+
+    def test_tied_logits_return_none(self):
+        params = _agent_params(2, (8, 8), 0)
+        params.arrays["policy_w3"][:] = 0.0
+        policy = SplitGreedyPolicy(params, np.arange(16) % 8 < 5)
+        za, norms = policy.first_layer_a(np.ones((1, 10)))
+        assert policy.action(za[0], float(norms[0]), np.ones(6)) is None
+
+    def test_network_size_mismatch_is_env_error(self, short_sessions):
+        env = _env(short_sessions, window=5)
+        with pytest.raises(EnvError, match="expects input 48"):
+            run_agent(env, _agent_params(6, (8, 8), 0), env.min_cursor)
+
+    def test_bad_cursor_is_env_error(self, short_sessions):
+        env = _env(short_sessions, window=5)
+        with pytest.raises(EnvError, match="too early"):
+            run_agent(env, _agent_params(5, (8, 8), 0), env.min_cursor - 1)
+
+
+def _reference_normalize(rows, closes):
+    """One window, normalized with np.mean and np.std."""
+    out = np.empty((rows.shape[0], 5))
+    out[:, 0] = rows[:, 0] / 100.0
+    out[:, 1] = rows[:, 1] / closes
+    out[:, 2] = rows[:, 2] / 200.0
+    out[:, 3] = rows[:, 3]
+    vol = rows[:, 4]
+    sd = vol.std()
+    out[:, 4] = (vol - vol.mean()) / sd if sd > 0 else 0.0
+    return out
+
+
+class TestStackedNormalization:
+    @pytest.mark.parametrize("window", [1, 2, 7, 8, 9, 16, 130, 240])
+    def test_stack_equals_each_window_alone(self, window):
+        rng = np.random.default_rng(window)
+        rows = rng.uniform(-50.0, 50.0, (window + 40, 5))
+        rows[:, 4] = rng.integers(1, 5000, window + 40).astype(float)
+        rows[10:10 + window + 3, 4] = 777.0  # windows of constant volume
+        closes = rng.uniform(50.0, 150.0, window + 40)
+        stack = normalize_market_window(
+            np.lib.stride_tricks.sliding_window_view(rows, window, axis=0).transpose(0, 2, 1),
+            np.lib.stride_tricks.sliding_window_view(closes, window),
+        )
+        assert stack.shape == (41, window, 5)
+        for k in range(41):
+            alone = normalize_market_window(rows[k:k + window], closes[k:k + window])
+            assert stack[k].tobytes() == alone.tobytes()
+            reference = _reference_normalize(rows[k:k + window], closes[k:k + window])
+            assert alone.tobytes() == reference.tobytes()
+        if window > 1:
+            assert (stack[10, :, 4] == 0.0).all()
+
+
+def _exact_logits(arrays, x):
+    """The policy's logits in 50-digit arithmetic."""
+    a = [mpf(float(v)) for v in x]
+    for layer in (1, 2, 3):
+        w = arrays[f"policy_w{layer}"]
+        b = arrays[f"policy_b{layer}"]
+        z = [mp.fsum(a[i] * mpf(float(w[i, j])) for i in range(len(a))) + mpf(float(b[j]))
+             for j in range(w.shape[1])]
+        a = [mp_tanh(v) for v in z] if layer < 3 else z
+    return a
+
+
+class TestLogitErrorBound:
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e9])
+    def test_each_path_within_half_the_bound(self, scale):
+        # Pairs of inputs cancel on identical weight rows, so the first layer
+        # rounds at the scale of the inputs while z1 stays where tanh is steep.
+        rng = np.random.default_rng(int(scale))
+        spec = NetworkSpec(16, (8, 8), 3)
+        part_a = np.arange(16) % 2 == 0
+        for _ in range(20):
+            params = PolicyParameters.initialize(spec, rng)
+            arrays = params.arrays
+            for key in ("w1", "w2", "w3"):
+                arrays["policy_" + key] *= rng.uniform(0.5, 4.0)
+            for key in ("b1", "b2", "b3"):
+                arrays["policy_" + key] = rng.uniform(-1.0, 1.0, arrays["policy_" + key].shape)
+            arrays["policy_w1"][1::2] = arrays["policy_w1"][0::2]
+            big = rng.uniform(-scale, scale, 8)
+            x = np.empty(16)
+            x[0::2] = big
+            x[1::2] = -big + rng.uniform(-1.0, 1.0, 8)
+            policy = SplitGreedyPolicy(params, part_a)
+            za, norms = policy.first_layer_a(x[part_a][None, :])
+            split = policy.logits(za[0], x[~part_a])
+            full = _net_forward(arrays, "policy_", x[None, :])[0][0]
+            bound = policy.logit_error_bound(float(np.abs(x).sum()))
+            assert np.isfinite(bound)
+            assert (np.abs(split - full) <= bound).all()
+            for got in (split, full):
+                for value, exact in zip(got, _exact_logits(arrays, x)):
+                    assert abs(mpf(float(value)) - exact) <= bound / 2

@@ -55,6 +55,16 @@ class TestBar:
         with pytest.raises(MarketDataError):
             _bar(9, 30, o=0.0, lo=0.0)
 
+    @pytest.mark.parametrize("field", ["o", "hi", "lo", "c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_price_rejected(self, field, value):
+        with pytest.raises(MarketDataError, match="price"):
+            _bar(9, 30, **{field: value})
+
+    def test_numpy_and_integer_prices_accepted(self):
+        bar = _bar(9, 30, o=np.float64(100.0), hi=101, lo=np.float64(99.0), c=100)
+        assert (bar.open, bar.high, bar.low, bar.close) == (100.0, 101, 99.0, 100)
+
     def test_negative_volume_rejected(self):
         with pytest.raises(MarketDataError):
             _bar(9, 30, v=-1)

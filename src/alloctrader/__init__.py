@@ -60,16 +60,7 @@ from .evaluation import (
     return_volatility_pct,
     sharpe,
 )
-from .indicators import (
-    FEATURE_WARMUP,
-    InsufficientHistory,
-    MarketFeatures,
-    bollinger_pband,
-    cci,
-    macd_histogram,
-    market_features,
-    rsi,
-)
+from .indicators import FEATURE_WARMUP
 from .market_data import (
     Bar,
     EmptyDataError,
@@ -96,6 +87,7 @@ from .portfolio import (
     sell_all,
 )
 from .ppo import (
+    AdamState,
     Checkpoint,
     CheckpointError,
     NetworkSpec,

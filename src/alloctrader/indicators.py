@@ -9,9 +9,6 @@ constant closes give RSI 50, MACD histogram 0, CCI 0 and %B 0.5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -20,21 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 FEATURE_WARMUP = 34
 
 FEATURE_COLUMNS = ("rsi", "macd_histogram", "cci", "pband", "volume")
-
-
-class InsufficientHistory(ValueError):
-    """A feature was requested from a series shorter than its minimum window."""
-
-
-@dataclass(frozen=True)
-class MarketFeatures:
-    """Feature snapshot at the last bar of a series."""
-
-    rsi: float
-    macd_histogram: float
-    cci: float
-    pband: float
-    volume: float
 
 
 def _rsi_from_averages(avg_gain: float, avg_loss: float) -> float:
@@ -143,55 +125,6 @@ def rolling_pband(closes: np.ndarray, period: int = 20, width: float = 2.0) -> n
     return out
 
 
-def rsi(closes: Sequence[float], period: int = 14) -> float:
-    """RSI at the last close, smoothed over the whole provided history."""
-    arr = np.asarray(closes, dtype=np.float64)
-    if arr.size < period + 1:
-        raise InsufficientHistory(f"rsi needs at least {period + 1} closes, got {arr.size}")
-    return float(rolling_rsi(arr, period)[-1])
-
-
-def macd_histogram(
-    closes: Sequence[float], fast: int = 12, slow: int = 26, signal: int = 9
-) -> float:
-    """MACD histogram at the last close."""
-    arr = np.asarray(closes, dtype=np.float64)
-    need = slow + signal
-    if arr.size < need:
-        raise InsufficientHistory(f"macd_histogram needs at least {need} closes, got {arr.size}")
-    return float(rolling_macd_histogram(arr, fast, slow, signal)[-1])
-
-
-def cci(bars: Sequence, period: int = 20) -> float:
-    """CCI at the last bar of a Bar sequence."""
-    if len(bars) < period:
-        raise InsufficientHistory(f"cci needs at least {period} bars, got {len(bars)}")
-    highs = np.array([b.high for b in bars])
-    lows = np.array([b.low for b in bars])
-    closes = np.array([b.close for b in bars])
-    return float(rolling_cci(highs, lows, closes, period)[-1])
-
-
-def bollinger_pband(closes: Sequence[float], period: int = 20, width: float = 2.0) -> float:
-    """Bollinger %B at the last close."""
-    arr = np.asarray(closes, dtype=np.float64)
-    if arr.size < period:
-        raise InsufficientHistory(f"bollinger_pband needs at least {period} closes, got {arr.size}")
-    return float(rolling_pband(arr, period, width)[-1])
-
-
-def market_features(bars: Sequence) -> MarketFeatures:
-    """All five features at the last bar. Needs at least 35 bars."""
-    closes = [b.close for b in bars]
-    return MarketFeatures(
-        rsi=rsi(closes),
-        macd_histogram=macd_histogram(closes),
-        cci=cci(bars),
-        pband=bollinger_pband(closes),
-        volume=float(bars[-1].volume),
-    )
-
-
 def feature_table(
     highs: np.ndarray, lows: np.ndarray, closes: np.ndarray, volumes: np.ndarray
 ) -> tuple[int, np.ndarray]:
@@ -211,11 +144,3 @@ def feature_table(
         ]
     ) if n else np.empty((0, len(FEATURE_COLUMNS)))
     return FEATURE_WARMUP, matrix
-
-
-def feature_table_from_bars(bars: Sequence) -> tuple[int, np.ndarray]:
-    highs = np.array([b.high for b in bars])
-    lows = np.array([b.low for b in bars])
-    closes = np.array([b.close for b in bars])
-    volumes = np.array([float(b.volume) for b in bars])
-    return feature_table(highs, lows, closes, volumes)

@@ -10,21 +10,24 @@ generalized advantage estimation, per-minibatch advantage normalization,
 entropy bonus, Adam with global gradient-norm clipping, orthogonal
 initialization (gain sqrt(2) hidden, 0.01 policy head, 1.0 value head).
 Adam runs in place, in L2-sized row blocks of each array, and allocates
-nothing the size of the model. Each minibatch's policy-net work (forward,
-backward, squared-gradient sums, Adam) runs on a worker thread while the
-value net's runs on the caller's, with bit-identical results.
+nothing the size of the model. Above SERIAL_WORK, each minibatch's policy-net
+work (forward, backward, squared-gradient sums, Adam) runs on a worker thread
+while the value net's runs on the caller's, with bit-identical results. Adam's
+state lives in an AdamState that only training holds; checkpoints store the
+parameters alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +41,7 @@ ADAM_EPS = 1e-8
 ADAM_CHUNK = 32768
 
 CHECKPOINT_MAGIC = b"ATCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _LAYER_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
 ARRAY_ORDER = tuple(f"policy_{k}" for k in _LAYER_KEYS) + tuple(f"value_{k}" for k in _LAYER_KEYS)
@@ -131,13 +134,10 @@ def _init_net(rng: np.random.Generator, spec: NetworkSpec, out_dim: int, out_gai
 
 @dataclass
 class PolicyParameters:
-    """All learnable arrays plus Adam state, keyed by ARRAY_ORDER names."""
+    """The learnable arrays of both nets, keyed by ARRAY_ORDER names."""
 
     spec: NetworkSpec
     arrays: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
-    adam_t: int = 0
     update_count: int = 0
 
     @classmethod
@@ -147,18 +147,32 @@ class PolicyParameters:
         value = _init_net(rng, spec, 1, 1.0)
         arrays = {f"policy_{k}": v for k, v in policy.items()}
         arrays.update({f"value_{k}": v for k, v in value.items()})
-        zeros = lambda: {k: np.zeros_like(v) for k, v in arrays.items()}
-        return cls(spec=spec, arrays=arrays, adam_m=zeros(), adam_v=zeros())
+        return cls(spec=spec, arrays=arrays)
 
     def copy(self) -> "PolicyParameters":
         return PolicyParameters(
             spec=self.spec,
             arrays={k: v.copy() for k, v in self.arrays.items()},
-            adam_m={k: v.copy() for k, v in self.adam_m.items()},
-            adam_v={k: v.copy() for k, v in self.adam_v.items()},
-            adam_t=self.adam_t,
             update_count=self.update_count,
         )
+
+
+@dataclass
+class AdamState:
+    """Adam's moment estimates per parameter array and its step count.
+
+    Only training holds one: train() creates it and ppo_update advances it.
+    Checkpoints do not store it.
+    """
+
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    t: int = 0
+
+    @classmethod
+    def zeros(cls, params: PolicyParameters) -> "AdamState":
+        zeros = lambda: {k: np.zeros_like(v) for k, v in params.arrays.items()}
+        return cls(m=zeros(), v=zeros())
 
 
 def _net_forward(arrays: dict, prefix: str, x: np.ndarray):
@@ -354,14 +368,31 @@ class UpdateStats:
 # same bit for bit whatever the scheduling. The thread starts on first use.
 _worker: ThreadPoolExecutor | None = None
 _worker_lock = threading.Lock()
+# Below this many multiply-adds in a minibatch's first two layers,
+# batch_size * (input_dim * h1 + h1 * h2), both halves run on the calling
+# thread: every numpy call is then so short that the two threads trade the
+# interpreter lock on almost every call and run slower than one. An 11->32,32
+# net at batch 128 is 0.18 M; the smallest default net, the allocator's
+# 310->64,64 at batch 256, is 6.1 M.
+SERIAL_WORK = 1_000_000
 
 
-def _both_halves(policy_half: Callable, value_half: Callable) -> tuple:
-    """Run policy_half on the worker and value_half here; return both results.
+def _threaded(spec: NetworkSpec, hp: PpoHyperparams) -> bool:
+    h1, h2 = spec.hidden
+    return hp.batch_size * (spec.input_dim * h1 + h1 * h2) >= SERIAL_WORK
 
-    Both have finished when this returns or raises. An error from the value
-    half wins over one from the policy half.
+
+def _both_halves(threaded: bool, policy_half: Callable, value_half: Callable) -> tuple:
+    """Run policy_half and value_half; return both results.
+
+    Threaded, policy_half runs on the worker and value_half here; otherwise
+    value_half then policy_half run here. Both have finished when this
+    returns or raises. An error from the value half wins over one from the
+    policy half.
     """
+    if not threaded:
+        value = value_half()
+        return policy_half(), value
     global _worker
     with _worker_lock:
         if _worker is None:
@@ -427,10 +458,12 @@ def ppo_loss_and_grads(
     loss = -mean(min(ratio * A, clip(ratio) * A))
            + value_coef * mean((V - R)^2) - entropy_coef * mean(H).
 
-    The policy half runs on the worker thread, the value half on this one.
+    The policy half runs on the worker thread and the value half on this one,
+    unless the nets are below SERIAL_WORK.
     """
     arrays = params.arrays
     (policy_loss, entropy_mean, clip_fraction, grads), (value_loss, value_grads) = _both_halves(
+        _threaded(params.spec, hp),
         lambda: _policy_loss_and_grads(
             arrays, observations, actions, old_log_probs, advantages, hp
         ),
@@ -453,31 +486,32 @@ def _square_sums(grads: dict, prefix: str) -> dict[str, float]:
     return {key: float((g * g).sum()) for key, g in grads.items() if key.startswith(prefix)}
 
 
-def _global_grad_norm(grads: dict) -> float:
+def _global_grad_norm(grads: dict, threaded: bool) -> float:
     """sqrt of the per-array squared sums, added up in `grads` order."""
     policy, value = _both_halves(
+        threaded,
         lambda: _square_sums(grads, "policy_"), lambda: _square_sums(grads, "value_")
     )
     sums = policy | value
     return math.sqrt(sum(sums[key] for key in grads))
 
 
-def _adam_half(params: PolicyParameters, grads: dict, prefix: str, scale: float | None,
-               hp: PpoHyperparams) -> None:
+def _adam_half(params: PolicyParameters, adam: AdamState, grads: dict, prefix: str,
+               scale: float | None, hp: PpoHyperparams) -> None:
     """Clip-scale and Adam-update the arrays whose names start with `prefix`."""
     half = {key: g for key, g in grads.items() if key.startswith(prefix)}
     if scale is not None:
         for g in half.values():
             g *= scale
-    bc1 = 1.0 - ADAM_BETA1 ** params.adam_t
-    bc2 = 1.0 - ADAM_BETA2 ** params.adam_t
+    bc1 = 1.0 - ADAM_BETA1 ** adam.t
+    bc2 = 1.0 - ADAM_BETA2 ** adam.t
     rows = {key: max(1, ADAM_CHUNK // (g.size // len(g))) for key, g in half.items()}
     width = max(g[:rows[key]].size for key, g in half.items())
     buf_a = np.empty(width)
     buf_b = np.empty(width)
     for key, g in half.items():
-        m = params.adam_m[key]
-        v = params.adam_v[key]
+        m = adam.m[key]
+        v = adam.v[key]
         p = params.arrays[key]
         for lo in range(0, len(g), rows[key]):
             block = slice(lo, lo + rows[key])
@@ -499,24 +533,28 @@ def _adam_half(params: PolicyParameters, grads: dict, prefix: str, scale: float 
             p[block] -= np.divide(b, a, out=b)
 
 
-def _adam_step(params: PolicyParameters, grads: dict, hp: PpoHyperparams) -> float:
+def _adam_step(params: PolicyParameters, adam: AdamState, grads: dict,
+               hp: PpoHyperparams) -> float:
     """One Adam step with global-norm clipping; returns the pre-clip norm.
 
-    Clipping scales `grads` in place. The policy_* arrays are updated on the
-    worker thread and the value_* arrays on this one, each half through its
-    own pair of scratch buffers. Each array is walked in blocks of whole rows
-    of about ADAM_CHUNK elements, and every operation runs on a block while
-    it sits in L2, so nothing the size of the model is allocated. Row blocks
+    Clipping scales `grads` in place, and `adam` advances in place. The
+    policy_* and value_* arrays are updated as the two halves of
+    _both_halves, each through its own pair of scratch buffers. Each array
+    is walked in blocks of whole rows of about ADAM_CHUNK elements, and
+    every operation runs on a block while it sits in L2, so nothing the size
+    of the model is allocated. Row blocks
     are views whatever the memory order of an array. The per-element order
     of operations is that of the textbook expression, so the result is the
     same bit for bit.
     """
-    norm = _global_grad_norm(grads)
+    threaded = _threaded(params.spec, hp)
+    norm = _global_grad_norm(grads, threaded)
     scale = hp.max_grad_norm / norm if norm > hp.max_grad_norm else None
-    params.adam_t += 1
+    adam.t += 1
     _both_halves(
-        lambda: _adam_half(params, grads, "policy_", scale, hp),
-        lambda: _adam_half(params, grads, "value_", scale, hp),
+        threaded,
+        lambda: _adam_half(params, adam, grads, "policy_", scale, hp),
+        lambda: _adam_half(params, adam, grads, "value_", scale, hp),
     )
     return norm
 
@@ -539,6 +577,7 @@ def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
 
 def ppo_update(
     params: PolicyParameters,
+    adam: AdamState,
     batch: RolloutBatch,
     hp: PpoHyperparams,
     rng: np.random.Generator,
@@ -546,8 +585,9 @@ def ppo_update(
     """Run n_epochs of shuffled minibatch updates over one rollout.
 
     Returns fresh parameters (neither the input parameters nor `batch` are
-    mutated) plus statistics averaged over all minibatches. A non-finite
-    loss aborts immediately with the offending epoch and minibatch index.
+    mutated) plus statistics averaged over all minibatches; `adam` advances
+    in place. A non-finite loss aborts immediately with the offending epoch
+    and minibatch index.
     """
     n = batch.observations.shape[0]
     params = params.copy()
@@ -572,7 +612,7 @@ def ppo_update(
                 raise NonFiniteLossError(
                     f"non-finite loss at epoch {epoch}, minibatch {start // hp.batch_size}"
                 )
-            norms.append(_adam_step(params, grads, hp))
+            norms.append(_adam_step(params, adam, grads, hp))
             totals += (stats.loss, stats.policy_loss, stats.value_loss,
                        stats.entropy, stats.clip_fraction)
             count += 1
@@ -630,6 +670,7 @@ def train(
     """
     rng = np.random.default_rng(seed)
     params = PolicyParameters.initialize(spec, rng)
+    adam = AdamState.zeros(params)
     env = make_env()
     obs = np.asarray(env.reset(), dtype=np.float64)
     if obs.shape != (spec.input_dim,):
@@ -679,7 +720,7 @@ def train(
             advantages=advantages,
             returns=returns,
         )
-        params, stats = ppo_update(params, batch, hp, rng)
+        params, stats = ppo_update(params, adam, batch, hp, rng)
         mean_return = float(np.mean(recent_returns)) if recent_returns else float("nan")
         curve.points.append(
             CurvePoint(
@@ -709,17 +750,6 @@ class Checkpoint:
     extra: dict
 
 
-_ARRAY_GROUPS = ("param", "adam_m", "adam_v")
-
-
-def _array_entries(params: PolicyParameters) -> list[tuple[str, np.ndarray]]:
-    entries = []
-    for group, store in zip(_ARRAY_GROUPS, (params.arrays, params.adam_m, params.adam_v)):
-        for key in ARRAY_ORDER:
-            entries.append((f"{group}.{key}", store[key]))
-    return entries
-
-
 def save_checkpoint(
     path: str,
     params: PolicyParameters,
@@ -727,18 +757,18 @@ def save_checkpoint(
     seed: int,
     extra: dict | None = None,
 ) -> None:
-    """Serialize parameters, Adam state and metadata to a binary file.
+    """Serialize parameters and metadata to a binary file.
 
     Layout: magic, format version, JSON header length, JSON header (sorted
-    keys), then every array as little-endian float64 in header order. Saving
-    and loading round-trips every value bit for bit. The file is written
-    under a temporary name in the same directory and moved into place, so an
-    interrupted save leaves any earlier file at `path` untouched.
+    keys), then the ARRAY_ORDER arrays as little-endian float64 in header
+    order. The file holds no optimizer state: it serves inference and cannot
+    resume training. Saving and loading round-trips every value bit for bit.
+    The file is written under a temporary name in the same directory and
+    moved into place, so an interrupted save leaves any earlier file at
+    `path` untouched.
     """
-    entries = _array_entries(params)
     header = {
-        "adam_t": params.adam_t,
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in entries],
+        "arrays": [{"name": key, "shape": list(params.arrays[key].shape)} for key in ARRAY_ORDER],
         "extra": extra or {},
         "hyperparams": asdict(hyperparams),
         "network": {
@@ -754,8 +784,8 @@ def save_checkpoint(
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for key in ARRAY_ORDER:
+            fh.write(np.ascontiguousarray(params.arrays[key], dtype="<f8"))
 
 
 def _is_int(value) -> bool:
@@ -807,14 +837,14 @@ def _header_hyperparams(path: str, header: dict) -> PpoHyperparams:
 
 
 def _expected_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
-    """Shape of every array a checkpoint of `spec` holds, keyed `group.key`."""
+    """Shape of every array of a network of `spec`, in ARRAY_ORDER."""
     shapes = {}
     for prefix, out_dim in (("policy_", spec.action_count), ("value_", 1)):
         dims = (spec.input_dim, *spec.hidden, out_dim)
         for layer in range(3):
             shapes[f"{prefix}w{layer + 1}"] = (dims[layer], dims[layer + 1])
             shapes[f"{prefix}b{layer + 1}"] = (dims[layer + 1],)
-    return {f"{group}.{key}": shapes[key] for group in _ARRAY_GROUPS for key in ARRAY_ORDER}
+    return shapes
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -823,34 +853,38 @@ def load_checkpoint(path: str) -> Checkpoint:
     Every defect (unreadable file, bad magic or version, a header key that
     is missing or of the wrong type, an unknown, repeated or missing array,
     an array whose shape disagrees with the declared network, a truncated
-    or overlong payload) raises CheckpointError.
+    or overlong payload) raises CheckpointError. Each array is read straight
+    into its own buffer; the file is never held whole.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return _read_checkpoint(path, fh)
     except OSError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
+
+
+def _read_checkpoint(path: str, fh) -> Checkpoint:
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(12)
+    if len(prefix) < 12 or prefix[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, header_len = struct.unpack_from("<II", data, 4)
+    version, header_len = struct.unpack_from("<II", prefix, 4)
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version} "
+                              f"(this build reads {CHECKPOINT_VERSION})")
     try:
-        header = json.loads(data[12:12 + header_len].decode())
+        header = json.loads(fh.read(header_len).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header (not a JSON object)")
     spec = _header_spec(path, header)
     hp = _header_hyperparams(path, header)
-    adam_t = _header_field(path, header, "adam_t", _is_int)
     seed = _header_field(path, header, "seed", _is_int)
     extra = _header_field(path, header, "extra", lambda x: isinstance(x, dict))
-    update_count = (_header_field(path, header, "update_count", _is_int)
-                    if "update_count" in header else 0)
+    update_count = _header_field(path, header, "update_count", _is_int)
     entries = _header_field(path, header, "arrays", lambda x: isinstance(x, list))
     expected = _expected_shapes(spec)
-    offset = 12 + header_len
     loaded = {}
     for entry in entries:
         if not isinstance(entry, dict):
@@ -866,26 +900,16 @@ def load_checkpoint(path: str) -> Checkpoint:
                 f"{path}: array {name!r} has shape {shape}, but the network declares "
                 f"{list(expected[name])}"
             )
-        nbytes = math.prod(expected[name]) * 8
-        if offset + nbytes > len(data):
+        if fh.tell() + math.prod(expected[name]) * 8 > size:
             raise CheckpointError(f"{path}: truncated payload at array {name}")
-        loaded[name] = (
-            np.frombuffer(data[offset:offset + nbytes], dtype="<f8").reshape(expected[name]).copy()
-        )
-        offset += nbytes
-    if offset != len(data):
-        raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes after payload")
+        loaded[name] = np.empty(expected[name], dtype="<f8")
+        fh.readinto(loaded[name])
+    if fh.tell() != size:
+        raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes after payload")
     missing = [name for name in expected if name not in loaded]
     if missing:
         raise CheckpointError(f"{path}: missing arrays {missing}")
-    stores = {group: {key: loaded[f"{group}.{key}"] for key in ARRAY_ORDER}
-              for group in _ARRAY_GROUPS}
     params = PolicyParameters(
-        spec=spec,
-        arrays=stores["param"],
-        adam_m=stores["adam_m"],
-        adam_v=stores["adam_v"],
-        adam_t=adam_t,
-        update_count=update_count,
+        spec=spec, arrays={key: loaded[key] for key in ARRAY_ORDER}, update_count=update_count
     )
     return Checkpoint(params=params, hyperparams=hp, seed=seed, extra=extra)

@@ -24,7 +24,7 @@ from alloctrader.allocator import (
 from alloctrader.cli import main
 from alloctrader.envs import EnvConfig, TradingEnv, agent_reward
 from alloctrader.evaluation import EquityCurve, cumulative_return, quartile_allocation
-from alloctrader.indicators import bollinger_pband, cci, macd_histogram, rsi
+from alloctrader.indicators import feature_table
 from alloctrader.market_data import (
     Bar,
     Session,
@@ -321,13 +321,10 @@ def _oracle_pband(closes, period=20, k=2.0):
     return (window[-1] - lower) / (upper - lower)
 
 
-def _as_bars(highs, lows, closes, volumes=None):
-    if volumes is None:
-        volumes = np.ones_like(np.asarray(closes))
-    return [
-        SimpleNamespace(high=h, low=l, close=c, volume=v)
-        for h, l, c, v in zip(highs, lows, closes, volumes)
-    ]
+def _last_row(highs, lows, closes):
+    """feature_table's (rsi, macd_histogram, cci, pband) at the last bar."""
+    _, table = feature_table(highs, lows, closes, np.ones_like(closes))
+    return table[-1, :4]
 
 
 def test_criterion_06_indicator_oracles(capsys):
@@ -339,21 +336,18 @@ def test_criterion_06_indicator_oracles(capsys):
         spread = np.abs(rng.normal(0.0, 0.005, size=100))
         highs = closes * (1.0 + spread)
         lows = closes * (1.0 - spread)
-        worst = max(worst, abs(rsi(closes) - _oracle_rsi(list(closes))))
-        worst = max(worst, abs(macd_histogram(closes) - _oracle_macd_hist(list(closes))))
-        worst = max(worst, abs(cci(_as_bars(highs, lows, closes))
-                               - _oracle_cci(list(highs), list(lows), list(closes))))
-        worst = max(worst, abs(bollinger_pband(closes) - _oracle_pband(list(closes))))
+        rsi, macd, cci, pband = _last_row(highs, lows, closes)
+        worst = max(worst, abs(rsi - _oracle_rsi(list(closes))))
+        worst = max(worst, abs(macd - _oracle_macd_hist(list(closes))))
+        worst = max(worst, abs(cci - _oracle_cci(list(highs), list(lows), list(closes))))
+        worst = max(worst, abs(pband - _oracle_pband(list(closes))))
     flat = np.full(100, 100.0)
     rising = np.linspace(100.0, 120.0, 100)
     falling = np.linspace(120.0, 100.0, 100)
     conventions = (
-        rsi(flat) == 50.0,
-        macd_histogram(flat) == 0.0,
-        cci(_as_bars(flat, flat, flat)) == 0.0,
-        bollinger_pband(flat) == 0.5,
-        rsi(rising) == 100.0,
-        rsi(falling) == 0.0,
+        tuple(_last_row(flat, flat, flat)) == (50.0, 0.0, 0.0, 0.5),
+        _last_row(rising, rising, rising)[0] == 100.0,
+        _last_row(falling, falling, falling)[0] == 0.0,
     )
     ok = worst <= 1e-6 and all(conventions)
     _verdict(capsys, 6, ok, "indicators vs brute-force oracles",

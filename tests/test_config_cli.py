@@ -363,6 +363,20 @@ class TestPipelineGuards:
         assert err.count("\n") == 1
         assert "agent_1h_seed0.ckpt: header has no 'network'" in err
 
+    def test_version_1_checkpoint_is_single_error_line(self, pipeline, tmp_path, capsys):
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        ckpt = copy / "checkpoints" / "agent_1m_seed0.ckpt"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        args = ["backtest", "agent:1m", "--config", str(cfg_path), "--out", str(copy)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "agent_1m_seed0.ckpt: unsupported checkpoint version 1" in err
+
     @pytest.mark.parametrize("strategy, name, key, value, match", [
         ("agent:1h", "agent_1h", "window_size", None, "extra has no 'window_size'"),
         ("agent:1m", "agent_1m", "window_size", "x", "extra 'window_size' has a bad value ('x')"),

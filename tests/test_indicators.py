@@ -1,6 +1,8 @@
-"""Indicator oracles: brute-force reimplementations and exact degenerate values."""
+"""Indicator oracles: brute-force reimplementations and exact degenerate values.
 
-from types import SimpleNamespace
+Each indicator is checked at the last row of its rolling form, the value
+feature_table puts in an observation for that bar.
+"""
 
 import numpy as np
 import pytest
@@ -8,18 +10,11 @@ import pytest
 from alloctrader.indicators import (
     FEATURE_COLUMNS,
     FEATURE_WARMUP,
-    InsufficientHistory,
-    bollinger_pband,
-    cci,
     feature_table,
-    feature_table_from_bars,
-    macd_histogram,
-    market_features,
     rolling_cci,
     rolling_macd_histogram,
     rolling_pband,
     rolling_rsi,
-    rsi,
 )
 
 
@@ -88,13 +83,20 @@ def _random_walk(rng, n, start=100.0, vol=0.01):
     return highs, lows, closes, volumes
 
 
-def _as_bars(highs, lows, closes, volumes=None):
-    if volumes is None:
-        volumes = np.ones_like(closes)
-    return [
-        SimpleNamespace(high=h, low=l, close=c, volume=v)
-        for h, l, c, v in zip(highs, lows, closes, volumes)
-    ]
+def rsi(closes):
+    return rolling_rsi(closes)[-1]
+
+
+def macd_histogram(closes):
+    return rolling_macd_histogram(closes)[-1]
+
+
+def cci(highs, lows, closes):
+    return rolling_cci(highs, lows, closes)[-1]
+
+
+def bollinger_pband(closes):
+    return rolling_pband(closes)[-1]
 
 
 class TestRsi:
@@ -115,8 +117,7 @@ class TestRsi:
         assert rsi(np.linspace(90, 50, 41)) == 0.0
 
     def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistory):
-            rsi(np.arange(14, dtype=float) + 100.0)
+        assert np.isnan(rolling_rsi(np.arange(14, dtype=float) + 100.0)).all()
 
     def test_rolling_matches_scalar(self):
         rng = np.random.default_rng(1)
@@ -147,8 +148,7 @@ class TestMacd:
         assert macd_histogram(np.full(50, 12.25)) == 0.0
 
     def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistory):
-            macd_histogram(np.arange(34, dtype=float) + 10.0)
+        assert np.isnan(rolling_macd_histogram(np.arange(34, dtype=float) + 10.0)).all()
 
     def test_rolling_matches_scalar(self):
         rng = np.random.default_rng(4)
@@ -173,34 +173,34 @@ class TestCci:
         for trial in range(20):
             n = int(rng.integers(20, 90))
             highs, lows, closes, _ = _random_walk(rng, n)
-            got = cci(_as_bars(highs, lows, closes))
+            got = cci(highs, lows, closes)
             want = _oracle_cci(list(highs), list(lows), list(closes))
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_flat_series_exactly_zero(self):
         flat = np.full(25, 10.0)
-        assert cci(_as_bars(flat, flat, flat)) == 0.0
+        assert cci(flat, flat, flat) == 0.0
 
     def test_insufficient_history(self):
         x = np.arange(19, dtype=float) + 100.0
-        with pytest.raises(InsufficientHistory):
-            cci(_as_bars(x, x, x))
+        assert np.isnan(rolling_cci(x, x, x)).all()
 
     def test_rolling_matches_scalar(self):
         rng = np.random.default_rng(7)
         highs, lows, closes, _ = _random_walk(rng, 50)
         series = rolling_cci(highs, lows, closes)
         assert np.isnan(series[:19]).all()
-        bars = _as_bars(highs, lows, closes)
         for t in range(19, 50):
-            assert series[t] == pytest.approx(cci(bars[: t + 1]), abs=1e-9)
+            prefix = slice(0, t + 1)
+            assert series[t] == pytest.approx(
+                cci(highs[prefix], lows[prefix], closes[prefix]), abs=1e-9)
 
     def test_shift_invariance(self):
         # CCI is invariant to adding a constant to all three price series.
         rng = np.random.default_rng(8)
         highs, lows, closes, _ = _random_walk(rng, 40)
-        a = cci(_as_bars(highs, lows, closes))
-        b = cci(_as_bars(highs + 500.0, lows + 500.0, closes + 500.0))
+        a = cci(highs, lows, closes)
+        b = cci(highs + 500.0, lows + 500.0, closes + 500.0)
         assert b == pytest.approx(a, abs=1e-6)
 
 
@@ -233,8 +233,7 @@ class TestPband:
         assert b == pytest.approx(a, abs=1e-9)
 
     def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistory):
-            bollinger_pband(np.arange(19, dtype=float) + 1.0)
+        assert np.isnan(rolling_pband(np.arange(19, dtype=float) + 1.0)).all()
 
     def test_rolling_matches_scalar(self):
         rng = np.random.default_rng(11)
@@ -251,18 +250,18 @@ class TestFeatureTable:
         assert FEATURE_COLUMNS == ("rsi", "macd_histogram", "cci", "pband", "volume")
 
     def test_rows_match_scalar_functions(self):
+        # Each row equals the oracles on the bars up to it: no look-ahead.
         rng = np.random.default_rng(12)
         highs, lows, closes, volumes = _random_walk(rng, 80)
         first_valid, table = feature_table(highs, lows, closes, volumes)
         assert first_valid == FEATURE_WARMUP
         assert table.shape == (80, 5)
-        bars = _as_bars(highs, lows, closes, volumes)
         for t in range(first_valid, 80):
-            feats = market_features(bars[: t + 1])
-            assert table[t, 0] == pytest.approx(feats.rsi, abs=1e-9)
-            assert table[t, 1] == pytest.approx(feats.macd_histogram, abs=1e-9)
-            assert table[t, 2] == pytest.approx(feats.cci, abs=1e-9)
-            assert table[t, 3] == pytest.approx(feats.pband, abs=1e-9)
+            h, l, c = list(highs[: t + 1]), list(lows[: t + 1]), list(closes[: t + 1])
+            assert table[t, 0] == pytest.approx(_oracle_rsi(c), abs=1e-9)
+            assert table[t, 1] == pytest.approx(_oracle_macd_hist(c), abs=1e-9)
+            assert table[t, 2] == pytest.approx(_oracle_cci(h, l, c), abs=1e-9)
+            assert table[t, 3] == pytest.approx(_oracle_pband(c), abs=1e-9)
             assert table[t, 4] == volumes[t]
 
     def test_warmup_rows_flagged_nan(self):
@@ -271,16 +270,3 @@ class TestFeatureTable:
         # Some indicator column is NaN on every pre-warmup row.
         assert np.isnan(table[:first_valid, :4]).any(axis=1).all()
         assert np.isfinite(table[first_valid:]).all()
-
-    def test_from_bars_agrees(self, short_sessions):
-        bars = [b for s in short_sessions for b in s.bars]
-        first_valid, table = feature_table_from_bars(bars)
-        highs = np.array([b.high for b in bars])
-        lows = np.array([b.low for b in bars])
-        closes = np.array([b.close for b in bars])
-        volumes = np.array([float(b.volume) for b in bars])
-        first2, table2 = feature_table(highs, lows, closes, volumes)
-        assert first_valid == first2
-        np.testing.assert_array_equal(
-            table[first_valid:], table2[first_valid:]
-        )

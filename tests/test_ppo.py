@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
@@ -16,12 +17,15 @@ import pytest
 
 import alloctrader
 from alloctrader import ppo
+from alloctrader.allocator import AllocatorConfig, observation_size
+from alloctrader.config import default_config
 from alloctrader.ppo import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     ARRAY_ORDER,
     CHECKPOINT_MAGIC,
+    AdamState,
     Checkpoint,
     CheckpointError,
     NetworkSpec,
@@ -123,12 +127,14 @@ class TestInitialization:
 
     def test_biases_zero_and_adam_clean(self):
         params = _params()
+        adam = AdamState.zeros(params)
         for k in ARRAY_ORDER:
             if k.endswith(("b1", "b2", "b3")):
                 assert (params.arrays[k] == 0.0).all()
-            assert (params.adam_m[k] == 0.0).all()
-            assert (params.adam_v[k] == 0.0).all()
-        assert params.adam_t == 0 and params.update_count == 0
+            assert (adam.m[k] == 0.0).all() and adam.m[k].shape == params.arrays[k].shape
+            assert (adam.v[k] == 0.0).all() and adam.v[k].shape == params.arrays[k].shape
+        assert adam.t == 0 and params.update_count == 0
+        assert not any("adam" in name for name in vars(params))
 
     def test_policy_head_small_gain(self):
         params = _params()
@@ -195,6 +201,12 @@ class TestGae:
 # with a ragged tail. SPEC: initialize returns a Fortran-ordered policy_w1.
 TWO_SPECS = pytest.mark.parametrize("spec", [NetworkSpec(300, (130, 64)), SPEC],
                                     ids=["ragged-blocks", "fortran-order"])
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """Run the two halves of the update on two threads, however small the nets."""
+    monkeypatch.setattr(ppo, "SERIAL_WORK", 0)
 
 
 def _reference_loss_and_grads(params, observations, actions, old_log_probs, advantages,
@@ -306,8 +318,10 @@ class TestLossAndGradients:
                 assert np.abs(grads[key]).max() == 0.0
 
     @TWO_SPECS
+    @pytest.mark.usefixtures("threaded")
     def test_matches_serial_reference(self, spec):
         params = _params(seed=24, spec=spec)
+        adam = AdamState.zeros(params)
         for seed in range(5):
             # Wide ratio noise puts some samples outside the clip range.
             minibatch = _minibatch(params, n=16, seed=seed, ratio_noise=0.5)
@@ -320,21 +334,21 @@ class TestLossAndGradients:
                 assert grads[k].tobytes() == g.tobytes(), (seed, k)
             assert _bytes(stats) == _bytes(want_stats)
             assert 0.0 < stats.clip_fraction < 1.0
-            _adam_step(params, grads, HP)
+            _adam_step(params, adam, grads, HP)
 
 
-def _reference_adam_step(params, grads, hp):
+def _reference_adam_step(params, adam, grads, hp):
     """The textbook Adam step, one whole-array expression per operation."""
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if norm > hp.max_grad_norm:
         scale = hp.max_grad_norm / norm
         grads = {k: g * scale for k, g in grads.items()}
-    params.adam_t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** params.adam_t
-    bc2 = 1.0 - ADAM_BETA2 ** params.adam_t
+    adam.t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** adam.t
+    bc2 = 1.0 - ADAM_BETA2 ** adam.t
     for key, g in grads.items():
-        m = params.adam_m[key]
-        v = params.adam_v[key]
+        m = adam.m[key]
+        v = adam.v[key]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -350,46 +364,51 @@ class TestAdam:
                             batch_size=8, max_grad_norm=1e9)
         grads = {k: np.full_like(v, 0.5) for k, v in params.arrays.items()}
         before = {k: v.copy() for k, v in params.arrays.items()}
-        _adam_step(params, grads, hp)
+        adam = AdamState.zeros(params)
+        _adam_step(params, adam, grads, hp)
         # With bias correction, the first update is lr * g / (|g| + eps).
         step = 0.01 * 0.5 / (0.5 + ADAM_EPS)
         for k in ARRAY_ORDER:
             np.testing.assert_allclose(before[k] - params.arrays[k], step, rtol=1e-12)
-        assert params.adam_t == 1
+        assert adam.t == 1
 
     def test_gradient_norm_clipping(self):
         params = _params(seed=12)
         hp = PpoHyperparams(total_timesteps=32, learning_rate=1.0, n_steps=32,
                             batch_size=8, max_grad_norm=0.5)
         grads = {k: np.full_like(v, 10.0) for k, v in params.arrays.items()}
-        norm = _adam_step(params, grads, hp)
+        adam = AdamState.zeros(params)
+        norm = _adam_step(params, adam, grads, hp)
         total = sum(v.size for v in params.arrays.values())
         assert norm == pytest.approx(10.0 * math.sqrt(total))
         # Clipping rescales grads; the m accumulator reflects the scaled value.
         scale = 0.5 / norm
         for k in ARRAY_ORDER:
-            np.testing.assert_allclose(params.adam_m[k], 0.1 * 10.0 * scale, rtol=1e-12)
+            np.testing.assert_allclose(adam.m[k], 0.1 * 10.0 * scale, rtol=1e-12)
 
     @TWO_SPECS
+    @pytest.mark.usefixtures("threaded")
     def test_thirty_steps_bit_identical(self, spec):
         hp = PpoHyperparams(total_timesteps=32, learning_rate=3e-3, n_steps=32,
                             batch_size=8, max_grad_norm=0.5)
         fast = _params(seed=21, spec=spec)
         slow = _params(seed=21, spec=spec)
+        fast_adam, slow_adam = AdamState.zeros(fast), AdamState.zeros(slow)
         rng = np.random.default_rng(22)
         clipped = []
         for step in range(30):
             size = 1.0 if step % 2 == 0 else 1e-4 / math.sqrt(spec.input_dim)
             grads = {k: rng.standard_normal(v.shape) * size for k, v in fast.arrays.items()}
-            want = _reference_adam_step(slow, {k: g.copy() for k, g in grads.items()}, hp)
-            got = _adam_step(fast, grads, hp)
+            want = _reference_adam_step(slow, slow_adam, {k: g.copy() for k, g in grads.items()},
+                                        hp)
+            got = _adam_step(fast, fast_adam, grads, hp)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
             clipped.append(got > hp.max_grad_norm)
-            for store in ("arrays", "adam_m", "adam_v"):
+            for have, ref in ((fast.arrays, slow.arrays), (fast_adam.m, slow_adam.m),
+                              (fast_adam.v, slow_adam.v)):
                 for k in ARRAY_ORDER:
-                    have = getattr(fast, store)[k].tobytes()
-                    assert have == getattr(slow, store)[k].tobytes(), (step, store, k)
-        assert fast.adam_t == slow.adam_t == 30
+                    assert have[k].tobytes() == ref[k].tobytes(), (step, k)
+        assert fast_adam.t == slow_adam.t == 30
         assert clipped == [step % 2 == 0 for step in range(30)]
 
     def test_clipping_scales_grads_in_place(self):
@@ -397,7 +416,7 @@ class TestAdam:
         hp = PpoHyperparams(total_timesteps=32, learning_rate=1e-3, n_steps=32,
                             batch_size=8, max_grad_norm=0.5)
         grads = {k: np.full_like(v, 2.0) for k, v in params.arrays.items()}
-        norm = _adam_step(params, grads, hp)
+        norm = _adam_step(params, AdamState.zeros(params), grads, hp)
         for k in ARRAY_ORDER:
             np.testing.assert_array_equal(grads[k], 2.0 * (0.5 / norm))
 
@@ -430,7 +449,8 @@ class TestPpoUpdate:
         snapshot = {k: v.copy() for k, v in params.arrays.items()}
         batch = self._batch(params)
         batch_before = {k: v.copy() for k, v in vars(batch).items()}
-        new_params, _ = ppo_update(params, batch, HP, np.random.default_rng(0))
+        new_params, _ = ppo_update(params, AdamState.zeros(params), batch, HP,
+                                   np.random.default_rng(0))
         for k in ARRAY_ORDER:
             np.testing.assert_array_equal(params.arrays[k], snapshot[k])
             assert not np.array_equal(new_params.arrays[k], snapshot[k])
@@ -440,6 +460,7 @@ class TestPpoUpdate:
             assert v.tobytes() == batch_before[k].tobytes(), k
 
     @TWO_SPECS
+    @pytest.mark.usefixtures("threaded")
     def test_three_epochs_match_serial_reference(self, spec):
         hp = PpoHyperparams(total_timesteps=64, learning_rate=3e-3, n_steps=64,
                             batch_size=16, n_epochs=3, entropy_coef=0.01, max_grad_norm=0.5)
@@ -449,12 +470,14 @@ class TestPpoUpdate:
         # of the two halves may move a bit.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        got_adam = AdamState.zeros(params)
         try:
-            got, stats = ppo_update(params, batch, hp, np.random.default_rng(27))
+            got, stats = ppo_update(params, got_adam, batch, hp, np.random.default_rng(27))
         finally:
             sys.setswitchinterval(interval)
 
         want = params.copy()
+        want_adam = AdamState.zeros(want)
         rng = np.random.default_rng(27)
         rows, norms = [], []
         for _ in range(hp.n_epochs):
@@ -464,7 +487,7 @@ class TestPpoUpdate:
                 _, grads, s = _reference_loss_and_grads(
                     want, batch.observations[mb], batch.actions[mb], batch.log_probs[mb],
                     normalize_advantages(batch.advantages[mb]), batch.returns[mb], hp)
-                norms.append(_reference_adam_step(want, grads, hp))
+                norms.append(_reference_adam_step(want, want_adam, grads, hp))
                 rows.append((s.loss, s.policy_loss, s.value_loss, s.entropy, s.clip_fraction))
         totals = np.zeros(5)
         for row in rows:
@@ -472,26 +495,27 @@ class TestPpoUpdate:
         mean = totals / len(rows)
         want_stats = UpdateStats(*(float(x) for x in mean), grad_norm=float(np.mean(norms)))
 
-        assert got.adam_t == want.adam_t == 9
-        for store in ("arrays", "adam_m", "adam_v"):
+        assert got_adam.t == want_adam.t == 9
+        for have, ref in ((got.arrays, want.arrays), (got_adam.m, want_adam.m),
+                          (got_adam.v, want_adam.v)):
             for k in ARRAY_ORDER:
-                assert getattr(got, store)[k].tobytes() == getattr(want, store)[k].tobytes()
+                assert have[k].tobytes() == ref[k].tobytes()
         assert _bytes(stats) == _bytes(want_stats)
 
     def test_deterministic_given_rng_state(self):
         params = _params(seed=16)
         batch = self._batch(params)
-        a, _ = ppo_update(params, batch, HP, np.random.default_rng(42))
-        b, _ = ppo_update(params, batch, HP, np.random.default_rng(42))
+        a, _ = ppo_update(params, AdamState.zeros(params), batch, HP, np.random.default_rng(42))
+        b, _ = ppo_update(params, AdamState.zeros(params), batch, HP, np.random.default_rng(42))
         for k in ARRAY_ORDER:
             np.testing.assert_array_equal(a.arrays[k], b.arrays[k])
 
     def test_adam_t_counts_minibatches(self):
         params = _params(seed=17)
-        new_params, _ = ppo_update(params, self._batch(params, n=64), HP,
-                                   np.random.default_rng(1))
+        adam = AdamState.zeros(params)
+        ppo_update(params, adam, self._batch(params, n=64), HP, np.random.default_rng(1))
         # 64 samples / batch 16 = 4 minibatches x 2 epochs.
-        assert new_params.adam_t == 8
+        assert adam.t == 8
 
     def test_non_finite_loss_aborts(self):
         params = _params(seed=18)
@@ -499,7 +523,7 @@ class TestPpoUpdate:
         batch.advantages = np.full_like(batch.advantages, np.inf)
         with np.errstate(invalid="ignore"):
             with pytest.raises(NonFiniteLossError, match="epoch 0"):
-                ppo_update(params, batch, HP, np.random.default_rng(2))
+                ppo_update(params, AdamState.zeros(params), batch, HP, np.random.default_rng(2))
 
     def test_update_reduces_value_loss(self):
         params = _params(seed=19)
@@ -511,8 +535,9 @@ class TestPpoUpdate:
             params, batch.observations, batch.actions, batch.log_probs,
             batch.advantages, batch.returns, hp)
         current = params
+        adam = AdamState.zeros(params)
         for _ in range(50):
-            current, _ = ppo_update(current, batch, hp, rng)
+            current, _ = ppo_update(current, adam, batch, hp, rng)
         _, _, after = ppo_loss_and_grads(
             current, batch.observations, batch.actions, batch.log_probs,
             batch.advantages, batch.returns, hp)
@@ -535,6 +560,7 @@ def _tracked(monkeypatch, delay=0.0):
     return calls
 
 
+@pytest.mark.usefixtures("threaded")
 class TestWorkerThread:
     def test_policy_half_runs_on_worker(self, monkeypatch):
         calls = _tracked(monkeypatch)
@@ -573,6 +599,7 @@ class TestWorkerThread:
             "ppo.sample_action(params, obs, np.random.default_rng(1))",
             "ppo.greedy_action(params, obs)",
             "assert threading.active_count() == 1, 'inference started a thread'",
+            "ppo.SERIAL_WORK = 0",
             "hp = ppo.PpoHyperparams(total_timesteps=64, learning_rate=1e-3, n_steps=32,",
             "                        batch_size=16, n_epochs=2)",
             "ppo.train(ToyTradingEnv, spec, hp, seed=0)",
@@ -586,6 +613,42 @@ class TestWorkerThread:
         exited = time.time()
         assert proc.returncode == 0, proc.stderr
         assert exited - float(proc.stdout) < 5.0
+
+
+class TestSmallNets:
+    def test_stay_on_calling_thread(self, monkeypatch):
+        calls = _tracked(monkeypatch)
+        params = _params(seed=28)
+        ppo_loss_and_grads(params, *_minibatch(params, n=8, seed=29), HP)
+        assert calls == [threading.main_thread()]
+
+    def test_default_nets_threaded_toy_nets_serial(self):
+        cfg = default_config()
+        nets = [(NetworkSpec(s.window_size * 8, s.hidden), s.hyperparams)
+                for s in cfg.agents.values()]
+        a = cfg.allocator
+        width = observation_size(AllocatorConfig(market_window=a.market_window))
+        nets.append((NetworkSpec(width, a.hidden), a.hyperparams))
+        assert len(nets) == 4
+        assert all(ppo._threaded(spec, hp) for spec, hp in nets)
+        toy = NetworkSpec(ToyTradingEnv().observation_size, (32, 32))
+        assert not ppo._threaded(toy, PpoHyperparams(512, 1e-3, 512, batch_size=128))
+
+    @TWO_SPECS
+    def test_serial_update_matches_threaded(self, monkeypatch, spec):
+        params = _params(seed=34, spec=spec)
+        batch = RolloutBatch(*_minibatch(params, n=48, seed=35))
+        hp = PpoHyperparams(total_timesteps=64, learning_rate=3e-3, n_steps=64,
+                            batch_size=16, n_epochs=2, entropy_coef=0.01, max_grad_norm=0.5)
+        runs = []
+        for serial_work in (0, math.inf):
+            monkeypatch.setattr(ppo, "SERIAL_WORK", serial_work)
+            adam = AdamState.zeros(params)
+            got, stats = ppo_update(params, adam, batch, hp, np.random.default_rng(36))
+            runs.append([got.arrays[k].tobytes() for k in ARRAY_ORDER]
+                        + [adam.m[k].tobytes() + adam.v[k].tobytes() for k in ARRAY_ORDER]
+                        + [_bytes(stats)])
+        assert runs[0] == runs[1]
 
 
 class TestTrain:
@@ -635,7 +698,7 @@ def _rewrite_header(path, mutate):
     _, header_len = struct.unpack_from("<II", blob, 4)
     header = mutate(json.loads(blob[12:12 + header_len]))
     new = json.dumps(header).encode()
-    path.write_bytes(blob[:4] + struct.pack("<II", 1, len(new)) + new + blob[12 + header_len:])
+    path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + header_len:])
 
 
 def _dig(header, keys):
@@ -664,11 +727,11 @@ _BAD_HEADERS = [
     ("hidden-one-layer", lambda h: _set(h, ("network", "hidden"), [8]), "bad network"),
     ("action-count-bool", lambda h: _set(h, ("network", "action_count"), True),
      "'action_count' has a bad value"),
-    ("adam-t-string", lambda h: _set(h, ("adam_t",), "8"), "'adam_t' has a bad value"),
     ("no-seed", lambda h: _drop(h, "seed"), "no 'seed'"),
     ("extra-list", lambda h: _set(h, ("extra",), []), "'extra' has a bad value"),
     ("update-count-float", lambda h: _set(h, ("update_count",), 2.5),
      "'update_count' has a bad value"),
+    ("no-update-count", lambda h: _drop(h, "update_count"), "no 'update_count'"),
     ("no-hyperparams", lambda h: _drop(h, "hyperparams"), "no 'hyperparams'"),
     ("learning-rate-string", lambda h: _set(h, ("hyperparams", "learning_rate"), "fast"),
      "'learning_rate' has a bad value"),
@@ -678,18 +741,18 @@ _BAD_HEADERS = [
      "unknown hyperparams.'momentum'"),
     ("batch-size-zero", lambda h: _set(h, ("hyperparams", "batch_size"), 0), "bad hyperparams"),
     ("arrays-object", lambda h: _set(h, ("arrays",), {}), "'arrays' has a bad value"),
-    ("array-entry-string", lambda h: _set(h, ("arrays", 0), "param.policy_w1"), "not an object"),
+    ("array-entry-string", lambda h: _set(h, ("arrays", 0), "policy_w1"), "not an object"),
     ("no-shape", lambda h: _drop(h, "arrays", 0, "shape"), r"no arrays\[\].'shape'"),
     ("unknown-group", lambda h: _set(h, ("arrays", 0, "name"), "grad.policy_w1"),
      "unknown array 'grad.policy_w1'"),
-    ("unknown-key", lambda h: _set(h, ("arrays", 0, "name"), "param.policy_w9"),
-     "unknown array 'param.policy_w9'"),
-    ("duplicate-array", lambda h: _set(h, ("arrays", 1, "name"), "param.policy_w1"),
-     "'param.policy_w1' appears twice"),
+    ("unknown-key", lambda h: _set(h, ("arrays", 0, "name"), "policy_w9"),
+     "unknown array 'policy_w9'"),
+    ("duplicate-array", lambda h: _set(h, ("arrays", 1, "name"), "policy_w1"),
+     "'policy_w1' appears twice"),
     ("input-dim-mismatch", lambda h: _set(h, ("network", "input_dim"), 12),
-     r"'param.policy_w1' has shape \[11, 8\], but the network declares \[12, 8\]"),
+     r"'policy_w1' has shape \[11, 8\], but the network declares \[12, 8\]"),
     ("hidden-mismatch", lambda h: _set(h, ("network", "hidden"), [8, 9]),
-     r"'param.policy_w2' has shape \[8, 8\], but the network declares \[8, 9\]"),
+     r"'policy_w2' has shape \[8, 8\], but the network declares \[8, 9\]"),
 ]
 
 
@@ -710,12 +773,10 @@ class TestCheckpoint:
         assert ckpt.extra == {"kind": "toy", "window_size": 3}
         assert ckpt.hyperparams == hp
         assert ckpt.params.spec == params.spec
-        assert ckpt.params.adam_t == params.adam_t
         assert ckpt.params.update_count == params.update_count
+        assert list(ckpt.params.arrays) == list(ARRAY_ORDER)
         for k in ARRAY_ORDER:
-            np.testing.assert_array_equal(ckpt.params.arrays[k], params.arrays[k])
-            np.testing.assert_array_equal(ckpt.params.adam_m[k], params.adam_m[k])
-            np.testing.assert_array_equal(ckpt.params.adam_v[k], params.adam_v[k])
+            assert ckpt.params.arrays[k].tobytes() == params.arrays[k].tobytes()
 
     def test_reloaded_policy_acts_identically(self, tmp_path):
         params, hp = self._trained()
@@ -759,10 +820,12 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), params, hp, seed=4)
         blob = bytearray(path.read_bytes())
-        blob[4] = 99
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(str(path))
+        # Version 1 is the format that also held Adam's moments.
+        for version in (1, 99):
+            blob[4] = version
+            path.write_bytes(bytes(blob))
+            with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+                load_checkpoint(str(path))
 
     @pytest.mark.parametrize(
         "mutate, match", [pytest.param(m, r, id=i) for i, m, r in _BAD_HEADERS]
@@ -775,14 +838,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(str(path))
 
-    def test_missing_adam_arrays_rejected(self, tmp_path):
+    def test_missing_array_rejected(self, tmp_path):
         params, hp = self._trained()
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), params, hp, seed=4)
         _rewrite_header(path, lambda h: _set(h, ("arrays",), h["arrays"][:-1]))
-        # The dropped entry's 8 bytes (adam_v.value_b3) would now trail.
+        # The dropped entry's 8 bytes (value_b3) would now trail.
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(CheckpointError, match=r"missing arrays \['adam_v.value_b3'\]"):
+        with pytest.raises(CheckpointError, match=r"missing arrays \['value_b3'\]"):
             load_checkpoint(str(path))
 
     def test_failed_save_leaves_old_file(self, tmp_path):
@@ -792,9 +855,29 @@ class TestCheckpoint:
         before = path.read_bytes()
         broken = params.copy()
         # The last array written cannot be converted to float64, so the save
-        # fails after the header and 35 arrays have been written.
-        broken.adam_v["value_b3"] = np.array(["not a number"])
+        # fails after the header and 11 arrays have been written.
+        broken.arrays["value_b3"] = np.array(["not a number"])
         with pytest.raises(ValueError):
             save_checkpoint(str(path), broken, hp, seed=5)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_default_1m_load_holds_parameters_only(self, tmp_path):
+        # The default 1m agent: 240 bars x 8 features in, 256,256 hidden.
+        params = _params(seed=6, spec=NetworkSpec(1920, (256, 256)))
+        hp = PpoHyperparams(total_timesteps=128, learning_rate=1e-3, n_steps=64, batch_size=32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params, hp, seed=6)
+        param_bytes = sum(a.nbytes for a in params.arrays.values())
+        assert param_bytes == 8_929_312
+        header_len = struct.unpack_from("<I", path.read_bytes(), 8)[0]
+        assert path.stat().st_size == 12 + header_len + param_bytes
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * param_bytes
+        for k in ARRAY_ORDER:
+            assert ckpt.params.arrays[k].tobytes() == params.arrays[k].tobytes()

@@ -3,16 +3,13 @@ timeframe agent trades next.
 
 Control flow per decision: the cursor rests on the last completed base bar.
 The chosen agent (forced to the 1-minute agent for a session's first
-decision) acts greedily at that bar's close, the market then advances one bar
+decision) acts greedily at that bar's close on its `envs.agent_observation`,
+as in training; the market then advances one bar
 of the agent's timeframe (truncated at the session's final bar), and the
 allocator is paid the log-return of portfolio value over the span. The trade,
 the marks at every base bar and the session-close liquidation happen in
 `envs.execute_span`, the one executor `TradingEnv` also runs. Spans tile each
 session exactly, and the rewards telescope to ln(V_final / V_initial).
-
-Agent observations inside the hierarchy use trailing windows of their own
-timeframe ending at the decision bar, so every agent sees data up to the
-decision instant regardless of where it falls inside a session.
 """
 
 from __future__ import annotations
@@ -29,11 +26,13 @@ from .envs import (
     Action,
     EnvConfig,
     StepResult,
-    build_observation,
+    agent_observation,
+    base_bars,
     execute_span,
+    min_agent_cursor,
     normalize_market_window,
 )
-from .indicators import feature_table
+from .indicators import FEATURE_WARMUP
 from .market_data import Session, TIMEFRAME_ORDER, Timeframe
 from .portfolio import PortfolioState, TradeLogEntry, features
 from .ppo import PolicyParameters, greedy_action
@@ -192,17 +191,6 @@ def read_decision_log(path: str) -> tuple[DecisionRecord, ...]:
     return tuple(records)
 
 
-@dataclass
-class _PhaseSeries:
-    """Trailing tf-bars whose end indices share one residue modulo the
-    timeframe length; feature table computed along the phase."""
-
-    base_indices: np.ndarray
-    closes: np.ndarray
-    first_valid: int
-    feats: np.ndarray
-
-
 class HierarchyEnv:
     """Meta-environment over shared base bars; see the module docstring."""
 
@@ -217,41 +205,10 @@ class HierarchyEnv:
             raise AllocatorError("no sessions provided")
         self.registry = registry
         self.config = config
-        opens, highs, lows, closes, volumes, timestamps = [], [], [], [], [], []
-        session_first, session_last, session_day = [], [], []
-        for session in sessions:
-            n = len(session.bars)
-            for j, b in enumerate(session.bars):
-                opens.append(b.open)
-                highs.append(b.high)
-                lows.append(b.low)
-                closes.append(b.close)
-                volumes.append(float(b.volume))
-                timestamps.append(b.timestamp)
-                session_first.append(j == 0)
-                session_last.append(j == n - 1)
-                session_day.append(session.day)
-        self.closes = np.asarray(closes)
-        self.timestamps = tuple(timestamps)
-        self.session_first = np.asarray(session_first, dtype=bool)
-        self.session_last = np.asarray(session_last, dtype=bool)
+        (self.closes, self.timestamps, self.session_first, self.session_last,
+         self.session_close, self.tables) = base_bars(sessions, TIMEFRAME_ORDER)
         self.n_bars = self.closes.size
-        # Last bar index of the session each bar belongs to.
-        self.session_end_idx = np.empty(self.n_bars, dtype=np.int64)
-        end = self.n_bars - 1
-        for i in range(self.n_bars - 1, -1, -1):
-            if self.session_last[i]:
-                end = i
-            self.session_end_idx[i] = end
-        self._base_first_valid, self._base_feats = feature_table(
-            np.asarray(highs), np.asarray(lows), self.closes, np.asarray(volumes)
-        )
-        self._phases = {
-            tf: self._build_phases(np.asarray(opens), np.asarray(highs), np.asarray(lows),
-                                    np.asarray(volumes), tf)
-            for tf in TIMEFRAME_ORDER
-        }
-        self._start_cursor = self._find_start_cursor(session_day, start_day)
+        self._start_cursor = self._find_start_cursor(sessions, start_day)
         self.cursor = -1
         self.done = True
         self.portfolio: PortfolioState | None = None
@@ -260,75 +217,22 @@ class HierarchyEnv:
         self.decisions: list[AllocationDecision] = []
         self.equity: list[tuple[datetime, float]] = []
 
-    # -- construction helpers ------------------------------------------------
-
-    def _build_phases(self, opens, highs, lows, volumes, tf: Timeframe) -> list[_PhaseSeries]:
-        length = tf.minutes
-        n = self.n_bars
-        if length == 1:
-            return [
-                _PhaseSeries(
-                    base_indices=np.arange(n),
-                    closes=self.closes,
-                    first_valid=self._base_first_valid,
-                    feats=self._base_feats,
-                )
-            ]
-        # Trailing window aggregates for every base index; leading windows
-        # shorter than `length` use whatever bars exist.
-        t_high = np.empty(n)
-        t_low = np.empty(n)
-        lead = min(length - 1, n)
-        t_high[:lead] = np.maximum.accumulate(highs[:lead])
-        t_low[:lead] = np.minimum.accumulate(lows[:lead])
-        if n >= length:
-            from numpy.lib.stride_tricks import sliding_window_view
-
-            t_high[length - 1:] = sliding_window_view(highs, length).max(axis=1)
-            t_low[length - 1:] = sliding_window_view(lows, length).min(axis=1)
-        csum = np.concatenate([[0.0], np.cumsum(volumes)])
-        starts = np.maximum(np.arange(n) - length + 1, 0)
-        t_vol = csum[np.arange(n) + 1] - csum[starts]
-        phases = []
-        for p in range(length):
-            idx = np.arange(p, n, length)
-            first_valid, feats = feature_table(
-                t_high[idx], t_low[idx], self.closes[idx], t_vol[idx]
-            )
-            phases.append(
-                _PhaseSeries(
-                    base_indices=idx,
-                    closes=self.closes[idx],
-                    first_valid=first_valid,
-                    feats=feats,
-                )
-            )
-        return phases
-
-    def _min_start_cursor(self) -> int:
-        need = max(
-            self._base_first_valid + self.config.market_window - 1,
+    def _find_start_cursor(self, sessions, start_day) -> int:
+        min_cursor = max(
+            FEATURE_WARMUP + self.config.market_window - 1,
             self.config.vol_window,
+            *(min_agent_cursor(agent.config.window_size, tf.minutes)
+              for tf, agent in self.registry.items()),
         )
-        for tf, agent in self.registry.items():
-            length = tf.minutes
-            # Decision bar b needs b // length >= first_valid + window - 1.
-            positions = self._phases[tf][0].first_valid + agent.config.window_size - 1
-            need = max(need, positions * length)
-        return need
-
-    def _find_start_cursor(self, session_day, start_day) -> int:
-        min_cursor = self._min_start_cursor()
-        for i in range(self.n_bars):
-            if not self.session_first[i] or i == 0:
-                continue
-            if start_day is not None and session_day[i] < start_day:
+        opens = np.flatnonzero(self.session_first)
+        for i, session in zip(opens[1:], sessions[1:]):
+            if start_day is not None and session.day < start_day:
                 continue
             if i - 1 >= min_cursor:
-                return i - 1
+                return int(i - 1)
             if start_day is not None:
                 raise AllocatorError(
-                    f"session {session_day[i]} starts at bar {i} but warmup needs "
+                    f"session {session.day} starts at bar {i} but warmup needs "
                     f"{min_cursor + 1} bars of history"
                 )
         raise AllocatorError(
@@ -341,25 +245,16 @@ class HierarchyEnv:
     def observation_size(self) -> int:
         return observation_size(self.config)
 
-    @property
-    def action_count(self) -> int:
-        return len(TIMEFRAME_ORDER)
-
     def _agent_observation(self, tf: Timeframe, cursor: int) -> np.ndarray:
-        phase = self._phases[tf][cursor % tf.minutes]
-        k = cursor // tf.minutes
-        w = self.registry[tf].config.window_size
-        window = slice(k - w + 1, k + 1)
-        base_idx = phase.base_indices[window]
-        return build_observation(
-            phase.feats[window], phase.closes[window], self._pf_rows[base_idx]
-        )
+        return agent_observation(self.tables[tf], self.closes, self._pf_rows, cursor,
+                                 self.registry[tf].config.window_size, tf.minutes)
 
     def _allocator_observation(self) -> np.ndarray:
         b = self.cursor
         mw = self.config.market_window
         window = slice(b - mw + 1, b + 1)
-        market = normalize_market_window(self._base_feats[window], self.closes[window])
+        feats = self.tables[Timeframe.ONE_MINUTE][window]
+        market = normalize_market_window(feats, self.closes[window])
         pf = features(self.portfolio)
         vol_closes = self.closes[b - self.config.vol_window: b + 1]
         returns = np.diff(vol_closes) / vol_closes[:-1]
@@ -413,7 +308,7 @@ class HierarchyEnv:
         agent = self.registry[executed]
 
         act = Action(greedy_action(agent.params, self._agent_observation(executed, b)))
-        span_end = min(b + executed.minutes, int(self.session_end_idx[b + 1]))
+        span_end = min(b + executed.minutes, int(self.session_close[b + 1]))
         span = execute_span(self.portfolio, act, self.closes, self.timestamps,
                             self.session_last, b, span_end, self._pf_rows)
         self.portfolio = span.portfolio

@@ -315,11 +315,11 @@ def _backtest_agent(cfg: RunConfig, paths: _Paths, sessions, test_start: date, l
         fee_per_sell_share=cfg.fee_per_sell_share,
     )
     env = TradingEnv(sessions, env_config)
-    cursor = next(
-        (i for i, ts in enumerate(env.timestamps) if ts.date() >= test_start), None
-    )
-    if cursor is None:
+    first = next((i for i, ts in enumerate(env.timestamps) if ts.date() >= test_start), None)
+    if first is None:
         raise MarketDataError(f"no bars on or after test start {test_start}")
+    # The first decision is taken at the close of the first timeframe bar.
+    cursor = min(first + tf.minutes - 1, int(env.session_close[first]))
     if cursor < env.min_cursor:
         raise EnvError(
             f"insufficient warmup before test start {test_start}: bar {cursor} "

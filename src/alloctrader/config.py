@@ -138,6 +138,11 @@ class RunConfig:
     out_dir: str
     fee_per_sell_share: float
 
+    def __post_init__(self) -> None:
+        # Checked here rather than in build_config so that --seed is too.
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
+
 
 class _Reader:
     def __init__(self, raw: dict[str, str]):

@@ -1,12 +1,20 @@
-"""Per-timeframe trading environment, and the span executor of both environments.
+"""Per-timeframe trading environment, the base-bar feature pipeline, and the
+span executor of both environments.
+
+Both environments lay their sessions end to end as base (1-minute) bars
+(`base_bars`). An agent observes trailing windows of its own timeframe that
+end at the decision bar (`agent_observation`), so it sees data up to the
+decision instant wherever that falls in a session, in training and in the
+hierarchy alike.
 
 `execute_span` is the one place that trades, marks and liquidates: it trades at
 the decision bar's close, marks each bar of the span that follows, and
 force-liquidates if the span ends its session. It never buys at a session's
 final bar, so positions never survive overnight. `TradingEnv` runs it over
-one-bar spans, `allocator.HierarchyEnv` over spans of the chosen agent's
-timeframe. Cash carries across sessions. `run_agent` is the greedy
-single-agent episode that backtests run.
+spans of one bar of its timeframe, `allocator.HierarchyEnv` over spans of the
+chosen agent's timeframe; both truncate a span at its session's final bar.
+Cash carries across sessions. `run_agent` is the greedy single-agent episode
+that backtests run.
 
 Rewards: a realized sale pays tanh(5 * (sell - avg_cost) / avg_cost); buys
 and holds pay 0. A step's reward therefore always lies in [-1, 1].
@@ -21,8 +29,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .indicators import feature_table
-from .market_data import Session, Timeframe, resample
+from .indicators import FEATURE_WARMUP, feature_table
+from .market_data import MarketDataError, Session, Timeframe
 from .portfolio import (
     PortfolioState, TradeLogEntry, buy_all, features, mark, sell_all, value_and_ratios,
 )
@@ -190,31 +198,80 @@ def build_observation(
     return out.reshape(-1)
 
 
+def base_bars(sessions: Sequence[Session], timeframes: Sequence[Timeframe]) -> tuple:
+    """Sessions laid end to end as base bars: (closes, timestamps, session_first, session_last,
+    session_close, tables). session_close[i] is the index of bar i's session close, and
+    tables maps each of `timeframes` to its trailing_table."""
+    for session in sessions:
+        if not session.bars:
+            raise MarketDataError(f"session {session.day} is empty")
+    bars = [b for s in sessions for b in s.bars]
+    highs, lows, closes, volumes = np.array(
+        [(b.high, b.low, b.close, b.volume) for b in bars], dtype=np.float64
+    ).T.copy()
+    sizes = np.array([len(s.bars) for s in sessions])
+    ends = np.cumsum(sizes) - 1
+    session_last = np.zeros(closes.size, dtype=bool)
+    session_last[ends] = True
+    tables = {tf: trailing_table(highs, lows, closes, volumes, tf.minutes) for tf in timeframes}
+    # The final bar closes a session, so the roll also opens one at bar 0.
+    return (closes, tuple(b.timestamp for b in bars), np.roll(session_last, 1), session_last,
+            np.repeat(ends, sizes), tables)
+
+
+def trailing_table(highs: np.ndarray, lows: np.ndarray, closes: np.ndarray,
+                   volumes: np.ndarray, length: int) -> np.ndarray:
+    """(n, 5) feature table of the trailing `length`-bar series.
+
+    Every base bar ends one aggregate bar: the high, low and volume of the
+    `length` base bars up to it (of those that exist, at the start of the
+    data) and its own close. The aggregates whose ends share a residue p mod
+    `length` form one series; its feature_table fills rows p::length. At
+    length 1 this is the feature_table of the base bars.
+    """
+    if length == 1:
+        return feature_table(highs, lows, closes, volumes)[1]
+    pad = np.full(length - 1, np.inf)
+    t_high = sliding_window_view(np.concatenate([-pad, highs]), length).max(axis=1)
+    t_low = sliding_window_view(np.concatenate([pad, lows]), length).min(axis=1)
+    csum = np.concatenate([np.zeros(length), np.cumsum(volumes)])
+    t_vol = csum[length:] - csum[:-length]
+    table = np.empty((closes.size, MARKET_FEATURES))
+    for p in range(length):
+        idx = np.arange(p, closes.size, length)
+        table[idx] = feature_table(t_high[idx], t_low[idx], closes[idx], t_vol[idx])[1]
+    return table
+
+
+def min_agent_cursor(window: int, length: int) -> int:
+    """First base bar with `window` warmed-up rows of a trailing table."""
+    return (FEATURE_WARMUP + window - 1) * length
+
+
+def agent_observation(table: np.ndarray, closes: np.ndarray, pf_rows: np.ndarray,
+                      cursor: int, window: int, length: int) -> np.ndarray:
+    """Observation at base bar `cursor` of an agent of timeframe `length`:
+    its last `window` trailing bars, every `length`-th base bar back from
+    `cursor`, from `table` (see trailing_table) and the portfolio rows."""
+    s = slice(cursor - (window - 1) * length, cursor + 1, length)
+    return build_observation(table[s], closes[s], pf_rows[s])
+
+
 class TradingEnv:
-    """Episode over resampled bars with an all-in/all-out single position."""
+    """Episode over base bars with an all-in/all-out single position. Each
+    step spans one bar of the agent's timeframe, truncated at its session's
+    final bar."""
 
     def __init__(self, sessions: Sequence[Session], config: EnvConfig):
         if not sessions:
             raise EnvError("no sessions provided")
         self.config = config
-        closes, highs, lows, volumes, timestamps, session_last = [], [], [], [], [], []
-        for session in sessions:
-            bars = resample(session, config.timeframe)
-            for b in bars:
-                closes.append(b.close)
-                highs.append(b.high)
-                lows.append(b.low)
-                volumes.append(float(b.volume))
-                timestamps.append(b.timestamp)
-            session_last.extend([False] * (len(bars) - 1) + [True])
-        self.closes = np.asarray(closes)
-        self.timestamps = tuple(timestamps)
-        self.session_last = np.asarray(session_last, dtype=bool)
+        self.length = config.timeframe.minutes
+        (self.closes, self.timestamps, _, self.session_last, self.session_close,
+         tables) = base_bars(sessions, (config.timeframe,))
+        self.table = tables[config.timeframe]
         self.n_bars = self.closes.size
-        self.first_valid, self.features = feature_table(
-            np.asarray(highs), np.asarray(lows), self.closes, np.asarray(volumes)
-        )
-        self.min_cursor = self.first_valid + config.window_size - 1
+        self.min_cursor = min_agent_cursor(config.window_size, self.length)
         self.cursor = -1
         self.done = True
         self.portfolio: PortfolioState | None = None
@@ -226,10 +283,6 @@ class TradingEnv:
         return self.config.window_size * FEATURES_PER_BAR
 
     @property
-    def action_count(self) -> int:
-        return len(Action)
-
-    @property
     def portfolio_value(self) -> float:
         return self.portfolio.total_value
 
@@ -238,7 +291,7 @@ class TradingEnv:
         return self.timestamps[self.cursor]
 
     def reset(self, cursor: int | None = None) -> np.ndarray:
-        """Start an episode with the cursor on a fully-warmed-up bar.
+        """Start an episode with the cursor on a fully-warmed-up base bar.
 
         The default cursor is the earliest valid one. Raises when fewer than
         min_cursor + 1 bars of history precede the requested cursor, or when
@@ -248,8 +301,8 @@ class TradingEnv:
             cursor = self.min_cursor
         if cursor < self.min_cursor:
             raise EnvError(
-                f"cursor {cursor} too early: need {self.min_cursor + 1} bars of history "
-                f"(window {self.config.window_size} after {self.first_valid}-bar indicator warmup)"
+                f"cursor {cursor} too early: need {self.min_cursor + 1} base bars of history "
+                f"({self.config.window_size} {self.config.timeframe.label} bars after warmup)"
             )
         if cursor >= self.n_bars - 1:
             raise EnvError(
@@ -262,12 +315,11 @@ class TradingEnv:
         )
         self.trades = []
         pf = features(self.portfolio)
-        row = (pf.cash_ratio, pf.stock_ratio, pf.unrealized_profit_ratio)
-        self._pf_rows[cursor - self.config.window_size + 1: cursor + 1] = row
+        self._pf_rows[:] = (pf.cash_ratio, pf.stock_ratio, pf.unrealized_profit_ratio)
         return self._observation()
 
     def step(self, action: Action | int) -> StepResult:
-        """Trade at the current bar close, advance one bar, settle rewards."""
+        """Trade at the current bar close, advance one span, settle rewards."""
         span = self._advance(action)
         info = {
             "timestamp": self.timestamps[self.cursor],
@@ -277,24 +329,27 @@ class TradingEnv:
         }
         return StepResult(self._observation(), span.reward, self.done, info)
 
+    def _span_end(self, cursor: int) -> int:
+        """Last bar of the span decided at `cursor`."""
+        return min(cursor + self.length, int(self.session_close[cursor + 1]))
+
     def _advance(self, action: Action | int) -> SpanResult:
-        """`step` without the observation: trade, mark and book one bar."""
+        """`step` without the observation: trade, mark and book one span."""
         if self.done:
             raise EnvError("step() called on a finished episode; call reset()")
         action = Action(action) if not isinstance(action, Action) else action
-        nxt = self.cursor + 1
+        end = self._span_end(self.cursor)
         span = execute_span(self.portfolio, action, self.closes, self.timestamps,
-                            self.session_last, self.cursor, nxt, self._pf_rows)
+                            self.session_last, self.cursor, end, self._pf_rows)
         self.portfolio = span.portfolio
         self.trades.extend(t for t in (span.trade, span.liquidation) if t is not None)
-        self.cursor = nxt
-        self.done = nxt == self.n_bars - 1
+        self.cursor = end
+        self.done = end == self.n_bars - 1
         return span
 
     def _observation(self) -> np.ndarray:
-        w = self.config.window_size
-        window = slice(self.cursor - w + 1, self.cursor + 1)
-        return build_observation(self.features[window], self.closes[window], self._pf_rows[window])
+        return agent_observation(self.table, self.closes, self._pf_rows, self.cursor,
+                                 self.config.window_size, self.length)
 
 
 class AgentRun(NamedTuple):
@@ -322,25 +377,35 @@ def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRu
             f"environment produces {env.observation_size}"
         )
     env.reset(cursor)
-    w = env.config.window_size
+    w, length = env.config.window_size, env.length
     market = np.arange(env.observation_size) % FEATURES_PER_BAR < MARKET_FEATURES
     policy = SplitGreedyPolicy(params, market)
     equity = [(env.current_timestamp, env.portfolio_value)]
     fallbacks = 0
-    last = env.n_bars - 1
-    for lo in range(cursor, last, AGENT_BLOCK):
-        hi = min(lo + AGENT_BLOCK, last)
-        rows = slice(lo - w + 1, hi)
-        windows = sliding_window_view(env.features[rows], w, axis=0).transpose(0, 2, 1)
-        closes = sliding_window_view(env.closes[rows], w)
-        xa = normalize_market_window(windows, closes).reshape(hi - lo, -1)
-        za, norms = policy.first_layer_a(xa)
-        for t in range(lo, hi):
-            xb = portfolio_window(env._pf_rows[t - w + 1:t + 1]).reshape(-1)
-            action = policy.action(za[t - lo], float(norms[t - lo]), xb)
-            if action is None:
-                action = greedy_action(params, env._observation())
-                fallbacks += 1
-            env._advance(action)
-            equity.append((env.timestamps[env.cursor], env.portfolio.total_value))
+    # Span ends do not depend on actions, so every decision cursor is known
+    # now. A run of cursors one timeframe bar apart shares a phase, and its
+    # windows are consecutive windows of that phase's rows.
+    cursors = [cursor]
+    while (end := env._span_end(cursors[-1])) < env.n_bars - 1:
+        cursors.append(end)
+    cursors = np.array(cursors)
+    for run in np.split(cursors, np.flatnonzero(np.diff(cursors) != length) + 1):
+        phase = slice(run[0] % length, None, length)
+        table, closes = env.table[phase], env.closes[phase]
+        first = run[0] // length
+        for lo in range(0, run.size, AGENT_BLOCK):
+            hi = min(lo + AGENT_BLOCK, run.size)
+            rows = slice(first + lo - w + 1, first + hi)
+            windows = sliding_window_view(table[rows], w, axis=0).transpose(0, 2, 1)
+            xa = normalize_market_window(windows, sliding_window_view(closes[rows], w))
+            za, norms = policy.first_layer_a(xa.reshape(hi - lo, -1))
+            for j in range(hi - lo):
+                t = env.cursor
+                xb = portfolio_window(env._pf_rows[t - (w - 1) * length:t + 1:length])
+                action = policy.action(za[j], float(norms[j]), xb.reshape(-1))
+                if action is None:
+                    action = greedy_action(params, env._observation())
+                    fallbacks += 1
+                env._advance(action)
+                equity.append((env.timestamps[env.cursor], env.portfolio.total_value))
     return AgentRun(equity, fallbacks)

@@ -404,11 +404,17 @@ def synthesize(config: SynthConfig, seed: int, days: int) -> SynthResult:
     sessions = []
     labels = []
     day = config.start_date
-    close_time_delta = timedelta(minutes=config.session_minutes)
-    for _ in range(days):
-        while day.weekday() >= 5:
-            day += timedelta(days=1)
-        open_dt = datetime.combine(day, config.open_time, tzinfo=timezone.utc)
+    for i in range(days):
+        try:
+            if i:
+                day += timedelta(days=1)
+            while day.weekday() >= 5:
+                day += timedelta(days=1)
+            open_dt = datetime.combine(day, config.open_time, tzinfo=timezone.utc)
+            close_dt = open_dt + timedelta(minutes=config.session_minutes)
+        except OverflowError:
+            raise MarketDataError(
+                f"{days} sessions from {config.start_date} run past {date.max}") from None
         bars = []
         day_labels = np.empty(config.session_minutes, dtype=np.int8)
         for k in range(config.session_minutes):
@@ -429,9 +435,8 @@ def synthesize(config: SynthConfig, seed: int, days: int) -> SynthResult:
             price = close_px
             if rng.random() >= config.transition[regime][regime]:
                 regime = 1 - regime
-        sessions.append(Session(day, open_dt, open_dt + close_time_delta, tuple(bars)))
+        sessions.append(Session(day, open_dt, close_dt, tuple(bars)))
         labels.append(day_labels)
-        day += timedelta(days=1)
     return SynthResult(tuple(sessions), tuple(labels))
 
 

@@ -17,7 +17,7 @@ from alloctrader.allocator import (
     run_hierarchy,
     write_decision_log,
 )
-from alloctrader.envs import EnvConfig, build_observation
+from alloctrader.envs import Action, EnvConfig, TradingEnv, build_observation
 from alloctrader.indicators import feature_table
 from alloctrader.market_data import TIMEFRAME_ORDER, Timeframe
 from alloctrader.portfolio import PortfolioState, buy_all, features, mark, sell_all
@@ -285,39 +285,53 @@ class TestStep:
         assert (env._pf_rows[start:] == np.array(rows)).all()
 
 
+def _base_arrays(sessions):
+    bars = [b for s in sessions for b in s.bars]
+    return tuple(np.array([getattr(b, k) for b in bars], dtype=float)
+                 for k in ("high", "low", "close", "volume"))
+
+
 class TestPhaseSeries:
     def test_trailing_aggregates_match_brute_force(self, regime_result, buy_env):
-        bars = [b for s in regime_result.sessions for b in s.bars]
-        highs = np.array([b.high for b in bars])
-        lows = np.array([b.low for b in bars])
-        closes = np.array([b.close for b in bars])
-        volumes = np.array([float(b.volume) for b in bars])
+        highs, lows, closes, volumes = _base_arrays(regime_result.sessions)
         tf = Timeframe.TEN_MINUTE
         rng = np.random.default_rng(6)
-        for i in rng.integers(500, len(bars), size=5):
+        for i in rng.integers(500, len(closes), size=5):
             i = int(i)
-            phase = buy_env._phases[tf][i % 10]
-            k = i // 10
-            assert phase.base_indices[k] == i
-            # Rebuild the aggregated series the phase saw, ending at residue
-            # i % 10, and compare its feature row at position k.
-            idx = phase.base_indices
+            # Rebuild the aggregated series whose bars end at residue i % 10,
+            # and compare its feature row at bar i with the trailing table.
+            idx = np.arange(i % 10, len(closes), 10)
             t_high = np.array([highs[max(0, j - 9): j + 1].max() for j in idx])
             t_low = np.array([lows[max(0, j - 9): j + 1].min() for j in idx])
             t_vol = np.array([volumes[max(0, j - 9): j + 1].sum() for j in idx])
             _, want = feature_table(t_high, t_low, closes[idx], t_vol)
-            np.testing.assert_allclose(phase.feats[k], want[k], atol=1e-10)
+            np.testing.assert_allclose(buy_env.tables[tf][i], want[i // 10], atol=1e-10)
 
-    def test_one_minute_agent_sees_base_features(self, buy_env):
+    def test_one_minute_agent_sees_base_features(self, regime_result, buy_env):
         buy_env.reset()
         b = buy_env.cursor
         w = buy_env.registry[Timeframe.ONE_MINUTE].config.window_size
         window = slice(b - w + 1, b + 1)
-        want = build_observation(
-            buy_env._base_feats[window], buy_env.closes[window], buy_env._pf_rows[window]
-        )
+        _, base = feature_table(*_base_arrays(regime_result.sessions))
+        want = build_observation(base[window], buy_env.closes[window], buy_env._pf_rows[window])
         got = buy_env._agent_observation(Timeframe.ONE_MINUTE, b)
         np.testing.assert_array_equal(got, want)
+
+
+class TestTrainServeParity:
+    @pytest.mark.parametrize("tf", TIMEFRAME_ORDER, ids=lambda tf: tf.label)
+    def test_training_observations_are_the_hierarchy_ones(self, regime_result, hold_env, tf):
+        # Both environments hold the portfolio flat, so every portfolio row is
+        # the initial one and the observations differ only if the market
+        # columns do.
+        window = hold_env.registry[tf].config.window_size
+        env = TradingEnv(regime_result.sessions, EnvConfig(timeframe=tf, window_size=window))
+        obs = env.reset()
+        hold_env.reset()
+        while not env.done:
+            want = hold_env._agent_observation(tf, env.cursor)
+            assert obs.tobytes() == want.tobytes(), f"decision at bar {env.cursor}"
+            obs = env.step(Action.HOLD).observation
 
 
 class TestDecisionLog:

@@ -350,6 +350,22 @@ class TestPipelineGuards:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("config, args, match", [
+        ("run.seed = -1\n", [], "run.seed must be >= 0, got -1"),
+        ("", ["--seed", "-3"], "run.seed must be >= 0, got -3"),
+        ("synth.start_date = 9999-12-30\nsynth.days = 3\n", [],
+         "3 sessions from 9999-12-30 run past 9999-12-31"),
+    ], ids=["config-seed", "option-seed", "synth-date-overflow"])
+    def test_bad_run_value_is_single_error_line(self, tmp_path, capsys, config, args, match):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config)
+        argv = ["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *args]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert match in err
+
     def test_checkpoint_without_network_is_single_error_line(self, pipeline, tmp_path, capsys):
         cfg_path, out = pipeline
         copy = tmp_path / "out"

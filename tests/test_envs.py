@@ -16,7 +16,8 @@ from alloctrader.envs import (
     normalize_market_window,
     run_agent,
 )
-from alloctrader.market_data import Timeframe
+from alloctrader.indicators import feature_table
+from alloctrader.market_data import Timeframe, resample
 from alloctrader.ppo import (
     NetworkSpec,
     PolicyParameters,
@@ -32,6 +33,18 @@ def _env(sessions, timeframe=Timeframe.ONE_MINUTE, window=5, cash=10_000.0, fee=
     cfg = EnvConfig(timeframe=timeframe, window_size=window, initial_cash=cash,
                     fee_per_sell_share=fee)
     return TradingEnv(sessions, cfg)
+
+
+@pytest.fixture(scope="module")
+def regime_sessions(regime_result):
+    return regime_result.sessions
+
+
+def _every_timeframe(short_sessions, regime_sessions):
+    """(timeframe, sessions) for 1m, 10m and 1h. The 90-minute days of
+    short_sessions are too short to warm up a 1h agent."""
+    return ((Timeframe.ONE_MINUTE, short_sessions), (Timeframe.TEN_MINUTE, short_sessions),
+            (Timeframe.ONE_HOUR, regime_sessions))
 
 
 class TestAgentReward:
@@ -115,10 +128,16 @@ class TestReset:
         assert (obs[7::8] == 0.0).all()   # unrealized
 
     def test_ten_minute_resampling(self, short_sessions):
-        # Six 90-minute sessions give 9 ten-minute bars each.
+        # A 90-minute session holds nine whole ten-minute bars. The trailing
+        # bars ending at the tenth minute of a session, and every tenth after,
+        # are those bars, so their rows are the resampled bars' features.
         env = _env(short_sessions, timeframe=Timeframe.TEN_MINUTE, window=3)
-        assert env.n_bars == 54
+        assert env.n_bars == 540
         assert env.session_last.sum() == 6
+        tens = [b for s in short_sessions for b in resample(s, Timeframe.TEN_MINUTE)]
+        _, want = feature_table(*(np.array([getattr(b, k) for b in tens], dtype=float)
+                                  for k in ("high", "low", "close", "volume")))
+        np.testing.assert_array_equal(env.table[9::10], want)
 
 
 class TestStep:
@@ -158,27 +177,29 @@ class TestStep:
         sides = [t.side for t in env.trades]
         assert sides == ["buy", "sell"]
 
-    def test_no_position_survives_any_session_close(self, short_sessions):
-        rng = np.random.default_rng(5)
-        env = _env(short_sessions, window=5)
-        env.reset()
-        done = False
-        while not done:
-            result = env.step(int(rng.integers(0, 3)))
-            if env.session_last[env.cursor]:
-                assert env.portfolio.shares == 0
-            done = result.done
+    def test_no_position_survives_any_session_close(self, short_sessions, regime_sessions):
+        for timeframe, sessions in _every_timeframe(short_sessions, regime_sessions):
+            rng = np.random.default_rng(5)
+            env = _env(sessions, timeframe, window=5)
+            env.reset()
+            done = False
+            while not done:
+                result = env.step(int(rng.integers(0, 3)))
+                if env.session_last[env.cursor]:
+                    assert env.portfolio.shares == 0, timeframe
+                done = result.done
 
-    def test_no_position_opened_at_a_session_close(self, short_sessions):
+    def test_no_position_opened_at_a_session_close(self, short_sessions, regime_sessions):
         # A buy at a session's final bar would carry the position overnight.
-        env = _env(short_sessions, window=5)
-        env.reset()
-        done = False
-        while not done:
-            decision = env.cursor
-            done = env.step(Action.BUY).done
-            if env.session_last[decision]:
-                assert env.portfolio.shares == 0
+        for timeframe, sessions in _every_timeframe(short_sessions, regime_sessions):
+            env = _env(sessions, timeframe, window=5)
+            env.reset()
+            done = False
+            while not done:
+                decision = env.cursor
+                done = env.step(Action.BUY).done
+                if env.session_last[decision]:
+                    assert env.portfolio.shares == 0, timeframe
 
     def test_rewards_always_bounded(self, short_sessions):
         rng = np.random.default_rng(6)
@@ -247,6 +268,13 @@ def _step_loop(env, params, cursor):
     return equity, list(env.trades)
 
 
+def _aligned_cursor(env):
+    """The first close of a whole timeframe bar, counted from a session open,
+    at or after the env's warm-up."""
+    opens = np.flatnonzero(np.r_[True, env.session_last[:-1]])
+    return next(int(i) + env.length - 1 for i in opens if i + env.length - 1 >= env.min_cursor)
+
+
 class TestRunAgent:
     @pytest.mark.parametrize(
         "timeframe, window, hidden, fee, seed, block",
@@ -256,20 +284,22 @@ class TestRunAgent:
             (Timeframe.ONE_MINUTE, 3, (32, 16), 0.0, 2, 256),
             (Timeframe.ONE_MINUTE, 9, (16, 8), 0.02, 3, 7),
             (Timeframe.TEN_MINUTE, 4, (16, 16), 0.0, 4, 5),
+            (Timeframe.ONE_HOUR, 4, (16, 16), 0.01, 6, 3),
         ],
     )
-    def test_matches_greedy_step_loop(self, short_sessions, monkeypatch,
+    def test_matches_greedy_step_loop(self, short_sessions, regime_sessions, monkeypatch,
                                       timeframe, window, hidden, fee, seed, block):
         monkeypatch.setattr(envs, "AGENT_BLOCK", block)
         params = _agent_params(window, hidden, seed)
         if window * 8 < hidden[0]:
             w1 = params.arrays["policy_w1"]
             assert w1.flags.f_contiguous and not w1.flags.c_contiguous
-        for cursor_offset in (0, 13):
-            loop_env = _env(short_sessions, timeframe, window, fee=fee)
-            cursor = loop_env.min_cursor + cursor_offset
+        sessions = regime_sessions if timeframe is Timeframe.ONE_HOUR else short_sessions
+        probe = _env(sessions, timeframe, window, fee=fee)
+        for cursor in (probe.min_cursor, probe.min_cursor + 13, _aligned_cursor(probe)):
+            loop_env = _env(sessions, timeframe, window, fee=fee)
             equity, trades = _step_loop(loop_env, params, cursor)
-            env = _env(short_sessions, timeframe, window, fee=fee)
+            env = _env(sessions, timeframe, window, fee=fee)
             run = run_agent(env, params, cursor)
             assert run.equity == equity
             assert env.trades == trades

@@ -8,7 +8,7 @@ as in training; the market then advances one bar
 of the agent's timeframe (truncated at the session's final bar), and the
 allocator is paid the log-return of portfolio value over the span. The trade,
 the marks at every base bar and the session-close liquidation happen in
-`envs.execute_span`, the one executor `TradingEnv` also runs. Spans tile each
+`envs.BaseBarEnv._span`, which `TradingEnv` also runs. Spans tile each
 session exactly, and the rewards telescope to ln(V_final / V_initial).
 """
 
@@ -23,18 +23,16 @@ import numpy as np
 
 from .atomic import atomic_write
 from .envs import (
-    Action,
+    BaseBarEnv,
     EnvConfig,
     StepResult,
     agent_observation,
-    base_bars,
-    execute_span,
     min_agent_cursor,
     normalize_market_window,
 )
 from .indicators import FEATURE_WARMUP
 from .market_data import Session, TIMEFRAME_ORDER, Timeframe
-from .portfolio import PortfolioState, TradeLogEntry, features
+from .portfolio import TradeLogEntry, features
 from .ppo import PolicyParameters, greedy_action
 
 
@@ -191,8 +189,8 @@ def read_decision_log(path: str) -> tuple[DecisionRecord, ...]:
     return tuple(records)
 
 
-class HierarchyEnv:
-    """Meta-environment over shared base bars; see the module docstring."""
+class HierarchyEnv(BaseBarEnv):
+    """Meta-environment over the base-bar account; see the module docstring."""
 
     def __init__(
         self,
@@ -203,17 +201,10 @@ class HierarchyEnv:
     ):
         if not sessions:
             raise AllocatorError("no sessions provided")
+        super().__init__(sessions, TIMEFRAME_ORDER)
         self.registry = registry
         self.config = config
-        (self.closes, self.timestamps, self.session_first, self.session_last,
-         self.session_close, self.tables) = base_bars(sessions, TIMEFRAME_ORDER)
-        self.n_bars = self.closes.size
         self._start_cursor = self._find_start_cursor(sessions, start_day)
-        self.cursor = -1
-        self.done = True
-        self.portfolio: PortfolioState | None = None
-        self._pf_rows = np.empty((self.n_bars, 3))
-        self.trades: list[TradeLogEntry] = []
         self.decisions: list[AllocationDecision] = []
         self.equity: list[tuple[datetime, float]] = []
 
@@ -275,18 +266,10 @@ class HierarchyEnv:
 
     def reset(self) -> np.ndarray:
         """Rewind to the first session boundary with full warmup history."""
-        self.cursor = self._start_cursor
-        self.done = False
-        self.portfolio = PortfolioState.initial(
-            self.config.initial_cash,
-            float(self.closes[self.cursor]),
-            self.config.fee_per_sell_share,
-        )
-        self._pf_rows[:] = (1.0, 0.0, 0.0)
+        self._open(self._start_cursor, self.config.initial_cash, self.config.fee_per_sell_share)
         self._span_start_value = self.portfolio.total_value
         self._last_rewards = {tf: 0.0 for tf in TIMEFRAME_ORDER}
         self._last_active: Timeframe | None = None
-        self.trades = []
         self.decisions = []
         self.equity = [(self.timestamps[self.cursor], self.portfolio.total_value)]
         return self._allocator_observation()
@@ -307,12 +290,9 @@ class HierarchyEnv:
         executed = Timeframe.ONE_MINUTE if forced else requested
         agent = self.registry[executed]
 
-        act = Action(greedy_action(agent.params, self._agent_observation(executed, b)))
-        span_end = min(b + executed.minutes, int(self.session_close[b + 1]))
-        span = execute_span(self.portfolio, act, self.closes, self.timestamps,
-                            self.session_last, b, span_end, self._pf_rows)
-        self.portfolio = span.portfolio
-        self.trades.extend(t for t in (span.trade, span.liquidation) if t is not None)
+        act = greedy_action(agent.params, self._agent_observation(executed, b))
+        span = self._span(act, executed.minutes)
+        span_end = self.cursor
         self.equity.extend(zip(self.timestamps[b + 1:span_end + 1], span.values))
 
         v_end = self.portfolio.total_value
@@ -330,8 +310,6 @@ class HierarchyEnv:
         self._span_start_value = v_end
         self._last_rewards[executed] = span.reward
         self._last_active = executed
-        self.cursor = span_end
-        self.done = span_end == self.n_bars - 1
         return StepResult(
             observation=self._allocator_observation(),
             reward=reward,
@@ -351,14 +329,6 @@ class HierarchyReport:
     equity: tuple[tuple[datetime, float], ...]
     trades: tuple[TradeLogEntry, ...]
     decisions: tuple[AllocationDecision, ...]
-
-    @property
-    def initial_value(self) -> float:
-        return self.equity[0][1]
-
-    @property
-    def final_value(self) -> float:
-        return self.equity[-1][1]
 
 
 def run_hierarchy(

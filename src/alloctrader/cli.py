@@ -17,8 +17,6 @@ from datetime import date
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from .allocator import (
     AgentRegistry,
     AllocatorConfig,
@@ -44,7 +42,6 @@ from .evaluation import (
     write_metrics,
 )
 from .market_data import (
-    EmptyDataError,
     MarketDataError,
     Session,
     TIMEFRAME_ORDER,
@@ -55,13 +52,12 @@ from .market_data import (
     synthesize,
     write_sessions_csv,
 )
-from .portfolio import PortfolioError, PortfolioState, TradeLogEntry, write_trade_log
+from .portfolio import PortfolioError, TradeLogEntry, write_trade_log
 from .ppo import (
     Checkpoint,
     CheckpointError,
     NetworkSpec,
     PpoError,
-    PolicyParameters,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -217,21 +213,28 @@ def _extra(path, ckpt: Checkpoint, key: str, convert: Callable):
         ) from exc
 
 
-def _load_registry(cfg: RunConfig, paths: _Paths) -> AgentRegistry:
-    agents = {}
-    for tf in TIMEFRAME_ORDER:
-        path = paths.agent_checkpoint(tf, cfg.seed)
-        if not path.exists():
-            raise CheckpointError(f"missing checkpoint: {tf.label} (expected {path})")
-        ckpt = load_checkpoint(str(path))
-        env_config = EnvConfig(
-            timeframe=_extra(path, ckpt, "timeframe", Timeframe.from_label),
-            window_size=_extra(path, ckpt, "window_size", int),
-            initial_cash=_extra(path, ckpt, "initial_cash", float),
-            fee_per_sell_share=cfg.fee_per_sell_share,
+def _load_agent(cfg: RunConfig, paths: _Paths, tf: Timeframe) -> RegisteredAgent:
+    """The `tf` agent of this seed; its checkpoint must have been trained at `tf`."""
+    path = paths.agent_checkpoint(tf, cfg.seed)
+    if not path.exists():
+        raise CheckpointError(f"missing checkpoint: {tf.label} (expected {path})")
+    ckpt = load_checkpoint(str(path))
+    trained = _extra(path, ckpt, "timeframe", Timeframe.from_label)
+    if trained is not tf:
+        raise CheckpointError(
+            f"{path}: checkpoint is a {trained.label} agent, expected {tf.label}"
         )
-        agents[tf] = RegisteredAgent(params=ckpt.params, config=env_config)
-    return AgentRegistry(agents)
+    env_config = EnvConfig(
+        timeframe=tf,
+        window_size=_extra(path, ckpt, "window_size", int),
+        initial_cash=_extra(path, ckpt, "initial_cash", float),
+        fee_per_sell_share=cfg.fee_per_sell_share,
+    )
+    return RegisteredAgent(params=ckpt.params, config=env_config)
+
+
+def _load_registry(cfg: RunConfig, paths: _Paths) -> AgentRegistry:
+    return AgentRegistry({tf: _load_agent(cfg, paths, tf) for tf in TIMEFRAME_ORDER})
 
 
 def _allocator_config(cfg: RunConfig) -> AllocatorConfig:
@@ -304,17 +307,8 @@ def _backtest_buyhold(cfg: RunConfig, paths: _Paths, test_sessions) -> None:
 
 def _backtest_agent(cfg: RunConfig, paths: _Paths, sessions, test_start: date, label: str) -> None:
     tf = Timeframe.from_label(label)
-    path = paths.agent_checkpoint(tf, cfg.seed)
-    if not path.exists():
-        raise CheckpointError(f"missing checkpoint: {tf.label} (expected {path})")
-    ckpt = load_checkpoint(str(path))
-    env_config = EnvConfig(
-        timeframe=tf,
-        window_size=_extra(path, ckpt, "window_size", int),
-        initial_cash=_extra(path, ckpt, "initial_cash", float),
-        fee_per_sell_share=cfg.fee_per_sell_share,
-    )
-    env = TradingEnv(sessions, env_config)
+    agent = _load_agent(cfg, paths, tf)
+    env = TradingEnv(sessions, agent.config)
     first = next((i for i, ts in enumerate(env.timestamps) if ts.date() >= test_start), None)
     if first is None:
         raise MarketDataError(f"no bars on or after test start {test_start}")
@@ -325,7 +319,7 @@ def _backtest_agent(cfg: RunConfig, paths: _Paths, sessions, test_start: date, l
             f"insufficient warmup before test start {test_start}: bar {cursor} "
             f"but observations need {env.min_cursor + 1} bars of history"
         )
-    curve = EquityCurve.from_pairs(run_agent(env, ckpt.params, cursor).equity)
+    curve = EquityCurve.from_pairs(run_agent(env, agent.params, cursor).equity)
     name = f"agent_{tf.label}"
     _write_backtest(paths, name, curve, env.trades, annualization_factor(curve.timestamps))
 

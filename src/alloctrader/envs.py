@@ -1,20 +1,20 @@
-"""Per-timeframe trading environment, the base-bar feature pipeline, and the
-span executor of both environments.
+"""Per-timeframe trading environment and the base-bar account both
+environments trade.
 
-Both environments lay their sessions end to end as base (1-minute) bars
-(`base_bars`). An agent observes trailing windows of its own timeframe that
-end at the decision bar (`agent_observation`), so it sees data up to the
-decision instant wherever that falls in a session, in training and in the
-hierarchy alike.
+`BaseBarEnv` lays sessions end to end as base (1-minute) bars and holds the
+one account traded over them. An agent observes trailing windows of its own
+timeframe that end at the decision bar (`agent_observation`), so it sees data
+up to the decision instant wherever that falls in a session, in training and
+in the hierarchy alike.
 
-`execute_span` is the one place that trades, marks and liquidates: it trades at
-the decision bar's close, marks each bar of the span that follows, and
-force-liquidates if the span ends its session. It never buys at a session's
-final bar, so positions never survive overnight. `TradingEnv` runs it over
-spans of one bar of its timeframe, `allocator.HierarchyEnv` over spans of the
-chosen agent's timeframe; both truncate a span at its session's final bar.
-Cash carries across sessions. `run_agent` is the greedy single-agent episode
-that backtests run.
+`BaseBarEnv._span` is the one place that trades, marks and liquidates: it
+trades at the decision bar's close, marks each bar of the span that follows,
+and force-liquidates if the span ends its session. It never buys at a
+session's final bar, so positions never survive overnight. `TradingEnv` runs
+it over spans of one bar of its timeframe, `allocator.HierarchyEnv` over
+spans of the chosen agent's timeframe; both truncate a span at its session's
+final bar. Cash carries across sessions. `run_agent` is the greedy
+single-agent episode that backtests run.
 
 Rewards: a realized sale pays tanh(5 * (sell - avg_cost) / avg_cost); buys
 and holds pay 0. A step's reward therefore always lies in [-1, 1].
@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .indicators import FEATURE_WARMUP, feature_table
 from .market_data import MarketDataError, Session, Timeframe
 from .portfolio import (
-    PortfolioState, TradeLogEntry, buy_all, features, mark, sell_all, value_and_ratios,
+    PortfolioState, TradeLogEntry, buy_all, mark, sell_all, value_and_ratios,
 )
 from .ppo import PolicyParameters, SplitGreedyPolicy, greedy_action
 
@@ -98,57 +98,14 @@ def agent_reward(sell_price: float, avg_buy_price: float) -> float:
 
 
 class SpanResult(NamedTuple):
-    """What one span did: the end state, the agent reward realized over the
-    span, the decision-bar fill and forced session-close sale (None when
-    there was none), and the portfolio value at every span bar."""
+    """What one span did: the agent reward realized over it, the decision-bar
+    fill and forced session-close sale (None when there was none), and the
+    portfolio value at every span bar."""
 
-    portfolio: PortfolioState
     reward: float
     trade: TradeLogEntry | None
     liquidation: TradeLogEntry | None
     values: list[float]
-
-
-def execute_span(
-    portfolio: PortfolioState, action: Action, closes: np.ndarray, timestamps: Sequence,
-    session_last: np.ndarray, decision: int, end: int, pf_rows: np.ndarray,
-) -> SpanResult:
-    """Trade `action` at closes[decision], then mark bars decision+1..end into
-    `pf_rows` as (cash, stock, unrealized) ratios. A span never crosses a
-    session close before `end`, so cash and shares are fixed over it and the
-    marks are one vector. If `end` closes its session the position is sold
-    there, and that bar's row and value are the ones after the sale. A BUY
-    at a session's final bar acts as HOLD, since it would be held overnight.
-    """
-    price = float(closes[decision])
-    reward = 0.0
-    trade = None
-    if action is Action.BUY and not session_last[decision]:
-        portfolio, bought = buy_all(portfolio, price)
-        if bought:
-            trade = TradeLogEntry(timestamps[decision], "buy", bought, price, 0.0)
-    elif action is Action.SELL:
-        portfolio, sale = sell_all(portfolio, price)
-        if sale is not None:
-            reward += agent_reward(sale.sell_price, sale.avg_cost)
-            trade = TradeLogEntry(timestamps[decision], "sell", sale.shares, price, reward)
-    span = slice(decision + 1, end + 1)
-    values, *ratios = value_and_ratios(
-        portfolio.cash, portfolio.shares, portfolio.cost_basis, closes[span]
-    )
-    pf_rows[span, 0], pf_rows[span, 1], pf_rows[span, 2] = ratios
-    values = values.tolist()
-    end_price = float(closes[end])
-    portfolio = mark(portfolio, end_price)
-    liquidation = None
-    if session_last[end] and portfolio.shares > 0:
-        portfolio, sale = sell_all(portfolio, end_price)
-        sale_reward = agent_reward(sale.sell_price, sale.avg_cost)
-        reward += sale_reward
-        liquidation = TradeLogEntry(timestamps[end], "sell", sale.shares, end_price, sale_reward)
-        values[-1], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = value_and_ratios(
-            portfolio.cash, portfolio.shares, portfolio.cost_basis, end_price)
-    return SpanResult(portfolio, reward, trade, liquidation, values)
 
 
 def normalize_market_window(feature_rows: np.ndarray, closes: np.ndarray) -> np.ndarray:
@@ -198,27 +155,6 @@ def build_observation(
     return out.reshape(-1)
 
 
-def base_bars(sessions: Sequence[Session], timeframes: Sequence[Timeframe]) -> tuple:
-    """Sessions laid end to end as base bars: (closes, timestamps, session_first, session_last,
-    session_close, tables). session_close[i] is the index of bar i's session close, and
-    tables maps each of `timeframes` to its trailing_table."""
-    for session in sessions:
-        if not session.bars:
-            raise MarketDataError(f"session {session.day} is empty")
-    bars = [b for s in sessions for b in s.bars]
-    highs, lows, closes, volumes = np.array(
-        [(b.high, b.low, b.close, b.volume) for b in bars], dtype=np.float64
-    ).T.copy()
-    sizes = np.array([len(s.bars) for s in sessions])
-    ends = np.cumsum(sizes) - 1
-    session_last = np.zeros(closes.size, dtype=bool)
-    session_last[ends] = True
-    tables = {tf: trailing_table(highs, lows, closes, volumes, tf.minutes) for tf in timeframes}
-    # The final bar closes a session, so the roll also opens one at bar 0.
-    return (closes, tuple(b.timestamp for b in bars), np.roll(session_last, 1), session_last,
-            np.repeat(ends, sizes), tables)
-
-
 def trailing_table(highs: np.ndarray, lows: np.ndarray, closes: np.ndarray,
                    volumes: np.ndarray, length: int) -> np.ndarray:
     """(n, 5) feature table of the trailing `length`-bar series.
@@ -230,7 +166,7 @@ def trailing_table(highs: np.ndarray, lows: np.ndarray, closes: np.ndarray,
     length 1 this is the feature_table of the base bars.
     """
     if length == 1:
-        return feature_table(highs, lows, closes, volumes)[1]
+        return feature_table(highs, lows, closes, volumes)
     pad = np.full(length - 1, np.inf)
     t_high = sliding_window_view(np.concatenate([-pad, highs]), length).max(axis=1)
     t_low = sliding_window_view(np.concatenate([pad, lows]), length).min(axis=1)
@@ -239,7 +175,7 @@ def trailing_table(highs: np.ndarray, lows: np.ndarray, closes: np.ndarray,
     table = np.empty((closes.size, MARKET_FEATURES))
     for p in range(length):
         idx = np.arange(p, closes.size, length)
-        table[idx] = feature_table(t_high[idx], t_low[idx], closes[idx], t_vol[idx])[1]
+        table[idx] = feature_table(t_high[idx], t_low[idx], closes[idx], t_vol[idx])
     return table
 
 
@@ -257,7 +193,103 @@ def agent_observation(table: np.ndarray, closes: np.ndarray, pf_rows: np.ndarray
     return build_observation(table[s], closes[s], pf_rows[s])
 
 
-class TradingEnv:
+class BaseBarEnv:
+    """Sessions laid end to end as base bars, and the one account traded over
+    them.
+
+    `session_close[i]` is the index of bar i's session close, and `tables`
+    maps each of `timeframes` to its trailing_table. `_span` is the one place
+    that trades, marks and liquidates.
+    """
+
+    def __init__(self, sessions: Sequence[Session], timeframes: Sequence[Timeframe]):
+        for session in sessions:
+            if not session.bars:
+                raise MarketDataError(f"session {session.day} is empty")
+        bars = [b for s in sessions for b in s.bars]
+        highs, lows, closes, volumes = np.array(
+            [(b.high, b.low, b.close, b.volume) for b in bars], dtype=np.float64
+        ).T.copy()
+        sizes = np.array([len(s.bars) for s in sessions])
+        ends = np.cumsum(sizes) - 1
+        self.closes = closes
+        self.timestamps = tuple(b.timestamp for b in bars)
+        self.n_bars = closes.size
+        self.session_last = np.zeros(self.n_bars, dtype=bool)
+        self.session_last[ends] = True
+        # The final bar closes a session, so the roll also opens one at bar 0.
+        self.session_first = np.roll(self.session_last, 1)
+        self.session_close = np.repeat(ends, sizes)
+        self.tables = {tf: trailing_table(highs, lows, closes, volumes, tf.minutes)
+                       for tf in timeframes}
+        self.cursor = -1
+        self.done = True
+        self.portfolio: PortfolioState | None = None
+        self.trades: list[TradeLogEntry] = []
+        self._pf_rows = np.empty((self.n_bars, 3))
+
+    def _span_end(self, cursor: int, length: int) -> int:
+        """Last bar of a `length`-bar span decided at `cursor`, cut at its
+        session's final bar."""
+        return min(cursor + length, int(self.session_close[cursor + 1]))
+
+    def _open(self, cursor: int, cash: float, fee: float) -> None:
+        """Start an episode at `cursor` with a flat account of `cash`."""
+        self.cursor = cursor
+        self.done = False
+        self.portfolio = PortfolioState.initial(cash, float(self.closes[cursor]), fee)
+        self.trades = []
+        self._pf_rows[:] = (1.0, 0.0, 0.0)
+
+    def _span(self, action: Action | int, length: int) -> SpanResult:
+        """Trade `action` at the cursor's close, then mark each bar of the
+        span (see _span_end) into the portfolio rows as (cash, stock,
+        unrealized) ratios. A span never crosses a session close before its
+        end, so cash and shares are fixed over it and the marks are one
+        vector. If the span ends its session the position is sold there, and
+        that bar's row and value are the ones after the sale. A BUY at a
+        session's final bar acts as HOLD, since it would be held overnight.
+        """
+        action = Action(action)
+        decision, end = self.cursor, self._span_end(self.cursor, length)
+        portfolio, closes, timestamps = self.portfolio, self.closes, self.timestamps
+        price = float(closes[decision])
+        reward = 0.0
+        trade = None
+        if action is Action.BUY and not self.session_last[decision]:
+            portfolio, bought = buy_all(portfolio, price)
+            if bought:
+                trade = TradeLogEntry(timestamps[decision], "buy", bought, price, 0.0)
+        elif action is Action.SELL:
+            portfolio, sale = sell_all(portfolio, price)
+            if sale is not None:
+                reward += agent_reward(sale.sell_price, sale.avg_cost)
+                trade = TradeLogEntry(timestamps[decision], "sell", sale.shares, price, reward)
+        span = slice(decision + 1, end + 1)
+        pf_rows = self._pf_rows
+        values, *ratios = value_and_ratios(
+            portfolio.cash, portfolio.shares, portfolio.cost_basis, closes[span]
+        )
+        pf_rows[span, 0], pf_rows[span, 1], pf_rows[span, 2] = ratios
+        values = values.tolist()
+        end_price = float(closes[end])
+        portfolio = mark(portfolio, end_price)
+        liquidation = None
+        if self.session_last[end] and portfolio.shares > 0:
+            portfolio, sale = sell_all(portfolio, end_price)
+            sale_reward = agent_reward(sale.sell_price, sale.avg_cost)
+            reward += sale_reward
+            liquidation = TradeLogEntry(timestamps[end], "sell", sale.shares, end_price, sale_reward)
+            values[-1], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = value_and_ratios(
+                portfolio.cash, portfolio.shares, portfolio.cost_basis, end_price)
+        self.portfolio = portfolio
+        self.trades.extend(t for t in (trade, liquidation) if t is not None)
+        self.cursor = end
+        self.done = end == self.n_bars - 1
+        return SpanResult(reward, trade, liquidation, values)
+
+
+class TradingEnv(BaseBarEnv):
     """Episode over base bars with an all-in/all-out single position. Each
     step spans one bar of the agent's timeframe, truncated at its session's
     final bar."""
@@ -265,30 +297,15 @@ class TradingEnv:
     def __init__(self, sessions: Sequence[Session], config: EnvConfig):
         if not sessions:
             raise EnvError("no sessions provided")
+        super().__init__(sessions, (config.timeframe,))
         self.config = config
         self.length = config.timeframe.minutes
-        (self.closes, self.timestamps, _, self.session_last, self.session_close,
-         tables) = base_bars(sessions, (config.timeframe,))
-        self.table = tables[config.timeframe]
-        self.n_bars = self.closes.size
+        self.table = self.tables[config.timeframe]
         self.min_cursor = min_agent_cursor(config.window_size, self.length)
-        self.cursor = -1
-        self.done = True
-        self.portfolio: PortfolioState | None = None
-        self.trades: list[TradeLogEntry] = []
-        self._pf_rows = np.empty((self.n_bars, 3))
 
     @property
     def observation_size(self) -> int:
         return self.config.window_size * FEATURES_PER_BAR
-
-    @property
-    def portfolio_value(self) -> float:
-        return self.portfolio.total_value
-
-    @property
-    def current_timestamp(self):
-        return self.timestamps[self.cursor]
 
     def reset(self, cursor: int | None = None) -> np.ndarray:
         """Start an episode with the cursor on a fully-warmed-up base bar.
@@ -308,19 +325,14 @@ class TradingEnv:
             raise EnvError(
                 f"cursor {cursor} leaves no bars to step through ({self.n_bars} bars total)"
             )
-        self.cursor = cursor
-        self.done = False
-        self.portfolio = PortfolioState.initial(
-            self.config.initial_cash, float(self.closes[cursor]), self.config.fee_per_sell_share
-        )
-        self.trades = []
-        pf = features(self.portfolio)
-        self._pf_rows[:] = (pf.cash_ratio, pf.stock_ratio, pf.unrealized_profit_ratio)
+        self._open(cursor, self.config.initial_cash, self.config.fee_per_sell_share)
         return self._observation()
 
     def step(self, action: Action | int) -> StepResult:
         """Trade at the current bar close, advance one span, settle rewards."""
-        span = self._advance(action)
+        if self.done:
+            raise EnvError("step() called on a finished episode; call reset()")
+        span = self._span(action, self.length)
         info = {
             "timestamp": self.timestamps[self.cursor],
             "portfolio_value": self.portfolio.total_value,
@@ -328,24 +340,6 @@ class TradingEnv:
             "forced_liquidation": span.liquidation,
         }
         return StepResult(self._observation(), span.reward, self.done, info)
-
-    def _span_end(self, cursor: int) -> int:
-        """Last bar of the span decided at `cursor`."""
-        return min(cursor + self.length, int(self.session_close[cursor + 1]))
-
-    def _advance(self, action: Action | int) -> SpanResult:
-        """`step` without the observation: trade, mark and book one span."""
-        if self.done:
-            raise EnvError("step() called on a finished episode; call reset()")
-        action = Action(action) if not isinstance(action, Action) else action
-        end = self._span_end(self.cursor)
-        span = execute_span(self.portfolio, action, self.closes, self.timestamps,
-                            self.session_last, self.cursor, end, self._pf_rows)
-        self.portfolio = span.portfolio
-        self.trades.extend(t for t in (span.trade, span.liquidation) if t is not None)
-        self.cursor = end
-        self.done = end == self.n_bars - 1
-        return span
 
     def _observation(self) -> np.ndarray:
         return agent_observation(self.table, self.closes, self._pf_rows, self.cursor,
@@ -380,13 +374,13 @@ def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRu
     w, length = env.config.window_size, env.length
     market = np.arange(env.observation_size) % FEATURES_PER_BAR < MARKET_FEATURES
     policy = SplitGreedyPolicy(params, market)
-    equity = [(env.current_timestamp, env.portfolio_value)]
+    equity = [(env.timestamps[cursor], env.portfolio.total_value)]
     fallbacks = 0
     # Span ends do not depend on actions, so every decision cursor is known
     # now. A run of cursors one timeframe bar apart shares a phase, and its
     # windows are consecutive windows of that phase's rows.
     cursors = [cursor]
-    while (end := env._span_end(cursors[-1])) < env.n_bars - 1:
+    while (end := env._span_end(cursors[-1], length)) < env.n_bars - 1:
         cursors.append(end)
     cursors = np.array(cursors)
     for run in np.split(cursors, np.flatnonzero(np.diff(cursors) != length) + 1):
@@ -406,6 +400,6 @@ def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRu
                 if action is None:
                     action = greedy_action(params, env._observation())
                     fallbacks += 1
-                env._advance(action)
+                env._span(action, length)
                 equity.append((env.timestamps[env.cursor], env.portfolio.total_value))
     return AgentRun(equity, fallbacks)

@@ -2,9 +2,9 @@
 allocation analysis.
 
 Sharpe convention: simple period returns at the granularity of the input
-curve, sample standard deviation, risk-free rate per period (default 0),
-annualized by sqrt(periods_per_year). Zero-variance return series have no
-defined Sharpe and yield None.
+curve, sample standard deviation, a zero risk-free rate, annualized by
+sqrt(periods_per_year). Zero-variance return series have no defined Sharpe
+and yield None.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .atomic import atomic_write
-from .market_data import Session, TIMEFRAME_ORDER, Timeframe
+from .market_data import Session, TIMEFRAME_ORDER
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +71,7 @@ def cumulative_return(curve) -> float:
     return float((values[-1] - values[0]) / values[0] * 100.0)
 
 
-def sharpe(curve, periods_per_year: float, risk_free_rate: float = 0.0) -> float | None:
+def sharpe(curve, periods_per_year: float) -> float | None:
     """Annualized Sharpe ratio of the curve's period returns, or None when
     the returns have zero variance (no defined signal)."""
     values = _curve_values(curve)
@@ -83,8 +83,7 @@ def sharpe(curve, periods_per_year: float, risk_free_rate: float = 0.0) -> float
     std = float(returns.std(ddof=1))
     if std == 0.0:
         return None
-    excess = returns - risk_free_rate
-    return float(excess.mean() / std * np.sqrt(periods_per_year))
+    return float(returns.mean() / std * np.sqrt(periods_per_year))
 
 
 def max_drawdown(curve) -> float:
@@ -153,10 +152,10 @@ class MetricsReport:
         )
 
 
-def compute_metrics(curve, periods_per_year: float, risk_free_rate: float = 0.0) -> MetricsReport:
+def compute_metrics(curve, periods_per_year: float) -> MetricsReport:
     return MetricsReport(
         cumulative_return_pct=cumulative_return(curve),
-        sharpe=sharpe(curve, periods_per_year, risk_free_rate),
+        sharpe=sharpe(curve, periods_per_year),
         max_drawdown_pct=max_drawdown(curve),
         periods_per_year=periods_per_year,
     )
@@ -168,25 +167,6 @@ def write_equity_csv(curve: EquityCurve, path: str) -> None:
         writer.writerow(["timestamp", "value"])
         for ts, v in zip(curve.timestamps, curve.values):
             writer.writerow([ts.isoformat(), repr(float(v))])
-
-
-def read_equity_csv(path: str) -> EquityCurve:
-    timestamps = []
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if len(row) < 2:
-                raise EvaluationError(
-                    f"{path}: row {reader.line_num} has {len(row)} fields, expected 2"
-                )
-            try:
-                timestamps.append(datetime.fromisoformat(row[0]))
-                values.append(float(row[1]))
-            except ValueError as exc:
-                raise EvaluationError(f"{path}: row {reader.line_num}: {exc}") from exc
-    return EquityCurve(tuple(timestamps), np.array(values))
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +297,15 @@ def quartile_allocation(
     return QuartileAllocationReport(granularity=granularity, quartiles=tuple(quartiles))
 
 
-def annualization_factor(timestamps: Sequence[datetime], sessions_per_year: float = 252.0) -> float:
-    """Periods-per-year factor for a curve sampled at `timestamps`:
-    sessions_per_year times the median number of points per calendar day."""
+def annualization_factor(timestamps: Sequence[datetime]) -> float:
+    """Periods-per-year factor for a curve sampled at `timestamps`: 252
+    sessions a year times the median number of points per calendar day."""
     if not timestamps:
         raise EvaluationError("annualization_factor needs at least one timestamp")
     counts: dict = {}
     for ts in timestamps:
         counts[ts.date()] = counts.get(ts.date(), 0) + 1
-    return float(sessions_per_year * float(np.median(sorted(counts.values()))))
+    return float(252.0 * float(np.median(sorted(counts.values()))))
 
 
 def write_metrics(report: MetricsReport, json_path: str, text_path: str | None = None) -> None:

@@ -127,11 +127,11 @@ def rolling_pband(closes: np.ndarray, period: int = 20, width: float = 2.0) -> n
 
 def feature_table(
     highs: np.ndarray, lows: np.ndarray, closes: np.ndarray, volumes: np.ndarray
-) -> tuple[int, np.ndarray]:
+) -> np.ndarray:
     """Per-bar feature matrix (N, 5) in FEATURE_COLUMNS order.
 
-    Returns (first_valid, matrix). Rows before first_valid contain NaN in at
-    least one indicator column and must not be consumed.
+    Rows before FEATURE_WARMUP contain NaN in at least one indicator column
+    and must not be consumed.
     """
     n = len(closes)
     matrix = np.column_stack(
@@ -143,4 +143,4 @@ def feature_table(
             np.asarray(volumes, dtype=np.float64),
         ]
     ) if n else np.empty((0, len(FEATURE_COLUMNS)))
-    return FEATURE_WARMUP, matrix
+    return matrix

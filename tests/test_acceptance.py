@@ -323,7 +323,7 @@ def _oracle_pband(closes, period=20, k=2.0):
 
 def _last_row(highs, lows, closes):
     """feature_table's (rsi, macd_histogram, cci, pband) at the last bar."""
-    _, table = feature_table(highs, lows, closes, np.ones_like(closes))
+    table = feature_table(highs, lows, closes, np.ones_like(closes))
     return table[-1, :4]
 
 

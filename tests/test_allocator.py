@@ -304,7 +304,7 @@ class TestPhaseSeries:
             t_high = np.array([highs[max(0, j - 9): j + 1].max() for j in idx])
             t_low = np.array([lows[max(0, j - 9): j + 1].min() for j in idx])
             t_vol = np.array([volumes[max(0, j - 9): j + 1].sum() for j in idx])
-            _, want = feature_table(t_high, t_low, closes[idx], t_vol)
+            want = feature_table(t_high, t_low, closes[idx], t_vol)
             np.testing.assert_allclose(buy_env.tables[tf][i], want[i // 10], atol=1e-10)
 
     def test_one_minute_agent_sees_base_features(self, regime_result, buy_env):
@@ -312,7 +312,7 @@ class TestPhaseSeries:
         b = buy_env.cursor
         w = buy_env.registry[Timeframe.ONE_MINUTE].config.window_size
         window = slice(b - w + 1, b + 1)
-        _, base = feature_table(*_base_arrays(regime_result.sessions))
+        base = feature_table(*_base_arrays(regime_result.sessions))
         want = build_observation(base[window], buy_env.closes[window], buy_env._pf_rows[window])
         got = buy_env._agent_observation(Timeframe.ONE_MINUTE, b)
         np.testing.assert_array_equal(got, want)
@@ -385,9 +385,10 @@ class TestRunHierarchy:
         report = run_hierarchy(
             regime_result.sessions, registry, self._allocator_params(), ALLOC
         )
-        assert report.initial_value == ALLOC.initial_cash
+        initial, final = report.equity[0][1], report.equity[-1][1]
+        assert initial == ALLOC.initial_cash
         total = sum(d.log_return for d in report.decisions)
-        assert total == pytest.approx(np.log(report.final_value / report.initial_value), abs=1e-9)
+        assert total == pytest.approx(np.log(final / initial), abs=1e-9)
         # Equity curve spans every base bar plus the pre-span anchor point.
         first = report.decisions[0].span_start
         last = report.decisions[-1].span_end

@@ -1,12 +1,13 @@
 """Config validation and the full command-line pipeline on tiny settings."""
 
+import csv
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
-from datetime import date
+from datetime import date, datetime
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,6 @@ from alloctrader.config import (
 )
 from alloctrader.market_data import Timeframe
 from alloctrader.allocator import read_decision_log
-from alloctrader.evaluation import read_equity_csv
 
 
 class TestParse:
@@ -262,9 +262,10 @@ class TestPipeline:
     def test_equity_starts_at_test_range(self, pipeline):
         _, out = pipeline
         for name in ("agent_1m", "hierarchy", "buyhold"):
-            curve = read_equity_csv(str(out / "reports" / f"{name}_equity.csv"))
-            assert curve.timestamps[0].date() >= date(2024, 1, 18)
-            assert curve.values[0] == 10_000.0
+            with open(out / "reports" / f"{name}_equity.csv", newline="") as fh:
+                first = list(csv.reader(fh))[1]
+            assert datetime.fromisoformat(first[0]).date() >= date(2024, 1, 18)
+            assert float(first[1]) == 10_000.0
 
     def test_allocation_log(self, pipeline):
         _, out = pipeline
@@ -426,6 +427,19 @@ class TestPipelineGuards:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert f"{name}_seed0.ckpt: checkpoint {match}" in err
+
+    def test_agent_checkpoint_of_another_timeframe_is_refused(self, pipeline, tmp_path, capsys):
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        ckpts = copy / "checkpoints"
+        shutil.copyfile(ckpts / "agent_10m_seed0.ckpt", ckpts / "agent_1h_seed0.ckpt")
+        args = ["backtest", "agent:1h", "--config", str(cfg_path), "--out", str(copy)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "agent_1h_seed0.ckpt: checkpoint is a 10m agent, expected 1h" in err
 
     @pytest.mark.parametrize("row, match", [
         ("2024-01-02T14:30:00+00:00,1m,0", "row 3 has 3 fields, expected 5"),

@@ -135,8 +135,8 @@ class TestReset:
         assert env.n_bars == 540
         assert env.session_last.sum() == 6
         tens = [b for s in short_sessions for b in resample(s, Timeframe.TEN_MINUTE)]
-        _, want = feature_table(*(np.array([getattr(b, k) for b in tens], dtype=float)
-                                  for k in ("high", "low", "close", "volume")))
+        want = feature_table(*(np.array([getattr(b, k) for b in tens], dtype=float)
+                               for k in ("high", "low", "close", "volume")))
         np.testing.assert_array_equal(env.table[9::10], want)
 
 
@@ -260,7 +260,7 @@ def _agent_params(window, hidden, seed):
 def _step_loop(env, params, cursor):
     """The plain greedy episode: env.step(greedy_action(obs)) to the end."""
     obs = env.reset(cursor)
-    equity = [(env.current_timestamp, env.portfolio_value)]
+    equity = [(env.timestamps[env.cursor], env.portfolio.total_value)]
     while not env.done:
         result = env.step(greedy_action(params, obs))
         obs = result.observation

@@ -17,10 +17,8 @@ from alloctrader.evaluation import (
     cumulative_return,
     max_drawdown,
     quartile_allocation,
-    read_equity_csv,
     return_volatility_pct,
     sharpe,
-    write_equity_csv,
     write_metrics,
 )
 from alloctrader.market_data import Bar, Session, Timeframe
@@ -61,26 +59,6 @@ class TestEquityCurve:
         ts = _stamps(3)
         with pytest.raises(EvaluationError):
             EquityCurve((ts[0], ts[2], ts[1]), np.array([1.0, 2.0, 3.0]))
-
-    def test_csv_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        curve = _curve(10_000.0 * np.exp(np.cumsum(rng.normal(0, 0.01, 50))))
-        path = str(tmp_path / "equity.csv")
-        write_equity_csv(curve, path)
-        back = read_equity_csv(path)
-        assert back.timestamps == curve.timestamps
-        np.testing.assert_array_equal(back.values, curve.values)
-
-    @pytest.mark.parametrize("row, match", [
-        ("2024-01-02T14:31:00+00:00", "row 3 has 1 fields, expected 2"),
-        ("14:31,10000.5", "row 3: Invalid isoformat string"),
-        ("2024-01-02T14:31:00+00:00,ten", "row 3: could not convert string to float"),
-    ], ids=["short-row", "timestamp", "float"])
-    def test_bad_row_names_file_and_row(self, tmp_path, row, match):
-        path = tmp_path / "equity.csv"
-        path.write_text(f"timestamp,value\n2024-01-02T14:30:00+00:00,10000.0\n{row}\n")
-        with pytest.raises(EvaluationError, match=f"equity.csv: {match}"):
-            read_equity_csv(str(path))
 
 
 class TestCumulativeReturn:
@@ -147,13 +125,6 @@ class TestSharpe:
         # Exact doubling: every period return is exactly 1.0, variance 0.
         values = 100.0 * 2.0 ** np.arange(10)
         assert sharpe(_curve(values), 252.0) is None
-
-    def test_risk_free_rate_shifts_numerator(self):
-        rng = np.random.default_rng(4)
-        values = 100.0 * np.exp(np.cumsum(rng.normal(0.001, 0.02, 40)))
-        returns = np.diff(values) / values[:-1]
-        rf = float(returns.mean())
-        assert sharpe(_curve(values), 252.0, risk_free_rate=rf) == pytest.approx(0.0, abs=1e-9)
 
     def test_needs_three_points(self):
         with pytest.raises(EvaluationError):

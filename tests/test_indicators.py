@@ -253,10 +253,9 @@ class TestFeatureTable:
         # Each row equals the oracles on the bars up to it: no look-ahead.
         rng = np.random.default_rng(12)
         highs, lows, closes, volumes = _random_walk(rng, 80)
-        first_valid, table = feature_table(highs, lows, closes, volumes)
-        assert first_valid == FEATURE_WARMUP
+        table = feature_table(highs, lows, closes, volumes)
         assert table.shape == (80, 5)
-        for t in range(first_valid, 80):
+        for t in range(FEATURE_WARMUP, 80):
             h, l, c = list(highs[: t + 1]), list(lows[: t + 1]), list(closes[: t + 1])
             assert table[t, 0] == pytest.approx(_oracle_rsi(c), abs=1e-9)
             assert table[t, 1] == pytest.approx(_oracle_macd_hist(c), abs=1e-9)
@@ -266,7 +265,7 @@ class TestFeatureTable:
 
     def test_warmup_rows_flagged_nan(self):
         x = np.arange(40, dtype=float) + 50.0
-        first_valid, table = feature_table(x, x, x, x)
+        table = feature_table(x, x, x, x)
         # Some indicator column is NaN on every pre-warmup row.
-        assert np.isnan(table[:first_valid, :4]).any(axis=1).all()
-        assert np.isfinite(table[first_valid:]).all()
+        assert np.isnan(table[:FEATURE_WARMUP, :4]).any(axis=1).all()
+        assert np.isfinite(table[FEATURE_WARMUP:]).all()

@@ -136,8 +136,8 @@ def cmd_synth(args) -> int:
     with atomic_write(paths.data / "synthetic_regimes.csv", newline="") as fh:
         fh.write("timestamp,regime\n")
         for session, labels in zip(result.sessions, result.regimes):
-            for bar, regime in zip(session.bars, labels):
-                fh.write(f"{bar.timestamp.isoformat()},{int(regime)}\n")
+            for ts, regime in zip(session.timestamps, labels.tolist()):
+                fh.write(f"{ts.isoformat()},{regime}\n")
     total = sum(len(s) for s in result.sessions)
     print(f"generated {len(result.sessions)} sessions ({total} bars) under {paths.data}")
     return 0
@@ -299,9 +299,9 @@ def _write_backtest(
 
 def _backtest_buyhold(cfg: RunConfig, paths: _Paths, test_sessions) -> None:
     curve = buy_and_hold(test_sessions, cfg.allocator.initial_cash)
-    first = test_sessions[0].bars[0]
-    shares = int(cfg.allocator.initial_cash // first.close)
-    trades = [TradeLogEntry(first.timestamp, "buy", shares, first.close, 0.0)] if shares else []
+    first_ts, first_close = test_sessions[0].timestamps[0], float(test_sessions[0].close[0])
+    shares = int(cfg.allocator.initial_cash // first_close)
+    trades = [TradeLogEntry(first_ts, "buy", shares, first_close, 0.0)] if shares else []
     _write_backtest(paths, "buyhold", curve, trades, annualization_factor(curve.timestamps))
 
 
@@ -371,8 +371,8 @@ def cmd_analyze(args) -> int:
     if not decisions:
         raise AllocatorError(f"allocation log {log_path} has no decisions")
     sessions = _materialize_sessions(cfg)
-    data_start = sessions[0].bars[0].timestamp
-    data_end = sessions[-1].bars[-1].timestamp
+    data_start = sessions[0].timestamps[0]
+    data_end = sessions[-1].timestamps[-1]
     log_start = min(d.timestamp for d in decisions)
     log_end = max(d.timestamp for d in decisions)
     if log_start < data_start or log_end > data_end:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -204,16 +205,16 @@ class BaseBarEnv:
 
     def __init__(self, sessions: Sequence[Session], timeframes: Sequence[Timeframe]):
         for session in sessions:
-            if not session.bars:
+            if not len(session):
                 raise MarketDataError(f"session {session.day} is empty")
-        bars = [b for s in sessions for b in s.bars]
-        highs, lows, closes, volumes = np.array(
-            [(b.high, b.low, b.close, b.volume) for b in bars], dtype=np.float64
-        ).T.copy()
-        sizes = np.array([len(s.bars) for s in sessions])
+        highs, lows, closes, volumes = (
+            np.concatenate([getattr(s, name) for s in sessions], dtype=np.float64)
+            for name in ("high", "low", "close", "volume")
+        )
+        sizes = np.array([len(s) for s in sessions])
         ends = np.cumsum(sizes) - 1
         self.closes = closes
-        self.timestamps = tuple(b.timestamp for b in bars)
+        self.timestamps = tuple(chain.from_iterable(s.timestamps for s in sessions))
         self.n_bars = closes.size
         self.session_last = np.zeros(self.n_bars, dtype=bool)
         self.session_last[ends] = True

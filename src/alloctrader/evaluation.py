@@ -14,6 +14,7 @@ import json
 import logging
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,20 +111,16 @@ def buy_and_hold(sessions: Sequence[Session], initial_cash: float) -> EquityCurv
     Residual cash that cannot buy a whole share stays in the portfolio, so
     the curve starts at initial_cash and marks shares at every base close.
     """
-    if not sessions or not sessions[0].bars:
+    if not sessions or not len(sessions[0]):
         raise EvaluationError("buy_and_hold needs non-empty data")
     if not initial_cash > 0:
         raise EvaluationError(f"initial_cash must be positive, got {initial_cash}")
-    first_close = sessions[0].bars[0].close
+    first_close = float(sessions[0].close[0])
     shares = int(initial_cash // first_close)
     residual = initial_cash - shares * first_close
-    timestamps = []
-    values = []
-    for session in sessions:
-        for bar in session.bars:
-            timestamps.append(bar.timestamp)
-            values.append(residual + shares * bar.close)
-    return EquityCurve(tuple(timestamps), np.array(values))
+    closes = np.concatenate([s.close for s in sessions])
+    timestamps = tuple(chain.from_iterable(s.timestamps for s in sessions))
+    return EquityCurve(timestamps, residual + float(shares) * closes)
 
 
 @dataclass(frozen=True)
@@ -260,8 +257,8 @@ def quartile_allocation(
         )
     closes_by_unit: dict = {}
     for session in sessions:
-        for bar in session.bars:
-            closes_by_unit.setdefault(_unit_key(bar.timestamp, granularity), []).append(bar.close)
+        for ts, close in zip(session.timestamps, session.close.tolist()):
+            closes_by_unit.setdefault(_unit_key(ts, granularity), []).append(close)
     counts_by_unit: dict = {}
     for d in decisions:
         key = _unit_key(d.timestamp, granularity)

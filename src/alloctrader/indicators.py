@@ -94,7 +94,8 @@ def rolling_cci(
         return out
     w = sliding_window_view(tp, period)
     sma = w.mean(axis=1)
-    md = np.abs(w - sma[:, None]).mean(axis=1)
+    dev = w - sma[:, None]
+    md = np.abs(dev, out=dev).mean(axis=1)
     flat = (w.max(axis=1) == w.min(axis=1)) | (md == 0.0)
     vals = np.zeros(sma.size)
     ok = ~flat

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter, lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,42 +97,113 @@ class Bar:
             )
         if not isinstance(self.volume, (int, np.integer)) or self.volume < 0:
             raise MarketDataError(f"volume must be a non-negative integer, got {self.volume!r}")
+        if self.volume >= 2**63:
+            raise MarketDataError(f"volume {self.volume} does not fit in 64 bits")
         object.__setattr__(self, "volume", int(self.volume))
 
 
-@dataclass(frozen=True)
-class Session:
-    """One trading day of base-resolution (1-minute) bars.
+#: Session's per-bar columns, in Bar's field order after the timestamp.
+_COLUMNS = ("open", "high", "low", "close", "volume")
 
-    Bars are strictly increasing in timestamp and lie inside
-    [open_time, close_time).
+
+@dataclass(frozen=True, eq=False)
+class Session:
+    """One trading day of base-resolution (1-minute) bars, held as columns.
+
+    Row i of the read-only float64 `open`/`high`/`low`/`close` and int64
+    `volume` columns is the bar stamped `timestamps[i]`, and every row obeys
+    Bar's rules. Timestamps are strictly increasing and lie inside
+    [open_time, close_time). A column given as a read-only array of its
+    dtype is kept without a copy, so sessions can be views of one market's
+    arrays. `bars` builds the rows as Bar objects on first use; `from_bars`
+    builds a session from them.
     """
 
     day: date
     open_time: datetime
     close_time: datetime
-    bars: tuple[Bar, ...]
+    timestamps: tuple[datetime, ...]
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
+
+    @classmethod
+    def from_bars(cls, day: date, open_time: datetime, close_time: datetime,
+                  bars: Iterable[Bar]) -> "Session":
+        bars = tuple(bars)
+        prices = [[getattr(b, name) for b in bars] for name in _COLUMNS[:4]]
+        return cls(day, open_time, close_time, tuple(b.timestamp for b in bars),
+                   *prices, [b.volume for b in bars])
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "open_time", _as_utc(self.open_time))
         object.__setattr__(self, "close_time", _as_utc(self.close_time))
-        object.__setattr__(self, "bars", tuple(self.bars))
+        stamps = tuple(self.timestamps)
+        if set(map(attrgetter("tzinfo"), stamps)) - {timezone.utc}:
+            stamps = tuple(map(_as_utc, stamps))
+        object.__setattr__(self, "timestamps", stamps)
+        n = len(stamps)
+        prices = [np.asarray(getattr(self, name), dtype=np.float64) for name in _COLUMNS[:4]]
+        volume = np.asarray(self.volume)
+        for name, column in zip(_COLUMNS, prices + [volume]):
+            if column.shape != (n,):
+                raise MarketDataError(
+                    f"session {self.day}: {name} column has shape {column.shape}, "
+                    f"expected ({n},)"
+                )
+        o, h, l, c = prices
+        # Bar's rules, row by row; the first failing row raises Bar's message.
+        bad = ~np.logical_and.reduce(
+            [np.isfinite(p) & (p > 0) for p in prices] + [l <= o, o <= h, l <= c, c <= h]
+        )
+        bad |= volume < 0 if volume.dtype.kind in "iu" else n > 0
+        first = int(np.argmax(bad)) if bad.any() else n
+        if any(map(attrgetter("second"), stamps)) or any(map(attrgetter("microsecond"), stamps)):
+            first = min(first, next(i for i, t in enumerate(stamps) if t.second or t.microsecond))
+        if first < n:
+            Bar(stamps[first], *(p[first].item() for p in prices), volume[first].item())
+            raise MarketDataError(f"session {self.day}: invalid bar at {stamps[first]}")
+        for name, column in zip(_COLUMNS, prices + [volume.astype(np.int64, copy=False)]):
+            if column.flags.writeable:
+                column = column.copy()
+                column.flags.writeable = False
+            object.__setattr__(self, name, column)
         if self.open_time >= self.close_time:
             raise MarketDataError(f"session {self.day}: open_time >= close_time")
-        prev = None
-        for bar in self.bars:
-            if not (self.open_time <= bar.timestamp < self.close_time):
-                raise MarketDataError(
-                    f"session {self.day}: bar {bar.timestamp} outside session hours"
-                )
-            if prev is not None and bar.timestamp <= prev:
-                raise MarketDataError(
-                    f"session {self.day}: timestamps not strictly increasing at {bar.timestamp}"
-                )
-            prev = bar.timestamp
+        if n and not (self.open_time <= stamps[0] and stamps[-1] < self.close_time
+                      and all(map(lt, stamps, stamps[1:]))):
+            prev = None
+            for ts in stamps:
+                if not (self.open_time <= ts < self.close_time):
+                    raise MarketDataError(
+                        f"session {self.day}: bar {ts} outside session hours"
+                    )
+                if prev is not None and ts <= prev:
+                    raise MarketDataError(
+                        f"session {self.day}: timestamps not strictly increasing at {ts}"
+                    )
+                prev = ts
+
+    @cached_property
+    def bars(self) -> tuple[Bar, ...]:
+        """The rows as Bar objects, built on first use and kept."""
+        return tuple(map(Bar, self.timestamps,
+                         *(getattr(self, name).tolist() for name in _COLUMNS)))
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.timestamps)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Session):
+            return NotImplemented
+        return (
+            (self.day, self.open_time, self.close_time, self.timestamps)
+            == (other.day, other.open_time, other.close_time, other.timestamps)
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in _COLUMNS)
+        )
 
 
 @dataclass(frozen=True)
@@ -181,6 +254,11 @@ class TradingCalendar:
                     c = time.fromisoformat(parts[2].strip())
                 except ValueError as exc:
                     raise MarketDataError(f"calendar {path} line {lineno}: {exc}") from exc
+                if c <= o:
+                    raise MarketDataError(
+                        f"calendar {path} line {lineno}: close {parts[2].strip()} "
+                        f"is not after open {parts[1].strip()}"
+                    )
                 days[d] = (
                     datetime.combine(d, o, tzinfo=timezone.utc),
                     datetime.combine(d, c, tzinfo=timezone.utc),
@@ -268,7 +346,7 @@ def ingest_csv(path: str, calendar: TradingCalendar) -> IngestResult:
         for a, b in zip(bars, bars[1:]):
             if a.timestamp == b.timestamp:
                 raise MarketDataError(f"{path}: duplicate timestamp {a.timestamp} on {day}")
-        sessions.append(Session(day, o, c, tuple(bars)))
+        sessions.append(Session.from_bars(day, o, c, bars))
     return IngestResult(tuple(sessions), dropped)
 
 
@@ -280,12 +358,12 @@ def write_sessions_csv(sessions: Iterable[Session], path: str) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for session in sessions:
-            for b in session.bars:
-                writer.writerow(
-                    [b.timestamp.isoformat(), repr(b.open), repr(b.high),
-                     repr(b.low), repr(b.close), b.volume]
-                )
+        for s in sessions:
+            writer.writerows(zip(
+                [ts.isoformat() for ts in s.timestamps],
+                *(map(repr, getattr(s, name).tolist()) for name in _COLUMNS[:4]),
+                s.volume.tolist(),
+            ))
 
 
 def resample_bars(bars: Sequence[Bar], bars_per_window: int) -> tuple[Bar, ...]:
@@ -318,7 +396,7 @@ def resample(session: Session, tf: Timeframe) -> tuple[Bar, ...]:
     At one minute the session's own bars are returned: they are frozen and
     equal to what resampling them one by one would build.
     """
-    if not session.bars:
+    if not len(session):
         raise MarketDataError(f"session {session.day} is empty")
     if tf is Timeframe.ONE_MINUTE:
         return session.bars
@@ -343,6 +421,11 @@ class RegimeParams:
     def __post_init__(self) -> None:
         if self.volatility < 0:
             raise MarketDataError(f"volatility must be >= 0, got {self.volatility}")
+
+
+#: A volume is base_volume * exp(z / 4) for a standard normal z, and numpy's
+#: ziggurat never draws |z| above 14, so volumes stay far below 2**63.
+MAX_BASE_VOLUME = 10**15
 
 
 @dataclass(frozen=True)
@@ -372,6 +455,17 @@ class SynthConfig:
             raise MarketDataError("start_price must be positive")
         if self.session_minutes < 1:
             raise MarketDataError("session_minutes must be >= 1")
+        limit = 24 * 60 - 1 - (self.open_time.hour * 60 + self.open_time.minute)
+        if self.session_minutes > limit:
+            raise MarketDataError(
+                f"session_minutes must be at most {limit} for a session opening at "
+                f"{self.open_time:%H:%M} to close the same day, got {self.session_minutes}"
+            )
+        if self.base_volume > MAX_BASE_VOLUME:
+            raise MarketDataError(
+                f"base_volume must be at most {MAX_BASE_VOLUME} so volumes fit in 64 bits, "
+                f"got {self.base_volume}"
+            )
 
 
 @dataclass(frozen=True)
@@ -386,6 +480,45 @@ class SynthResult:
         return TradingCalendar.from_sessions(self.sessions)
 
 
+def _draw_bars(config: SynthConfig, seed: int, n: int):
+    """Regime labels, the n + 1 prices (each bar opens at one and closes at
+    the next), highs, lows and volumes of n bars, all read-only."""
+    rng = np.random.default_rng(seed)
+    normal, uniform = rng.standard_normal, rng.random
+    draws = np.empty((n, 4))
+    uniforms = []
+    for row in draws:
+        normal(out=row)
+        uniforms.append(uniform())
+    stay = (config.transition[0][0], config.transition[1][1])
+    regime = LOW_REGIME
+    regimes = []
+    for u in uniforms:
+        regimes.append(regime)
+        if u >= stay[regime]:
+            regime = 1 - regime
+    labels = np.array(regimes, dtype=np.int8)
+
+    drift = np.array([config.low.drift, config.high.drift])[labels]
+    vol = np.array([config.low.volatility, config.high.volatility])[labels]
+    z_ret, z_high, z_low, z_volume = draws.T.copy()
+    with np.errstate(all="ignore"):
+        growth = np.exp(drift + vol * z_ret)
+        prices = np.multiply.accumulate(np.concatenate(([float(config.start_price)], growth)))
+        opens, closes = prices[:-1], prices[1:]
+        # Envelope noise scales with regime volatility; capped so low > 0.
+        eh = np.minimum(np.abs(z_high) * vol * 0.5, 0.5)
+        el = np.minimum(np.abs(z_low) * vol * 0.5, 0.5)
+        # max/min as Python's: the open unless the close is strictly beyond it.
+        highs = np.where(closes > opens, closes, opens) * (1.0 + eh)
+        lows = np.where(closes < opens, closes, opens) * (1.0 - el)
+        volumes = np.maximum(np.rint(config.base_volume * np.exp(0.25 * z_volume)), 1.0)
+    volumes = volumes.astype(np.int64)
+    for column in (prices, highs, lows, volumes):
+        column.flags.writeable = False
+    return labels, prices, highs, lows, volumes
+
+
 def synthesize(config: SynthConfig, seed: int, days: int) -> SynthResult:
     """Generate `days` weekday sessions of minute bars under a 2-state
     Markov regime switch. The same seed reproduces the output bit for bit.
@@ -394,50 +527,41 @@ def synthesize(config: SynthConfig, seed: int, days: int) -> SynthResult:
     drift/volatility; high/low envelopes scale with the regime volatility so
     zero-volatility configurations yield perfectly flat bars. The regime in
     force while a bar forms is recorded as that bar's label.
+
+    Each bar draws four standard normals (return, high envelope, low
+    envelope, volume) and then one uniform that may switch the regime. The
+    ziggurat normal takes a variable number of words from the stream, so the
+    draws stay interleaved bar by bar; everything after them is computed on
+    whole arrays.
     """
     if days < 1:
         raise MarketDataError("days must be >= 1")
-    rng = np.random.default_rng(seed)
-    price = float(config.start_price)
-    regime = LOW_REGIME
-    params = (config.low, config.high)
-    sessions = []
-    labels = []
+    m = config.session_minutes
+    layout = []
     day = config.start_date
-    for i in range(days):
-        try:
+    try:
+        for i in range(days):
             if i:
                 day += timedelta(days=1)
             while day.weekday() >= 5:
                 day += timedelta(days=1)
             open_dt = datetime.combine(day, config.open_time, tzinfo=timezone.utc)
-            close_dt = open_dt + timedelta(minutes=config.session_minutes)
-        except OverflowError:
-            raise MarketDataError(
-                f"{days} sessions from {config.start_date} run past {date.max}") from None
-        bars = []
-        day_labels = np.empty(config.session_minutes, dtype=np.int8)
-        for k in range(config.session_minutes):
-            p = params[regime]
-            day_labels[k] = regime
-            ret = p.drift + p.volatility * rng.standard_normal()
-            open_px = price
-            close_px = open_px * float(np.exp(ret))
-            # Envelope noise scales with regime volatility; capped so low > 0.
-            eh = min(abs(rng.standard_normal()) * p.volatility * 0.5, 0.5)
-            el = min(abs(rng.standard_normal()) * p.volatility * 0.5, 0.5)
-            high_px = max(open_px, close_px) * (1.0 + eh)
-            low_px = min(open_px, close_px) * (1.0 - el)
-            volume = max(1, int(round(config.base_volume * float(np.exp(0.25 * rng.standard_normal())))))
-            bars.append(
-                Bar(open_dt + timedelta(minutes=k), open_px, high_px, low_px, close_px, volume)
-            )
-            price = close_px
-            if rng.random() >= config.transition[regime][regime]:
-                regime = 1 - regime
-        sessions.append(Session(day, open_dt, close_dt, tuple(bars)))
-        labels.append(day_labels)
-    return SynthResult(tuple(sessions), tuple(labels))
+            layout.append((day, open_dt, open_dt + timedelta(minutes=m)))
+    except OverflowError:
+        raise MarketDataError(
+            f"{days} sessions from {config.start_date} run past {date.max}") from None
+
+    labels, prices, highs, lows, volumes = _draw_bars(config, seed, days * m)
+    opens, closes = prices[:-1], prices[1:]
+    offsets = [timedelta(minutes=k) for k in range(m)]
+    sessions = []
+    for i, (day, open_dt, close_dt) in enumerate(layout):
+        rows = slice(i * m, (i + 1) * m)
+        sessions.append(Session(
+            day, open_dt, close_dt, tuple([open_dt + d for d in offsets]),
+            opens[rows], highs[rows], lows[rows], closes[rows], volumes[rows],
+        ))
+    return SynthResult(tuple(sessions), tuple(np.split(labels, days)))
 
 
 def sessions_in_range(

@@ -480,7 +480,7 @@ def _flat_day(day, closes):
         Bar(open_time + timedelta(minutes=k), c, c, c, c, 100)
         for k, c in enumerate(closes)
     )
-    return Session(day, open_time, open_time + timedelta(minutes=390), bars)
+    return Session.from_bars(day, open_time, open_time + timedelta(minutes=390), bars)
 
 
 def test_criterion_10_quartile_hand_fixture(capsys):

@@ -356,7 +356,8 @@ class TestPipelineGuards:
         ("", ["--seed", "-3"], "run.seed must be >= 0, got -3"),
         ("synth.start_date = 9999-12-30\nsynth.days = 3\n", [],
          "3 sessions from 9999-12-30 run past 9999-12-31"),
-    ], ids=["config-seed", "option-seed", "synth-date-overflow"])
+        ("synth.session_minutes = 1500\n", [], "session_minutes must be at most 869"),
+    ], ids=["config-seed", "option-seed", "synth-date-overflow", "synth-session-past-midnight"])
     def test_bad_run_value_is_single_error_line(self, tmp_path, capsys, config, args, match):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(config)
@@ -366,6 +367,19 @@ class TestPipelineGuards:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert match in err
+
+    def test_price_collapse_is_the_only_stderr_line(self, tmp_path):
+        # A fresh process shows any numpy warning the synthesizer lets out.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("synth.high_vol = 400\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(alloctrader.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "alloctrader.cli", "synth", "--config", str(cfg_path),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "error: non-positive low price: 0.0\n"
 
     def test_checkpoint_without_network_is_single_error_line(self, pipeline, tmp_path, capsys):
         cfg_path, out = pipeline

@@ -43,7 +43,7 @@ def _flat_day(day, closes):
         Bar(open_time + timedelta(minutes=k), c, c, c, c, 100)
         for k, c in enumerate(closes)
     )
-    return Session(day, open_time, open_time + timedelta(minutes=390), bars)
+    return Session.from_bars(day, open_time, open_time + timedelta(minutes=390), bars)
 
 
 class TestEquityCurve:
@@ -296,7 +296,7 @@ class TestQuartileAllocation:
             decisions.append(
                 _decision(open_time + timedelta(hours=h, minutes=2), Timeframe.ONE_MINUTE)
             )
-        session = Session(day, open_time, open_time + timedelta(hours=5), tuple(bars))
+        session = Session.from_bars(day, open_time, open_time + timedelta(hours=5), tuple(bars))
         report = quartile_allocation(decisions, [session], "hourly")
         assert [q.units for q in report.quartiles] == [1, 1, 1, 1]
 

@@ -1,10 +1,17 @@
 """Market data: bar/session validation, CSV ingestion, resampling, synthesis."""
 
-from datetime import date, datetime, time, timedelta, timezone
+import hashlib
+from datetime import date, datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from alloctrader.allocator import AllocatorConfig, HierarchyEnv
+from alloctrader.cli import main
+from alloctrader.config import default_config
+from alloctrader.envs import EnvConfig, TradingEnv
+from alloctrader.evaluation import buy_and_hold, quartile_allocation
 from alloctrader.market_data import (
     Bar,
     EmptyDataError,
@@ -21,7 +28,8 @@ from alloctrader.market_data import (
     synthesize,
     write_sessions_csv,
 )
-from conftest import small_synth_config
+from conftest import small_synth_config, stub_registry
+from synth_reference import reference_sessions_csv, reference_synthesize
 
 UTC = timezone.utc
 
@@ -73,19 +81,97 @@ class TestBar:
         with pytest.raises(MarketDataError):
             Bar(datetime(2024, 1, 2, 9, 30, 15, tzinfo=UTC), 10.0, 11.0, 9.0, 10.5, 5)
 
+    def test_volume_beyond_64_bits_rejected(self):
+        with pytest.raises(MarketDataError, match="64 bits"):
+            _bar(9, 30, v=2**63)
+
 
 class TestSession:
     def test_bar_outside_hours_rejected(self):
-        with pytest.raises(MarketDataError):
-            Session(date(2024, 1, 2), _ts(9, 30), _ts(16, 0), (_bar(9, 0),))
+        with pytest.raises(MarketDataError, match="bar 2024-01-02 09:00:00[+]00:00 outside"):
+            Session.from_bars(date(2024, 1, 2), _ts(9, 30), _ts(16, 0), (_bar(9, 0),))
 
     def test_non_increasing_timestamps_rejected(self):
-        with pytest.raises(MarketDataError):
-            Session(date(2024, 1, 2), _ts(9, 30), _ts(16, 0), (_bar(9, 31), _bar(9, 31)))
+        with pytest.raises(MarketDataError, match="not strictly increasing at .*09:31"):
+            Session.from_bars(date(2024, 1, 2), _ts(9, 30), _ts(16, 0),
+                              (_bar(9, 31), _bar(9, 31)))
 
     def test_bar_at_close_time_rejected(self):
-        with pytest.raises(MarketDataError):
-            Session(date(2024, 1, 2), _ts(9, 30), _ts(16, 0), (_bar(16, 0),))
+        with pytest.raises(MarketDataError, match="outside session hours"):
+            Session.from_bars(date(2024, 1, 2), _ts(9, 30), _ts(16, 0), (_bar(16, 0),))
+
+
+def _columns(n=4, **changes):
+    """Columns of n valid bars from 09:30 on 2024-01-02, with `changes`
+    mapping a column name to {row: value}."""
+    cols = {
+        "timestamps": [_ts(9, 30 + k) for k in range(n)],
+        "open": [100.0] * n, "high": [101.0] * n, "low": [99.0] * n,
+        "close": [100.5] * n, "volume": [10] * n,
+    }
+    for name, rows in changes.items():
+        for row, value in rows.items():
+            cols[name][row] = value
+    return cols
+
+
+def _columnar(**cols):
+    return Session(date(2024, 1, 2), _ts(9, 30), _ts(16, 0), **cols)
+
+
+class TestColumnarSession:
+    def test_columns_hold_the_rows(self):
+        session = _columnar(**_columns(volume={2: 7}))
+        assert session.close.dtype == np.float64 and session.volume.dtype == np.int64
+        assert session.volume.tolist() == [10, 10, 7, 10]
+        assert session.bars[2] == _bar(9, 32, v=7)
+        assert session.bars is session.bars
+
+    def test_columns_are_read_only(self):
+        session = _columnar(**_columns())
+        with pytest.raises(ValueError):
+            session.close[0] = 1.0
+
+    def test_writable_input_copied_and_read_only_input_kept(self):
+        cols = _columns()
+        cols["close"] = close = np.array(cols["close"])
+        session = _columnar(**cols)
+        close[0] = 100.75
+        assert session.close[0] == 100.5
+        assert _columnar(**dict(_columns(), close=session.close)).close is session.close
+
+    def test_first_failing_row_raises_its_bar_message(self):
+        cols = _columns(low={2: 0.0}, close={3: 200.0})
+        with pytest.raises(MarketDataError, match=r"^non-positive low price: 0\.0$"):
+            _columnar(**cols)
+
+    def test_misaligned_timestamp_before_bad_price(self):
+        cols = _columns(timestamps={1: _ts(9, 31) + timedelta(seconds=5)}, open={2: -1.0})
+        with pytest.raises(MarketDataError, match="not minute-aligned"):
+            _columnar(**cols)
+
+    def test_bar_rules_before_session_rules(self):
+        cols = _columns(timestamps={0: _ts(9, 0)}, volume={3: -1})
+        with pytest.raises(MarketDataError, match="volume must be a non-negative integer"):
+            _columnar(**cols)
+
+    def test_fractional_volume_column_rejected(self):
+        cols = _columns()
+        cols["volume"] = np.array(cols["volume"], dtype=np.float64)
+        with pytest.raises(MarketDataError, match="volume must be a non-negative integer"):
+            _columnar(**cols)
+
+    def test_column_of_wrong_length_rejected(self):
+        cols = _columns()
+        cols["high"] = cols["high"][:-1]
+        with pytest.raises(MarketDataError, match="high column"):
+            _columnar(**cols)
+
+    def test_one_changed_value_makes_sessions_unequal(self):
+        assert _columnar(**_columns()) == _columnar(**_columns())
+        for name, value in (("open", 100.25), ("volume", 11),
+                            ("timestamps", _ts(9, 59))):
+            assert _columnar(**_columns()) != _columnar(**_columns(**{name: {3: value}}))
 
 
 class TestTimeframe:
@@ -211,6 +297,12 @@ class TestCalendar:
         back = TradingCalendar.from_file(str(path))
         assert back.days == cal.days
 
+    def test_close_not_after_open_names_file_and_line(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_text("2024-01-02,09:30,16:00\n2024-01-03,16:00,09:30\n")
+        with pytest.raises(MarketDataError, match=r"cal\.csv line 2: close 09:30 is not after"):
+            TradingCalendar.from_file(str(path))
+
     def test_locate_boundaries(self):
         cal = TradingCalendar.weekdays(date(2024, 1, 1), date(2024, 1, 7))
         assert cal.locate(_ts(9, 30)) == date(2024, 1, 2)
@@ -231,7 +323,7 @@ def _session_of(n_bars, start_price=100.0, day=2):
         lo = min(o, c) * 0.999
         bars.append(Bar(start + timedelta(minutes=k), o, hi, lo, c, int(rng.integers(1, 50))))
         price = c
-    return Session(date(2024, 1, day), start, start + timedelta(minutes=n_bars), tuple(bars))
+    return Session.from_bars(date(2024, 1, day), start, start + timedelta(minutes=n_bars), bars)
 
 
 class TestResample:
@@ -278,7 +370,7 @@ class TestResample:
         assert direct == via_10m
 
     def test_empty_session_rejected(self):
-        empty = Session(date(2024, 1, 2), _ts(9, 30), _ts(16, 0), ())
+        empty = Session.from_bars(date(2024, 1, 2), _ts(9, 30), _ts(16, 0), ())
         with pytest.raises(MarketDataError):
             resample(empty, Timeframe.ONE_MINUTE)
 
@@ -355,6 +447,109 @@ class TestSynthesize:
         low_sorted = np.sort(low_vols)
         wins = sum(np.searchsorted(low_sorted, h) for h in high_vols)
         assert wins / (len(low_vols) * len(high_vols)) >= 0.95
+
+
+_DEFAULT = default_config()
+_REFERENCE_CASES = {
+    "default": (_DEFAULT.synth, 5),
+    "zero-volatility": (small_synth_config(low=RegimeParams(0.0, 0.0),
+                                           high=RegimeParams(0.0, 0.0)), 3),
+    "switch-half": (small_synth_config(transition=((0.5, 0.5), (0.5, 0.5))), 3),
+    "one-minute-sessions": (small_synth_config(session_minutes=1), 12),
+    "391-minute-sessions": (small_synth_config(session_minutes=391), 3),
+    "friday-start": (small_synth_config(start_date=date(2024, 1, 5)), 4),
+}
+
+
+class TestSynthesizeMatchesScalarLoop:
+    @pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+    def test_columns_and_labels_match(self, case):
+        config, days = _REFERENCE_CASES[case]
+        got = synthesize(config, _DEFAULT.seed, days)
+        want = reference_synthesize(config, _DEFAULT.seed, days)
+        assert got.sessions == want.sessions
+        for a, b in zip(got.sessions, want.sessions):
+            for name in ("open", "high", "low", "close", "volume"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert len(got.regimes) == days
+        for a, b in zip(got.regimes, want.regimes):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_default_market_csv_matches(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        write_sessions_csv(synthesize(_DEFAULT.synth, _DEFAULT.seed, 100).sessions, str(path))
+        want = reference_sessions_csv(
+            reference_synthesize(_DEFAULT.synth, _DEFAULT.seed, 100).sessions)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == hashlib.sha256(want.encode()).hexdigest())
+
+    def test_shorter_market_is_a_prefix(self):
+        cfg = small_synth_config(session_minutes=30)
+        short, long = synthesize(cfg, seed=4, days=2), synthesize(cfg, seed=4, days=5)
+        assert short.sessions == long.sessions[:2]
+
+    def test_date_overflow_raised_before_any_draw(self, monkeypatch):
+        def no_rng(seed):
+            raise AssertionError("random generator created")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        cfg = small_synth_config(start_date=date(9999, 12, 30))
+        with pytest.raises(MarketDataError, match="run past 9999-12-31"):
+            synthesize(cfg, seed=0, days=3)
+
+    def test_session_must_close_on_the_day_it_opens(self):
+        assert small_synth_config(session_minutes=869).session_minutes == 869
+        with pytest.raises(MarketDataError, match="at most 869"):
+            small_synth_config(session_minutes=870)
+
+    def test_base_volume_bounded(self):
+        with pytest.raises(MarketDataError, match="base_volume"):
+            small_synth_config(base_volume=10**16)
+
+
+class TestColumnsOnly:
+    """The market's readers use the columns and never build Session.bars."""
+
+    @pytest.fixture(autouse=True)
+    def no_bars(self, monkeypatch):
+        def built(session):
+            raise AssertionError("Session.bars was built")
+
+        monkeypatch.setattr(Session, "bars", property(built))
+
+    @pytest.fixture(scope="class")
+    def sessions(self):
+        return synthesize(small_synth_config(), seed=3, days=10).sessions
+
+    def test_trading_env(self, sessions):
+        env = TradingEnv(sessions, EnvConfig(Timeframe.TEN_MINUTE, window_size=4))
+        env.reset()
+        for _ in range(5):
+            env.step(0)
+
+    def test_hierarchy_env(self, sessions):
+        env = HierarchyEnv(sessions, stub_registry(0),
+                           AllocatorConfig(market_window=20, vol_window=10))
+        env.reset()
+        for _ in range(5):
+            env.step(0)
+
+    def test_buy_and_hold(self, sessions):
+        curve = buy_and_hold(sessions, 10_000.0)
+        assert len(curve.timestamps) == sum(len(s) for s in sessions)
+
+    def test_quartile_allocation(self, sessions):
+        decisions = [
+            SimpleNamespace(timestamp=s.timestamps[100], timeframe=Timeframe.ONE_MINUTE)
+            for s in sessions
+        ]
+        report = quartile_allocation(decisions, sessions, "daily")
+        assert len(report.quartiles) == 4
+
+    def test_cmd_synth(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synth.days = 3\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestSessionsInRange:

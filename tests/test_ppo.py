@@ -24,9 +24,7 @@ from alloctrader.ppo import (
     ADAM_BETA2,
     ADAM_EPS,
     ARRAY_ORDER,
-    CHECKPOINT_MAGIC,
     AdamState,
-    Checkpoint,
     CheckpointError,
     NetworkSpec,
     NonFiniteLossError,

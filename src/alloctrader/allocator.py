@@ -15,6 +15,7 @@ session exactly, and the rewards telescope to ln(V_final / V_initial).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Sequence
@@ -31,7 +32,7 @@ from .envs import (
     normalize_market_window,
 )
 from .indicators import FEATURE_WARMUP
-from .market_data import Session, TIMEFRAME_ORDER, Timeframe
+from .market_data import Session, TIMEFRAME_ORDER, Timeframe, _as_utc
 from .portfolio import TradeLogEntry, features
 from .ppo import PolicyParameters, greedy_action
 
@@ -164,29 +165,45 @@ def write_decision_log(decisions: Sequence[AllocationDecision], path: str) -> No
 
 
 def read_decision_log(path: str) -> tuple[DecisionRecord, ...]:
+    """Read a decision log written by write_decision_log. A timestamp without
+    an offset is taken as UTC, as market data timestamps are. Anything that
+    is not a well-formed row (a bad field, span_bars below 1, a non-finite
+    span_log_return, undecodable text) raises AllocatorError naming the file
+    and the row."""
     records = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise AllocatorError(f"{path}: empty decision log")
-        for row in reader:
-            if len(row) < len(_DECISION_LOG_FIELDS):
-                raise AllocatorError(f"{path}: row {reader.line_num} has {len(row)} fields, "
-                                     f"expected {len(_DECISION_LOG_FIELDS)}")
-            try:
-                records.append(
-                    DecisionRecord(
-                        timestamp=datetime.fromisoformat(row[0]),
-                        timeframe=Timeframe.from_label(row[1]),
-                        forced=bool(int(row[2])),
-                        span_bars=int(row[3]),
-                        log_return=float(row[4]),
-                    )
-                )
-            except ValueError as exc:
-                raise AllocatorError(f"{path}: row {reader.line_num}: {exc}") from exc
+        try:
+            if next(reader, None) is None:
+                raise AllocatorError(f"{path}: empty decision log")
+            for row in reader:
+                records.append(_decision_record(row, f"{path}: row {reader.line_num}"))
+        except csv.Error as exc:
+            raise AllocatorError(f"{path}: row {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded by chunks, so no row to name
+            raise AllocatorError(f"{path}: not UTF-8 text: {exc}") from exc
     return tuple(records)
+
+
+def _decision_record(row: list[str], where: str) -> DecisionRecord:
+    if len(row) < len(_DECISION_LOG_FIELDS):
+        raise AllocatorError(f"{where} has {len(row)} fields, "
+                             f"expected {len(_DECISION_LOG_FIELDS)}")
+    try:
+        record = DecisionRecord(
+            timestamp=_as_utc(datetime.fromisoformat(row[0])),
+            timeframe=Timeframe.from_label(row[1]),
+            forced=bool(int(row[2])),
+            span_bars=int(row[3]),
+            log_return=float(row[4]),
+        )
+    except (ValueError, OverflowError) as exc:
+        raise AllocatorError(f"{where}: {exc}") from exc
+    if record.span_bars < 1:
+        raise AllocatorError(f"{where}: span_bars must be >= 1, got {record.span_bars}")
+    if not math.isfinite(record.log_return):
+        raise AllocatorError(f"{where}: span_log_return must be finite, got {row[4]!r}")
+    return record
 
 
 class HierarchyEnv(BaseBarEnv):

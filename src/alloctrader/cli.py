@@ -48,6 +48,7 @@ from .market_data import (
     Timeframe,
     TradingCalendar,
     ingest_csv,
+    iso_timestamps,
     sessions_in_range,
     synthesize,
     write_sessions_csv,
@@ -136,8 +137,7 @@ def cmd_synth(args) -> int:
     with atomic_write(paths.data / "synthetic_regimes.csv", newline="") as fh:
         fh.write("timestamp,regime\n")
         for session, labels in zip(result.sessions, result.regimes):
-            for ts, regime in zip(session.timestamps, labels.tolist()):
-                fh.write(f"{ts.isoformat()},{regime}\n")
+            fh.write("".join(map("{},{}\n".format, iso_timestamps(session), labels.tolist())))
     total = sum(len(s) for s in result.sessions)
     print(f"generated {len(result.sessions)} sessions ({total} bars) under {paths.data}")
     return 0

@@ -49,9 +49,9 @@ CCI_DIVISOR = 200.0
 FEATURES_PER_BAR = 8
 MARKET_FEATURES = 5
 
-#: Cursors per block in `run_agent`: their market windows are normalized and
-#: multiplied by the first layer in one GEMM (about 2.5 MB at window 240).
-AGENT_BLOCK = 256
+#: Decisions per block in `run_agent`: their observations are multiplied by
+#: the first layer in one GEMM (about 1.5 MB at window 240).
+AGENT_BLOCK = 96
 
 
 class EnvError(RuntimeError):
@@ -359,12 +359,13 @@ def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRu
     """Greedy episode of `params` over `env` from `cursor` to the last bar.
 
     It takes the same actions, and so leaves the same trades and equity, as
-    stepping `env` with greedy_action on each observation. The policy's first
-    layer is split (SplitGreedyPolicy): the market columns of AGENT_BLOCK
-    cursors at a time are multiplied in one GEMM, since they do not depend on
-    the portfolio, and each step multiplies only its portfolio columns. A
-    step whose top two logits are too close for the rounding bound builds
-    the full observation and asks greedy_action; `fallbacks` counts those.
+    stepping `env` with greedy_action on each observation. For a block of
+    AGENT_BLOCK decisions, the observations are multiplied by the policy's
+    whole first layer in one GEMM, with zeros for the portfolio rows the
+    block itself will write; each step then adds those rows of its window
+    times their rows of w1 (SplitGreedyPolicy). A step whose top two logits
+    are too close for the rounding bound builds the full observation and
+    asks greedy_action; `fallbacks` counts those.
     """
     if params.spec.input_dim != env.observation_size:
         raise EnvError(
@@ -373,31 +374,41 @@ def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRu
         )
     env.reset(cursor)
     w, length = env.config.window_size, env.length
-    market = np.arange(env.observation_size) % FEATURES_PER_BAR < MARKET_FEATURES
-    policy = SplitGreedyPolicy(params, market)
+    w1 = params.arrays["policy_w1"]
+    portfolio_inputs = np.arange(env.observation_size) % FEATURES_PER_BAR >= MARKET_FEATURES
+    policy = SplitGreedyPolicy(params, portfolio_inputs)
     equity = [(env.timestamps[cursor], env.portfolio.total_value)]
     fallbacks = 0
     # Span ends do not depend on actions, so every decision cursor is known
     # now. A run of cursors one timeframe bar apart shares a phase, and its
-    # windows are consecutive windows of that phase's rows.
+    # windows are consecutive windows of that phase's rows; the decision at
+    # phase row s writes the portfolio row s + 1.
     cursors = [cursor]
     while (end := env._span_end(cursors[-1], length)) < env.n_bars - 1:
         cursors.append(end)
     cursors = np.array(cursors)
     for run in np.split(cursors, np.flatnonzero(np.diff(cursors) != length) + 1):
         phase = slice(run[0] % length, None, length)
-        table, closes = env.table[phase], env.closes[phase]
+        table, closes, pf = env.table[phase], env.closes[phase], env._pf_rows[phase]
         first = run[0] // length
         for lo in range(0, run.size, AGENT_BLOCK):
-            hi = min(lo + AGENT_BLOCK, run.size)
-            rows = slice(first + lo - w + 1, first + hi)
-            windows = sliding_window_view(table[rows], w, axis=0).transpose(0, 2, 1)
-            xa = normalize_market_window(windows, sliding_window_view(closes[rows], w))
-            za, norms = policy.first_layer_a(xa.reshape(hi - lo, -1))
-            for j in range(hi - lo):
-                t = env.cursor
-                xb = portfolio_window(env._pf_rows[t - (w - 1) * length:t + 1:length])
-                action = policy.action(za[j], float(norms[j]), xb.reshape(-1))
+            b, s0 = min(AGENT_BLOCK, run.size - lo), first + lo
+            rows = slice(s0 - w + 1, s0 + b)
+            x = np.empty((b, w, FEATURES_PER_BAR))
+            x[..., :MARKET_FEATURES] = normalize_market_window(
+                sliding_window_view(table[rows], w, axis=0).transpose(0, 2, 1),
+                sliding_window_view(closes[rows], w),
+            )
+            # Rows up to s0 are final when the block starts; later ones are
+            # added per step.
+            known = np.zeros((w + b - 1, 3))
+            known[:w] = portfolio_window(pf[s0 - w + 1:s0 + 1])
+            x[..., MARKET_FEATURES:] = sliding_window_view(known, w, axis=0).transpose(0, 2, 1)
+            x = x.reshape(b, -1)
+            z, norms = x @ w1, np.abs(x).sum(axis=1).tolist()
+            for i in range(b):
+                late = portfolio_window(pf[s0 + 1 + max(i - w, 0):s0 + i + 1])
+                action = policy.action(z[i], norms[i], late.reshape(-1))
                 if action is None:
                     action = greedy_action(params, env._observation())
                     fallbacks += 1

@@ -159,11 +159,12 @@ def compute_metrics(curve, periods_per_year: float) -> MetricsReport:
 
 
 def write_equity_csv(curve: EquityCurve, path: str) -> None:
+    """Write the curve as `timestamp,value` CSV rows (ISO-8601, `repr`),
+    with csv.writer's CRLF line ends."""
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "value"])
-        for ts, v in zip(curve.timestamps, curve.values):
-            writer.writerow([ts.isoformat(), repr(float(v))])
+        fh.write("timestamp,value\r\n")
+        fh.write("".join(map("{},{}\r\n".format, map(datetime.isoformat, curve.timestamps),
+                             map(repr, curve.values.tolist()))))
 
 
 # ---------------------------------------------------------------------------

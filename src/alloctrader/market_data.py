@@ -350,20 +350,30 @@ def ingest_csv(path: str, calendar: TradingCalendar) -> IngestResult:
     return IngestResult(tuple(sessions), dropped)
 
 
+def iso_timestamps(session: Session) -> list[str]:
+    """`isoformat()` of each of the session's timestamps. They are UTC and
+    minute-aligned, so one datetime64 column gives every date and time, and
+    the offset is always +00:00."""
+    seconds = np.fromiter(map(datetime.timestamp, session.timestamps), np.float64, len(session))
+    stamps = np.datetime_as_string(seconds.astype(np.int64).astype("datetime64[s]"))
+    return [f"{t}+00:00" for t in stamps.tolist()]
+
+
 def write_sessions_csv(sessions: Iterable[Session], path: str) -> None:
     """Serialize sessions to CSV so that re-ingesting reproduces them exactly.
 
     Prices use shortest round-trip decimal form (`repr`), timestamps ISO-8601.
+    The bytes are those of csv.writer: comma-separated, CRLF-terminated rows.
     """
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        fh.write(",".join(CSV_HEADER) + "\r\n")
         for s in sessions:
-            writer.writerows(zip(
-                [ts.isoformat() for ts in s.timestamps],
+            fh.write("".join(map(
+                "{},{},{},{},{},{}\r\n".format,
+                iso_timestamps(s),
                 *(map(repr, getattr(s, name).tolist()) for name in _COLUMNS[:4]),
                 s.volume.tolist(),
-            ))
+            )))
 
 
 def resample_bars(bars: Sequence[Bar], bars_per_window: int) -> tuple[Bar, ...]:

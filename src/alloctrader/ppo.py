@@ -248,26 +248,32 @@ def _gamma(n: int) -> float:
 
 
 class SplitGreedyPolicy:
-    """greedy_action with the policy's first layer split into two row sets.
+    """greedy_action with the policy's first-layer product summed in parts.
 
-    `part_a` marks the inputs of set a. `first_layer_a` multiplies a block of
-    many inputs' a-parts by their rows of w1 in one GEMM; `action` adds the
-    b-part's matvec and b1, and runs layers 2 and 3 through `_net_tail`.
+    `part_b` marks the inputs that can arrive late, in input order. A caller
+    multiplies a block of inputs by the whole of w1 in one GEMM, with zeros
+    in place of the trailing b-inputs not known yet; `action` adds those
+    b-inputs times their rows of w1 (the last rows of w1[part_b]), then b1,
+    and runs layers 2 and 3 through `_net_tail`.
 
-    The split sum rounds differently from x @ w1, so `action` also bounds
+    The parts round differently from x @ w1 + b1, so `action` also bounds
     |logits - greedy_action's logits| by the summation bound through all
-    three layers: ||x||_1 per input, the weight norms once here. When the top
-    two logits are within twice that bound the argmax could differ, and
-    `action` returns None; the caller then asks greedy_action. Every action
-    returned or asked for therefore equals greedy_action's.
+    three layers: ||x||_1 per input, the weight norms once here. That bound,
+    Higham's gamma_{n+1}, holds for an (n + 1)-term sum in any order. Each of
+    the n products x_i w1_i and b1 enters exactly one partial sum (the block
+    product, the late b-inputs' product or the bias), and the zeros are
+    exact: 0 * w is 0, and adding 0 rounds nothing, so the parts are one
+    such sum whose rounding the bound covers. When the top two logits are
+    within twice the bound the argmax could differ, and `action` returns
+    None; the caller then asks greedy_action. Every action returned or asked
+    for therefore equals greedy_action's.
     """
 
-    def __init__(self, params: PolicyParameters, part_a: np.ndarray):
+    def __init__(self, params: PolicyParameters, part_b: np.ndarray):
         arrays = params.arrays
         w1, b1 = arrays["policy_w1"], arrays["policy_b1"]
         self._arrays = arrays
-        self._w1_a = np.ascontiguousarray(w1[part_a])
-        self._w1_b = np.ascontiguousarray(w1[~part_a])
+        self._w1_b = np.ascontiguousarray(w1[part_b])
         self._b1 = b1
         h1, h2 = params.spec.hidden
         # Layer 1: each path's z1 is within gamma_{n+1} (||x||_1 max|w1| + max|b1|)
@@ -287,10 +293,6 @@ class SplitGreedyPolicy:
                 (colsum, 2.0 * _gamma(rows + 1) * (colsum + bias) + tanh_error)
             )
 
-    def first_layer_a(self, xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(xa @ w1_a, ||xa||_1 per row) for a (rows, |a|) block of a-parts."""
-        return xa @ self._w1_a, np.abs(xa).sum(axis=1)
-
     def logit_error_bound(self, x_norm: float) -> float:
         """Bound on |logits - greedy_action's logits| for an input of 1-norm x_norm."""
         bound = self._l1_per_norm * x_norm + self._l1_const
@@ -298,17 +300,20 @@ class SplitGreedyPolicy:
             bound = colsum * bound + rounding
         return bound * _BOUND_MARGIN
 
-    def logits(self, za: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        """Logits from an a-part's first-layer product and the b-part."""
-        a1 = np.tanh(za + xb @ self._w1_b + self._b1)
+    def logits(self, z: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """Logits from `z`, an input's product with w1 that lacks its last
+        xb.size b-inputs, and those b-inputs `xb`."""
+        w1_b = self._w1_b
+        a1 = np.tanh(z + xb @ w1_b[w1_b.shape[0] - xb.size:] + self._b1)
         return _net_tail(self._arrays, "policy_", a1)[0]
 
-    def action(self, za: np.ndarray, norm_a: float, xb: np.ndarray) -> int | None:
-        """greedy_action's action, or None when rounding could change it."""
-        logits = self.logits(za, xb).tolist()
+    def action(self, z: np.ndarray, norm: float, xb: np.ndarray) -> int | None:
+        """greedy_action's action, or None when rounding could change it.
+        `norm` is the 1-norm of the input that gave `z` (see logits)."""
+        logits = self.logits(z, xb).tolist()
         best = max(range(len(logits)), key=logits.__getitem__)
         runner_up = max(v for i, v in enumerate(logits) if i != best)
-        bound = self.logit_error_bound(norm_a + float(np.abs(xb).sum()))
+        bound = self.logit_error_bound(norm + float(np.abs(xb).sum()))
         # False for NaN logits or bounds, which also go to greedy_action.
         return best if logits[best] - runner_up > 2.0 * bound else None
 

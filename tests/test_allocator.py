@@ -1,5 +1,7 @@
 """Hierarchy env: span tiling, forced decisions, telescoping log returns."""
 
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -9,6 +11,7 @@ from alloctrader.allocator import (
     AgentRegistry,
     AllocatorConfig,
     AllocatorError,
+    _DECISION_LOG_FIELDS,
     HierarchyEnv,
     RegisteredAgent,
     observation_size,
@@ -334,6 +337,11 @@ class TestTrainServeParity:
             obs = env.step(Action.HOLD).observation
 
 
+def _write(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
 class TestDecisionLog:
     def test_round_trip(self, tmp_path, buy_env):
         buy_env.reset()
@@ -358,7 +366,13 @@ class TestDecisionLog:
         ("yesterday,1m,0,1,0.0", "row 3: Invalid isoformat string: .yesterday."),
         ("2024-01-02T14:30:00+00:00,1m,0,1,nope", "row 3: could not convert string to float"),
         ("2024-01-02T14:30:00+00:00,2m,0,1,0.0", "row 3: unknown timeframe label"),
-    ], ids=["short-row", "blank-row", "forced-flag", "timestamp", "float", "timeframe"])
+        ("2024-01-02T14:30:00+00:00,1m,0,0,0.0", "row 3: span_bars must be >= 1, got 0"),
+        ("2024-01-02T14:30:00+00:00,1m,0,-4,0.0", "row 3: span_bars must be >= 1, got -4"),
+        ("2024-01-02T14:30:00+00:00,1m,0,1,nan", "row 3: span_log_return must be finite, got 'nan'"),
+        ("2024-01-02T14:30:00+00:00,1m,0,1,-inf", "row 3: span_log_return must be finite"),
+        ("0001-01-01T00:00:00+05:00,1m,0,1,0.0", "row 3: date value out of range"),
+    ], ids=["short-row", "blank-row", "forced-flag", "timestamp", "float", "timeframe",
+            "zero-span", "negative-span", "nan-return", "infinite-return", "utc-overflow"])
     def test_bad_row_names_file_and_row(self, tmp_path, row, match):
         path = tmp_path / "decisions.csv"
         good = "2024-01-02T14:30:00+00:00,1m,0,1,0.0"
@@ -366,6 +380,58 @@ class TestDecisionLog:
                         f"{good}\n{row}\n{good}\n")
         with pytest.raises(AllocatorError, match=f"decisions.csv: {match}"):
             read_decision_log(str(path))
+
+    def test_timestamp_without_offset_is_utc(self, tmp_path):
+        path = tmp_path / "decisions.csv"
+        path.write_text("timestamp,chosen_timeframe,forced_flag,span_bars,span_log_return\n"
+                        "2024-02-05T09:30:00,1m,1,1,0.0\n"
+                        "2024-02-05T10:30:00+01:00,1m,0,1,0.0\n")
+        naive, offset = read_decision_log(str(path))
+        assert naive.timestamp == offset.timestamp == datetime(2024, 2, 5, 9, 30,
+                                                                 tzinfo=timezone.utc)
+        assert naive.timestamp.utcoffset() == offset.timestamp.utcoffset() == timedelta(0)
+
+    def test_fuzzed_logs_raise_only_allocator_errors(self, tmp_path):
+        # Byte flips, truncations and dropped fields of a well-formed log:
+        # each read either returns well-formed records or raises AllocatorError.
+        rng = np.random.default_rng(5)
+        rows = [",".join(_DECISION_LOG_FIELDS)] + [
+            f"2024-01-{2 + k // 20:02d}T{14 + k % 6}:{k % 60:02d}:00+00:00,"
+            f"{('1m', '10m', '1h')[k % 3]},{int(k % 7 == 0)},{1 + k % 60},"
+            f"{rng.normal(0.0, 1e-3)!r}"
+            for k in range(40)
+        ]
+        data = ("\r\n".join(rows) + "\r\n").encode()
+        assert len(read_decision_log(_write(tmp_path / "good.csv", data))) == 40
+        path = tmp_path / "fuzzed.csv"
+        outcomes = {"read": 0, "refused": 0}
+        for trial in range(600):
+            fuzzed = bytearray(data)
+            kind = trial % 3
+            if kind == 0:
+                for pos in rng.integers(0, len(fuzzed), int(rng.integers(1, 4))):
+                    fuzzed[pos] = int(rng.integers(0, 256))
+            elif kind == 1:
+                del fuzzed[int(rng.integers(0, len(fuzzed))):]
+            else:
+                lines = fuzzed.split(b"\r\n")
+                row = int(rng.integers(0, len(lines)))
+                fields = lines[row].split(b",")
+                del fields[int(rng.integers(0, len(fields)))]
+                lines[row] = b",".join(fields)
+                fuzzed = bytearray(b"\r\n".join(lines))
+            try:
+                records = read_decision_log(_write(path, bytes(fuzzed)))
+            except AllocatorError as exc:
+                assert "fuzzed.csv: " in str(exc)
+                outcomes["refused"] += 1
+                continue
+            outcomes["read"] += 1
+            for rec in records:
+                assert rec.timestamp.utcoffset() == timedelta(0)
+                assert isinstance(rec.timeframe, Timeframe)
+                assert rec.span_bars >= 1 and np.isfinite(rec.log_return)
+        assert outcomes["read"] > 0 and outcomes["refused"] > 0
 
     def test_header(self, tmp_path):
         path = str(tmp_path / "empty.csv")

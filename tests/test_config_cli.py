@@ -1,6 +1,7 @@
 """Config validation and the full command-line pipeline on tiny settings."""
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -23,8 +24,9 @@ from alloctrader.config import (
     load_config,
     parse_config_text,
 )
-from alloctrader.market_data import Timeframe
+from alloctrader.market_data import Timeframe, synthesize
 from alloctrader.allocator import read_decision_log
+import csv_reference
 
 
 class TestParse:
@@ -234,6 +236,17 @@ class TestPipeline:
         assert regimes[0] == "timestamp,regime"
         assert {line.rsplit(",", 1)[1] for line in regimes[1:]} <= {"0", "1"}
         assert (out / "data" / "synthetic_calendar.csv").exists()
+
+    def test_synthetic_csv_bytes_match_reference_writers(self, pipeline, tmp_path):
+        cfg_path, out = pipeline
+        cfg = load_config(str(cfg_path))
+        result = synthesize(cfg.synth, cfg.seed, cfg.synth_days)
+        csv_reference.write_sessions_csv(result.sessions, tmp_path / "bars.csv")
+        csv_reference.write_regimes_csv(result, tmp_path / "regimes.csv")
+        for got, want in (("synthetic_bars.csv", "bars.csv"),
+                          ("synthetic_regimes.csv", "regimes.csv")):
+            assert (hashlib.sha256((out / "data" / got).read_bytes()).hexdigest()
+                    == hashlib.sha256((tmp_path / want).read_bytes()).hexdigest())
 
     def test_checkpoints_written(self, pipeline):
         _, out = pipeline
@@ -460,24 +473,42 @@ class TestPipelineGuards:
         ("2024-01-02T14:30:00+00:00,1m,yes,1,0.0", "row 3: invalid literal for int()"),
         ("yesterday,1m,0,1,0.0", "row 3: Invalid isoformat string"),
         ("2024-01-02T14:30:00+00:00,1m,0,1,up", "row 3: could not convert string to float"),
-    ], ids=["short-row", "forced-flag", "timestamp", "float"])
+        ("2024-01-22T14:30:00+00:00,1m,0,0,0.0", "row 3: span_bars must be >= 1, got 0"),
+        ("2024-01-22T14:30:00+00:00,1m,0,1,inf", "row 3: span_log_return must be finite"),
+        ("2024-01-22T14:30:00+00:00,1m,0,1,nan", "row 3: span_log_return must be finite"),
+    ], ids=["short-row", "forced-flag", "timestamp", "float", "zero-span", "inf-return",
+            "nan-return"])
     def test_bad_decision_log_is_single_error_line(self, pipeline, tmp_path, capsys, row, match):
-        cfg_path, out = pipeline
-        copy = tmp_path / "out"
-        shutil.copytree(out, copy)
-        log = copy / "reports" / "hierarchy_allocations.csv"
-        lines = log.read_text().splitlines()
-        log.write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n")
-        args = ["analyze", "--config", str(cfg_path), "--out", str(copy)]
-        assert main(args) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert err.count("\n") == 1
+        err = _analyze_with_row_3(pipeline, tmp_path, capsys, row)
         assert f"hierarchy_allocations.csv: {match}" in err
+
+    def test_decision_log_timestamp_without_offset_is_utc(self, pipeline, tmp_path, capsys):
+        # A day after the market ends, so the log is refused for its span,
+        # which takes the timestamp as UTC.
+        err = _analyze_with_row_3(pipeline, tmp_path, capsys, "2024-02-05T09:30:00,1m,1,1,0.0")
+        assert "allocation log spans" in err
+        assert "..2024-02-05 09:30:00+00:00 but market data spans" in err
 
     def test_unknown_strategy_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["backtest", "momentum", "--out", str(tmp_path / "o")])
+
+
+def _analyze_with_row_3(pipeline, tmp_path, capsys, row: str) -> str:
+    """Run analyze on a copy of the pipeline whose decision log has `row` as
+    its third line; check it fails with one error line and return that."""
+    cfg_path, out = pipeline
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    log = copy / "reports" / "hierarchy_allocations.csv"
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n")
+    args = ["analyze", "--config", str(cfg_path), "--out", str(copy)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    return err
 
 
 class TestDeterminism:

@@ -275,7 +275,26 @@ def _aligned_cursor(env):
     return next(int(i) + env.length - 1 for i in opens if i + env.length - 1 >= env.min_cursor)
 
 
+def _phase_runs(env, cursor):
+    """The episode's decision cursors from `cursor`, split into runs one
+    timeframe bar apart."""
+    cursors = [cursor]
+    while (end := env._span_end(cursors[-1], env.length)) < env.n_bars - 1:
+        cursors.append(end)
+    return np.split(np.array(cursors), np.flatnonzero(np.diff(cursors) != env.length) + 1)
+
+
+def _forced_sale_bar(env, trades, after):
+    """The first session's final bar after `after` at which the episode's
+    position was sold by the forced session-close liquidation."""
+    finals = {env.timestamps[i]: int(i) for i in np.flatnonzero(env.session_last)}
+    return next(finals[t.timestamp] for t in trades
+                if t.side == "sell" and finals.get(t.timestamp, -1) > after)
+
+
 class TestRunAgent:
+    # `block` "close" starts a block at the decision on the first forced
+    # session-close sale's bar, "after-close" at the decision after it.
     @pytest.mark.parametrize(
         "timeframe, window, hidden, fee, seed, block",
         [
@@ -285,11 +304,16 @@ class TestRunAgent:
             (Timeframe.ONE_MINUTE, 9, (16, 8), 0.02, 3, 7),
             (Timeframe.TEN_MINUTE, 4, (16, 16), 0.0, 4, 5),
             (Timeframe.ONE_HOUR, 4, (16, 16), 0.01, 6, 3),
+            (Timeframe.ONE_MINUTE, 3, (32, 16), 0.0, 2, 64),
+            (Timeframe.ONE_MINUTE, 3, (32, 16), 0.01, 5, 7),
+            (Timeframe.ONE_MINUTE, 5, (16, 16), 0.0, 0, "close"),
+            (Timeframe.ONE_MINUTE, 4, (16, 16), 0.01, 7, "after-close"),
+            (Timeframe.TEN_MINUTE, 3, (16, 16), 0.01, 8, 2),
+            (Timeframe.ONE_HOUR, 2, (16, 16), 0.0, 12, 5),
         ],
     )
     def test_matches_greedy_step_loop(self, short_sessions, regime_sessions, monkeypatch,
                                       timeframe, window, hidden, fee, seed, block):
-        monkeypatch.setattr(envs, "AGENT_BLOCK", block)
         params = _agent_params(window, hidden, seed)
         if window * 8 < hidden[0]:
             w1 = params.arrays["policy_w1"]
@@ -299,11 +323,20 @@ class TestRunAgent:
         for cursor in (probe.min_cursor, probe.min_cursor + 13, _aligned_cursor(probe)):
             loop_env = _env(sessions, timeframe, window, fee=fee)
             equity, trades = _step_loop(loop_env, params, cursor)
+            assert trades, "the agent should trade"
+            size = block
+            if isinstance(block, str):
+                # A one-minute episode is one run, so blocks start at cursor + k * size.
+                size = _forced_sale_bar(loop_env, trades, cursor) - cursor
+                size += block == "after-close"
+            if timeframe is not Timeframe.ONE_MINUTE:
+                runs = _phase_runs(probe, cursor)
+                assert max(r.size for r in runs) > size, "a block should end inside a run"
+            monkeypatch.setattr(envs, "AGENT_BLOCK", size)
             env = _env(sessions, timeframe, window, fee=fee)
             run = run_agent(env, params, cursor)
             assert run.equity == equity
             assert env.trades == trades
-            assert trades, "the agent should trade"
             assert env.done and env.cursor == env.n_bars - 1
 
     def test_zero_policy_head_falls_back_on_every_step(self, short_sessions):
@@ -321,9 +354,11 @@ class TestRunAgent:
     def test_tied_logits_return_none(self):
         params = _agent_params(2, (8, 8), 0)
         params.arrays["policy_w3"][:] = 0.0
-        policy = SplitGreedyPolicy(params, np.arange(16) % 8 < 5)
-        za, norms = policy.first_layer_a(np.ones((1, 10)))
-        assert policy.action(za[0], float(norms[0]), np.ones(6)) is None
+        part_b = np.arange(16) % 8 >= 5
+        policy = SplitGreedyPolicy(params, part_b)
+        x = np.where(part_b, 0.0, 1.0)
+        z = x @ params.arrays["policy_w1"]
+        assert policy.action(z, float(np.abs(x).sum()), np.ones(6)) is None
 
     def test_network_size_mismatch_is_env_error(self, short_sessions):
         env = _env(short_sessions, window=5)
@@ -388,10 +423,12 @@ class TestLogitErrorBound:
     def test_each_path_within_half_the_bound(self, scale):
         # Pairs of inputs cancel on identical weight rows, so the first layer
         # rounds at the scale of the inputs while z1 stays where tanh is steep.
+        # The split path sums three parts: the product of the input with its
+        # last `late` b-inputs zeroed, the product of those b-inputs, and b1.
         rng = np.random.default_rng(int(scale))
         spec = NetworkSpec(16, (8, 8), 3)
-        part_a = np.arange(16) % 2 == 0
-        for _ in range(20):
+        part_b = np.arange(16) % 2 == 1
+        for trial in range(20):
             params = PolicyParameters.initialize(spec, rng)
             arrays = params.arrays
             for key in ("w1", "w2", "w3"):
@@ -403,13 +440,17 @@ class TestLogitErrorBound:
             x = np.empty(16)
             x[0::2] = big
             x[1::2] = -big + rng.uniform(-1.0, 1.0, 8)
-            policy = SplitGreedyPolicy(params, part_a)
-            za, norms = policy.first_layer_a(x[part_a][None, :])
-            split = policy.logits(za[0], x[~part_a])
+            policy = SplitGreedyPolicy(params, part_b)
             full = _net_forward(arrays, "policy_", x[None, :])[0][0]
-            bound = policy.logit_error_bound(float(np.abs(x).sum()))
+            exact = _exact_logits(arrays, x)
+            late = np.flatnonzero(part_b)[8 - trial % 9:]
+            known = x.copy()
+            known[late] = 0.0
+            split = policy.logits(known @ arrays["policy_w1"], x[late])
+            bound = policy.logit_error_bound(
+                float(np.abs(known).sum()) + float(np.abs(x[late]).sum()))
             assert np.isfinite(bound)
             assert (np.abs(split - full) <= bound).all()
             for got in (split, full):
-                for value, exact in zip(got, _exact_logits(arrays, x)):
-                    assert abs(mpf(float(value)) - exact) <= bound / 2
+                for value, want in zip(got, exact):
+                    assert abs(mpf(float(value)) - want) <= bound / 2

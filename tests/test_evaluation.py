@@ -1,5 +1,6 @@
 """Metric oracles: drawdown brute force, Sharpe conventions, quartile fixture."""
 
+import hashlib
 import json
 import math
 from datetime import date, datetime, timedelta, timezone
@@ -19,9 +20,11 @@ from alloctrader.evaluation import (
     quartile_allocation,
     return_volatility_pct,
     sharpe,
+    write_equity_csv,
     write_metrics,
 )
 from alloctrader.market_data import Bar, Session, Timeframe
+import csv_reference
 
 UTC = timezone.utc
 
@@ -59,6 +62,24 @@ class TestEquityCurve:
         ts = _stamps(3)
         with pytest.raises(EvaluationError):
             EquityCurve((ts[0], ts[2], ts[1]), np.array([1.0, 2.0, 3.0]))
+
+
+class TestWriteEquityCsv:
+    def test_bytes_match_csv_writer_reference(self, tmp_path):
+        plus_five = timezone(timedelta(hours=5))
+        curves = [
+            _curve([10_000.0, 10_000.5, 9_999.25, 1e-300, 1e300, 0.1 + 0.2]),
+            EquityCurve(tuple(t.replace(tzinfo=None) for t in _stamps(3)), np.array([1.0, 2.0, 3.0])),
+            EquityCurve(tuple(t.astimezone(plus_five) + timedelta(microseconds=7)
+                              for t in _stamps(3)), np.array([5e-324, 123456789.125, 7.0])),
+            EquityCurve((), np.array([])),
+        ]
+        for k, curve in enumerate(curves):
+            path, want = tmp_path / f"equity{k}.csv", tmp_path / f"reference{k}.csv"
+            write_equity_csv(curve, str(path))
+            csv_reference.write_equity_csv(curve, str(want))
+            assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                    == hashlib.sha256(want.read_bytes()).hexdigest())
 
 
 class TestCumulativeReturn:

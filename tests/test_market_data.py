@@ -29,6 +29,7 @@ from alloctrader.market_data import (
     write_sessions_csv,
 )
 from conftest import small_synth_config, stub_registry
+import csv_reference
 from synth_reference import reference_sessions_csv, reference_synthesize
 
 UTC = timezone.utc
@@ -282,6 +283,23 @@ class TestIngest:
         path2 = tmp_path / "rt2.csv"
         write_sessions_csv(back.sessions, str(path2))
         assert path.read_text() == path2.read_text()
+
+    def test_csv_bytes_match_csv_writer_reference(self, tmp_path):
+        # Dates before the epoch and near the year 9999, and ingested
+        # sessions with gaps from timestamps given at another offset.
+        sessions = []
+        for start, seed in ((date(2024, 1, 2), 1), (date(1969, 12, 31), 2), (date(9999, 12, 29), 3)):
+            cfg = small_synth_config(session_minutes=45, start_date=start)
+            sessions += synthesize(cfg, seed=seed, days=2).sessions
+        plus_five = timezone(timedelta(hours=5))
+        rows = [f"{_ts(9, m, day=d).astimezone(plus_five).isoformat()},100.1,101,99,100.25,{m}"
+                for d in (2, 5) for m in (30, 31, 40, 59)]
+        sessions += ingest_csv(self._write(tmp_path, rows), self._calendar()).sessions
+        path, want = tmp_path / "sessions.csv", tmp_path / "reference.csv"
+        write_sessions_csv(sessions, str(path))
+        csv_reference.write_sessions_csv(sessions, str(want))
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == hashlib.sha256(want.read_bytes()).hexdigest())
 
 
 class TestCalendar:

@@ -9,6 +9,7 @@ Failures print a single `error: ...` line to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -473,7 +474,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
+
+
 def main(argv=None) -> int:
+    """Run one command. Afterwards the C heap's free pages go back to the OS
+    (glibc's malloc_trim), so a process that runs several commands does not
+    keep the largest one's transient arrays resident. glibc trims by itself
+    only when the free space is at the top of the heap, which depends on
+    where the last live allocation happens to sit."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -484,6 +496,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -574,3 +575,24 @@ class TestBlasThreads:
         report = _import_in_fresh_process(OPENBLAS_NUM_THREADS="2")
         assert report["env"]["OPENBLAS_NUM_THREADS"] == "2"
         assert report["env"]["OMP_NUM_THREADS"] == "1"
+
+
+class TestHeapTrim:
+    def test_trims_after_every_command(self, tmp_path, monkeypatch, capsys):
+        from alloctrader import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "_malloc_trim", calls.append)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY_CONFIG)
+        base = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(["synth"] + base) == 0
+        assert main(["backtest", "agent:1m"] + base) == 1  # no checkpoint
+        assert capsys.readouterr().err.startswith("error:")
+        assert calls == [0, 0]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_found_on_glibc(self):
+        from alloctrader import cli
+
+        assert cli._malloc_trim is not None

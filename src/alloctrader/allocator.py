@@ -31,6 +31,7 @@ from .envs import (
     min_agent_cursor,
     normalize_market_window,
 )
+from .evaluation import return_volatility_pct
 from .indicators import FEATURE_WARMUP
 from .market_data import Session, TIMEFRAME_ORDER, Timeframe, _as_utc
 from .portfolio import TradeLogEntry, features
@@ -264,9 +265,7 @@ class HierarchyEnv(BaseBarEnv):
         feats = self.tables[Timeframe.ONE_MINUTE][window]
         market = normalize_market_window(feats, self.closes[window])
         pf = features(self.portfolio)
-        vol_closes = self.closes[b - self.config.vol_window: b + 1]
-        returns = np.diff(vol_closes) / vol_closes[:-1]
-        realized_vol = float(returns.std(ddof=1)) * 100.0
+        realized_vol = return_volatility_pct(self.closes[b - self.config.vol_window: b + 1])
         last_rewards = [self._last_rewards[tf] for tf in TIMEFRAME_ORDER]
         onehot = [1.0 if self._last_active is tf else 0.0 for tf in TIMEFRAME_ORDER]
         return np.concatenate(

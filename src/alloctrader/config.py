@@ -41,8 +41,6 @@ DEFAULTS: dict[str, str] = {
     # date ranges
     "range.train_start": "2024-01-01",
     "range.train_end": "2024-02-29",
-    "range.validation_start": "2024-03-01",
-    "range.validation_end": "2024-03-10",
     "range.test_start": "2024-03-11",
     "range.test_end": "2024-12-31",
     # run
@@ -130,7 +128,6 @@ class RunConfig:
     synth: SynthConfig
     synth_days: int
     train_range: tuple[date, date]
-    validation_range: tuple[date, date]
     test_range: tuple[date, date]
     agents: Mapping[Timeframe, AgentSettings]
     allocator: AllocatorSettings
@@ -285,13 +282,10 @@ def build_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError(f"config key synth.days: must be >= 1, got {synth_days}")
 
     train = _range(reader, "train")
-    validation = _range(reader, "validation")
     test = _range(reader, "test")
-    if not (train[1] < validation[0] and validation[1] < test[0]):
+    if not train[1] < test[0]:
         raise ConfigError(
-            "config keys range.*: date ranges must be ordered train < validation < test "
-            f"(got train ends {train[1]}, validation {validation[0]}..{validation[1]}, "
-            f"test starts {test[0]})"
+            f"config key range.test_start: {test[0]} is not after range.train_end {train[1]}"
         )
 
     agents = {tf: _agent_settings(reader, f"agent.{tf.label}") for tf in TIMEFRAME_ORDER}
@@ -325,7 +319,6 @@ def build_config(raw: dict[str, str]) -> RunConfig:
         synth=synth,
         synth_days=synth_days,
         train_range=train,
-        validation_range=validation,
         test_range=test,
         agents=agents,
         allocator=allocator,
@@ -338,9 +331,9 @@ def build_config(raw: dict[str, str]) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     """Read, parse and fully validate a config file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return build_config(parse_config_text(text))
 

@@ -97,7 +97,8 @@ def max_drawdown(curve) -> float:
 
 
 def return_volatility_pct(closes) -> float:
-    """Sample standard deviation of simple per-bar returns, times 100."""
+    """Sample standard deviation of simple per-bar returns, times 100: the
+    volatility `analyze` ranks quartiles by and the allocator observes."""
     closes = np.asarray(closes, dtype=np.float64)
     if closes.size < 3:
         raise EvaluationError(f"volatility needs >= 3 closes, got {closes.size}")

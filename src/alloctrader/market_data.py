@@ -15,7 +15,7 @@ from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter, lt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -206,31 +206,21 @@ class Session:
         )
 
 
+def _utf8_lines(fh: TextIO, where: str) -> Iterator[str]:
+    """The lines of a file opened as UTF-8; undecodable bytes raise
+    MarketDataError naming `where`. Text is decoded by chunks, so no line
+    number is known."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise MarketDataError(f"{where}: not UTF-8 text: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class TradingCalendar:
     """Maps trading days to their (open, close) instants, both UTC."""
 
     days: dict[date, tuple[datetime, datetime]]
-
-    @classmethod
-    def weekdays(
-        cls,
-        start: date,
-        end: date,
-        open_time: time = time(9, 30),
-        close_time: time = time(16, 0),
-    ) -> "TradingCalendar":
-        """Calendar of all Mon-Fri days in [start, end] with fixed hours."""
-        days = {}
-        d = start
-        while d <= end:
-            if d.weekday() < 5:
-                days[d] = (
-                    datetime.combine(d, open_time, tzinfo=timezone.utc),
-                    datetime.combine(d, close_time, tzinfo=timezone.utc),
-                )
-            d += timedelta(days=1)
-        return cls(days)
 
     @classmethod
     def from_sessions(cls, sessions: Sequence[Session]) -> "TradingCalendar":
@@ -240,8 +230,8 @@ class TradingCalendar:
     def from_file(cls, path: str) -> "TradingCalendar":
         """Read a calendar file with lines `YYYY-MM-DD,HH:MM,HH:MM`."""
         days = {}
-        with open(path, newline="") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(_utf8_lines(fh, f"calendar {path}"), start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -254,6 +244,9 @@ class TradingCalendar:
                     c = time.fromisoformat(parts[2].strip())
                 except ValueError as exc:
                     raise MarketDataError(f"calendar {path} line {lineno}: {exc}") from exc
+                if o.tzinfo is not None or c.tzinfo is not None:
+                    raise MarketDataError(f"calendar {path} line {lineno}: times are UTC, "
+                                          "so they take no offset")
                 if c <= o:
                     raise MarketDataError(
                         f"calendar {path} line {lineno}: close {parts[2].strip()} "
@@ -304,8 +297,8 @@ def ingest_csv(path: str, calendar: TradingCalendar) -> IngestResult:
     any malformed row (bad number, OHLC violation, bad timestamp) rejects the
     whole file with its row number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -330,7 +323,7 @@ def ingest_csv(path: str, calendar: TradingCalendar) -> IngestResult:
                 if vol_f != int(vol_f):
                     raise ValueError(f"fractional volume {row[5]}")
                 bar = Bar(ts, o, h, l, c, int(vol_f))
-            except (ValueError, MarketDataError) as exc:
+            except (ValueError, OverflowError, MarketDataError) as exc:
                 raise MarketDataError(f"{path} row {lineno}: {exc}") from exc
             day = calendar.locate(bar.timestamp)
             if day is None:

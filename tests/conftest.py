@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from datetime import date, datetime, time, timedelta, timezone
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from alloctrader.market_data import (
     RegimeParams,
     SynthConfig,
     TIMEFRAME_ORDER,
+    TradingCalendar,
     synthesize,
 )
 from alloctrader.ppo import NetworkSpec, PolicyParameters
@@ -26,6 +29,20 @@ def small_synth_config(session_minutes: int = 390, **kw) -> SynthConfig:
     )
     defaults.update(kw)
     return SynthConfig(**defaults)
+
+
+def weekday_calendar(start: date, end: date) -> TradingCalendar:
+    """Calendar of all Mon-Fri days in [start, end], open 09:30-16:00 UTC."""
+    days = {}
+    d = start
+    while d <= end:
+        if d.weekday() < 5:
+            days[d] = (
+                datetime.combine(d, time(9, 30), tzinfo=timezone.utc),
+                datetime.combine(d, time(16, 0), tzinfo=timezone.utc),
+            )
+        d += timedelta(days=1)
+    return TradingCalendar(days)
 
 
 @pytest.fixture(scope="session")

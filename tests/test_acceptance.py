@@ -535,8 +535,6 @@ TINY_RUN_CONFIG = """\
 synth.days = 18
 range.train_start = 2024-01-01
 range.train_end = 2024-01-17
-range.validation_start = 2024-01-18
-range.validation_end = 2024-01-18
 range.test_start = 2024-01-19
 range.test_end = 2024-12-31
 run.fee_per_sell_share = 0.01

@@ -18,7 +18,7 @@ from alloctrader.evaluation import (
     write_equity_csv,
     write_metrics,
 )
-from alloctrader.market_data import Timeframe, TradingCalendar, synthesize, write_sessions_csv
+from alloctrader.market_data import Timeframe, synthesize, write_sessions_csv
 from alloctrader.portfolio import TradeLogEntry, write_trade_log
 from alloctrader.ppo import (
     CurvePoint,
@@ -28,7 +28,7 @@ from alloctrader.ppo import (
     TrainingCurve,
     save_checkpoint,
 )
-from conftest import small_synth_config
+from conftest import small_synth_config, weekday_calendar
 
 OLD = b"old contents\n"
 T0 = datetime(2024, 1, 2, 15, 0, tzinfo=timezone.utc)
@@ -75,8 +75,7 @@ def _checkpoint(path):
 WRITERS = {
     "sessions_csv": lambda p: write_sessions_csv(
         synthesize(small_synth_config(session_minutes=30), seed=1, days=2).sessions, p),
-    "calendar": lambda p: TradingCalendar.weekdays(
-        T0.date(), T0.date().replace(day=9)).to_file(p),
+    "calendar": lambda p: weekday_calendar(T0.date(), T0.date().replace(day=9)).to_file(p),
     "trade_log": lambda p: write_trade_log([TradeLogEntry(T0, "buy", 10, 100.0, 0.0)] * 3, p),
     "equity_csv": lambda p: write_equity_csv(
         EquityCurve.from_pairs([(T0, 100.0), (T0.replace(minute=1), 101.0)]), p),

@@ -112,8 +112,9 @@ class TestValidation:
             build_config({"agent.1m.hidden": "64"})
 
     def test_range_ordering_enforced(self):
-        with pytest.raises(ConfigError, match="train < validation < test"):
-            build_config({"range.validation_start": "2024-01-15"})
+        # Train ends 2024-02-29 by default, so this test range overlaps it.
+        with pytest.raises(ConfigError, match="range.test_start: 2024-02-15 is not after"):
+            build_config({"range.test_start": "2024-02-15"})
 
     def test_reversed_range_rejected(self):
         with pytest.raises(ConfigError, match="range.train_start"):
@@ -158,8 +159,6 @@ TINY_CONFIG = """\
 synth.days = 18
 range.train_start = 2024-01-01
 range.train_end = 2024-01-17
-range.validation_start = 2024-01-18
-range.validation_end = 2024-01-18
 range.test_start = 2024-01-19
 range.test_end = 2024-12-31
 
@@ -359,11 +358,12 @@ class TestPipelineGuards:
 
     def test_bad_config_is_single_error_line(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("range.validation_start = 2024-01-15\n")
+        cfg_path.write_text("range.test_start = 2024-02-15\n")
         assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+        assert "range.test_start" in err
 
     @pytest.mark.parametrize("config, args, match", [
         ("run.seed = -1\n", [], "run.seed must be >= 0, got -1"),
@@ -371,7 +371,10 @@ class TestPipelineGuards:
         ("synth.start_date = 9999-12-30\nsynth.days = 3\n", [],
          "3 sessions from 9999-12-30 run past 9999-12-31"),
         ("synth.session_minutes = 1500\n", [], "session_minutes must be at most 869"),
-    ], ids=["config-seed", "option-seed", "synth-date-overflow", "synth-session-past-midnight"])
+        ("range.validation_start = 2024-03-01\n", [],
+         "unknown config key: range.validation_start"),
+    ], ids=["config-seed", "option-seed", "synth-date-overflow", "synth-session-past-midnight",
+            "removed-validation-key"])
     def test_bad_run_value_is_single_error_line(self, tmp_path, capsys, config, args, match):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(config)
@@ -380,6 +383,36 @@ class TestPipelineGuards:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+        assert match in err
+
+    @pytest.mark.parametrize("bad_file, content, match", [
+        ("bars", b"2024-01-02T09:30:00+00:00,1,1,1,1,inf\n", "bars.csv row 2"),
+        ("bars", b"2024-01-02T09:30:00+00:00,1,1,1,1,1e400\n", "bars.csv row 2"),
+        ("bars", b"2024-01-02T09:30:00+00:00,1,1,1,1,\xff\xfe\n", "bars.csv: not UTF-8 text"),
+        ("calendar", b"\xff\xfe\n", "calendar.csv: not UTF-8 text"),
+        ("calendar", b"2024-01-03,09:30,16:00Z\n", "calendar.csv line 2: times are UTC"),
+        ("config", b"\xff\xfe\n", "run.cfg: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["inf-volume", "overflowing-volume", "bars-not-utf8", "calendar-not-utf8",
+            "calendar-time-offset", "config-not-utf8"])
+    def test_bad_input_file_is_single_error_line(self, tmp_path, capsys, bad_file, content,
+                                                 match):
+        files = {
+            "bars": b"timestamp,open,high,low,close,volume\n",
+            "calendar": b"2024-01-02,09:30,16:00\n",
+            "config": b"",
+        }
+        files[bad_file] += content
+        paths = {}
+        for name, data in files.items():
+            paths[name] = tmp_path / ("run.cfg" if name == "config" else f"{name}.csv")
+            paths[name].write_bytes(data)
+        argv = ["ingest", "--csv", str(paths["bars"]), "--calendar", str(paths["calendar"]),
+                "--config", str(paths["config"]), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
         assert match in err
 
     def test_price_collapse_is_the_only_stderr_line(self, tmp_path):

@@ -28,7 +28,7 @@ from alloctrader.market_data import (
     synthesize,
     write_sessions_csv,
 )
-from conftest import small_synth_config, stub_registry
+from conftest import small_synth_config, stub_registry, weekday_calendar
 import csv_reference
 from synth_reference import reference_sessions_csv, reference_synthesize
 
@@ -196,7 +196,7 @@ class TestIngest:
         return str(path)
 
     def _calendar(self):
-        return TradingCalendar.weekdays(date(2024, 1, 1), date(2024, 1, 31))
+        return weekday_calendar(date(2024, 1, 1), date(2024, 1, 31))
 
     def test_full_session_ingested(self, tmp_path):
         rows = []
@@ -304,12 +304,12 @@ class TestIngest:
 
 class TestCalendar:
     def test_weekdays_excludes_weekends(self):
-        cal = TradingCalendar.weekdays(date(2024, 1, 1), date(2024, 1, 7))
+        cal = weekday_calendar(date(2024, 1, 1), date(2024, 1, 7))
         assert date(2024, 1, 6) not in cal.days
         assert date(2024, 1, 5) in cal.days
 
     def test_file_round_trip(self, tmp_path):
-        cal = TradingCalendar.weekdays(date(2024, 1, 1), date(2024, 1, 10))
+        cal = weekday_calendar(date(2024, 1, 1), date(2024, 1, 10))
         path = tmp_path / "cal.csv"
         cal.to_file(str(path))
         back = TradingCalendar.from_file(str(path))
@@ -322,7 +322,7 @@ class TestCalendar:
             TradingCalendar.from_file(str(path))
 
     def test_locate_boundaries(self):
-        cal = TradingCalendar.weekdays(date(2024, 1, 1), date(2024, 1, 7))
+        cal = weekday_calendar(date(2024, 1, 1), date(2024, 1, 7))
         assert cal.locate(_ts(9, 30)) == date(2024, 1, 2)
         assert cal.locate(_ts(15, 59)) == date(2024, 1, 2)
         assert cal.locate(_ts(16, 0)) is None

@@ -393,6 +393,26 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _read_metrics(path: Path) -> dict:
+    """A backtest's metrics JSON: an object whose three reported values are
+    numbers, except that an undefined `sharpe` is null."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise EvaluationError(f"{path}: corrupt metrics file ({exc})") from exc
+    if not isinstance(data, dict):
+        raise EvaluationError(f"{path}: corrupt metrics file (not a JSON object)")
+    for key in ("cumulative_return_pct", "sharpe", "max_drawdown_pct"):
+        if key not in data:
+            raise EvaluationError(f"{path}: metrics file has no {key!r}")
+        value = data[key]
+        if value is None and key == "sharpe":
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise EvaluationError(f"{path}: metrics {key!r} is not a number ({value!r})")
+    return data
+
+
 def cmd_report(args) -> int:
     cfg, paths = _load_run(args)
     metric_files = sorted(paths.reports.glob("*_metrics.json"))
@@ -404,8 +424,7 @@ def cmd_report(args) -> int:
         f"{'strategy':<12} {'return %':>10} {'sharpe':>10} {'mdd %':>10}",
     ]
     for path in metric_files:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = _read_metrics(path)
         name = path.name.replace("_metrics.json", "")
         sharpe_val = data["sharpe"]
         sharpe_text = "undef" if sharpe_val is None else f"{sharpe_val:.4f}"

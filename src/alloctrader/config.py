@@ -196,8 +196,6 @@ def parse_config_text(text: str) -> dict[str, str]:
         value = value.strip()
         if key in raw:
             raise ConfigError(f"duplicate config key: {key}")
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key: {key}")
         raw[key] = value
     return raw
 
@@ -245,6 +243,9 @@ def _range(reader: _Reader, name: str) -> tuple[date, date]:
 
 
 def build_config(raw: dict[str, str]) -> RunConfig:
+    for key in raw:
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown config key: {key}")
     merged = dict(DEFAULTS)
     merged.update(raw)
     reader = _Reader(merged)

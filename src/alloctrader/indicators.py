@@ -19,44 +19,65 @@ FEATURE_WARMUP = 34
 FEATURE_COLUMNS = ("rsi", "macd_histogram", "cci", "pband", "volume")
 
 
-def _rsi_from_averages(avg_gain: float, avg_loss: float) -> float:
-    # Degenerate cases exactly: no losses with gains -> 100, fully flat -> 50.
-    if avg_loss == 0.0:
-        return 100.0 if avg_gain > 0.0 else 50.0
-    rs = avg_gain / avg_loss
-    return 100.0 - 100.0 / (1.0 + rs)
+def _rsi_and_macd(
+    closes: np.ndarray, period: int = 14, fast: int = 12, slow: int = 26, signal: int = 9
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wilder RSI(period) and MACD histogram(fast/slow/signal) in one pass.
+
+    The loop reads and writes the arrays through memoryviews, which hand out
+    and take Python floats. Python float arithmetic rounds exactly as numpy
+    float64 scalar arithmetic does, so every value takes the same binary64
+    operations, in the same order, as separate per-indicator loops over
+    numpy scalars, at a fraction of their cost per bar. The Wilder averages
+    are seeded with the mean of the first `period` gains and losses. The
+    EMAs are seeded with the first close; their incremental form keeps
+    constant series exact.
+    """
+    closes = np.asarray(closes, dtype=np.float64)
+    n = closes.size
+    rsi = np.full(n, np.nan)
+    hist = np.empty(n)
+    if n == 0:
+        return rsi, hist
+    if n > period:
+        deltas = np.diff(closes[: period + 1])
+        avg_gain = float(np.where(deltas > 0, deltas, 0.0).mean())
+        avg_loss = float(np.where(deltas < 0, -deltas, 0.0).mean())
+    keep = period - 1
+    a_fast = 2.0 / (fast + 1.0)
+    a_slow = 2.0 / (slow + 1.0)
+    a_signal = 2.0 / (signal + 1.0)
+    values, rsi_out, hist_out = memoryview(closes), memoryview(rsi), memoryview(hist)
+    prev = ema_fast = ema_slow = values[0]
+    ema_signal = macd = ema_fast - ema_slow
+    hist_out[0] = macd - ema_signal
+    for i in range(1, n):
+        close = values[i]
+        ema_fast += a_fast * (close - ema_fast)
+        ema_slow += a_slow * (close - ema_slow)
+        macd = ema_fast - ema_slow
+        ema_signal += a_signal * (macd - ema_signal)
+        hist_out[i] = macd - ema_signal
+        delta = close - prev
+        prev = close
+        if i < period:
+            continue
+        if i > period:
+            avg_gain = (avg_gain * keep + (delta if delta > 0 else 0.0)) / period
+            avg_loss = (avg_loss * keep + (-delta if delta < 0 else 0.0)) / period
+        # Degenerate cases exactly: no losses with gains -> 100, fully flat -> 50.
+        if avg_loss == 0.0:
+            rsi_out[i] = 100.0 if avg_gain > 0.0 else 50.0
+        else:
+            rsi_out[i] = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+    # The signal line has not seen a full window before slow + signal - 1.
+    hist[: slow + signal - 1] = np.nan
+    return rsi, hist
 
 
 def rolling_rsi(closes: np.ndarray, period: int = 14) -> np.ndarray:
     """Wilder-smoothed RSI per bar; NaN before index `period`."""
-    closes = np.asarray(closes, dtype=np.float64)
-    n = closes.size
-    out = np.full(n, np.nan)
-    if n < period + 1:
-        return out
-    deltas = np.diff(closes)
-    gains = np.where(deltas > 0, deltas, 0.0)
-    losses = np.where(deltas < 0, -deltas, 0.0)
-    avg_gain = float(gains[:period].mean())
-    avg_loss = float(losses[:period].mean())
-    out[period] = _rsi_from_averages(avg_gain, avg_loss)
-    for i in range(period, n - 1):
-        avg_gain = (avg_gain * (period - 1) + gains[i]) / period
-        avg_loss = (avg_loss * (period - 1) + losses[i]) / period
-        out[i + 1] = _rsi_from_averages(avg_gain, avg_loss)
-    return out
-
-
-def _ema(values: np.ndarray, period: int) -> np.ndarray:
-    # Seeded with the first value; incremental form keeps constant series exact.
-    alpha = 2.0 / (period + 1.0)
-    out = np.empty(values.size)
-    acc = float(values[0])
-    out[0] = acc
-    for i in range(1, values.size):
-        acc += alpha * (float(values[i]) - acc)
-        out[i] = acc
-    return out
+    return _rsi_and_macd(closes, period=period)[0]
 
 
 def rolling_macd_histogram(
@@ -67,14 +88,7 @@ def rolling_macd_histogram(
     EMAs are seeded with the first close. Values before index
     slow + signal - 1 are NaN: the signal line has not seen a full window.
     """
-    closes = np.asarray(closes, dtype=np.float64)
-    n = closes.size
-    if n == 0:
-        return np.empty(0)
-    macd = _ema(closes, fast) - _ema(closes, slow)
-    hist = macd - _ema(macd, signal)
-    hist[: min(n, slow + signal - 1)] = np.nan
-    return hist
+    return _rsi_and_macd(closes, fast=fast, slow=slow, signal=signal)[1]
 
 
 def rolling_cci(
@@ -134,14 +148,15 @@ def feature_table(
     Rows before FEATURE_WARMUP contain NaN in at least one indicator column
     and must not be consumed.
     """
-    n = len(closes)
-    matrix = np.column_stack(
+    if not len(closes):
+        return np.empty((0, len(FEATURE_COLUMNS)))
+    rsi, macd_histogram = _rsi_and_macd(closes)
+    return np.column_stack(
         [
-            rolling_rsi(closes),
-            rolling_macd_histogram(closes),
+            rsi,
+            macd_histogram,
             rolling_cci(highs, lows, closes),
             rolling_pband(closes),
             np.asarray(volumes, dtype=np.float64),
         ]
-    ) if n else np.empty((0, len(FEATURE_COLUMNS)))
-    return matrix
+    )

@@ -879,7 +879,7 @@ def _read_checkpoint(path: str, fh) -> Checkpoint:
                               f"(this build reads {CHECKPOINT_VERSION})")
     try:
         header = json.loads(fh.read(header_len).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header (not a JSON object)")

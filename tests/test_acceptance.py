@@ -46,6 +46,7 @@ from alloctrader.ppo import (
     train,
 )
 from conftest import small_synth_config
+from indicator_reference import oracle_macd_hist, oracle_rsi
 from toyenv import ToyTradingEnv, greedy_episode_reward, optimal_episode_reward
 
 UTC = timezone.utc
@@ -272,35 +273,6 @@ def test_criterion_05_gradient_check(capsys):
 # --- criterion 6: indicators vs independent reimplementations ----------------
 
 
-def _oracle_rsi(closes, period=14):
-    deltas = [closes[i + 1] - closes[i] for i in range(len(closes) - 1)]
-    gains = [max(d, 0.0) for d in deltas]
-    losses = [max(-d, 0.0) for d in deltas]
-    avg_gain = sum(gains[:period]) / period
-    avg_loss = sum(losses[:period]) / period
-    for gain, loss in zip(gains[period:], losses[period:]):
-        avg_gain = (avg_gain * (period - 1) + gain) / period
-        avg_loss = (avg_loss * (period - 1) + loss) / period
-    if avg_loss == 0.0 and avg_gain == 0.0:
-        return 50.0
-    if avg_loss == 0.0:
-        return 100.0
-    return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
-
-
-def _oracle_ema(values, period):
-    alpha = 2.0 / (period + 1)
-    out = [values[0]]
-    for v in values[1:]:
-        out.append(out[-1] + alpha * (v - out[-1]))
-    return out
-
-
-def _oracle_macd_hist(closes, fast=12, slow=26, signal=9):
-    macd = [f - s for f, s in zip(_oracle_ema(closes, fast), _oracle_ema(closes, slow))]
-    return macd[-1] - _oracle_ema(macd, signal)[-1]
-
-
 def _oracle_cci(highs, lows, closes, period=20):
     typical = [(h + l + c) / 3.0 for h, l, c in zip(highs, lows, closes)]
     window = typical[-period:]
@@ -337,8 +309,8 @@ def test_criterion_06_indicator_oracles(capsys):
         highs = closes * (1.0 + spread)
         lows = closes * (1.0 - spread)
         rsi, macd, cci, pband = _last_row(highs, lows, closes)
-        worst = max(worst, abs(rsi - _oracle_rsi(list(closes))))
-        worst = max(worst, abs(macd - _oracle_macd_hist(list(closes))))
+        worst = max(worst, abs(rsi - oracle_rsi(list(closes))))
+        worst = max(worst, abs(macd - oracle_macd_hist(list(closes))))
         worst = max(worst, abs(cci - _oracle_cci(list(highs), list(lows), list(closes))))
         worst = max(worst, abs(pband - _oracle_pband(list(closes))))
     flat = np.full(100, 100.0)

@@ -39,8 +39,9 @@ class TestParse:
         assert raw == {"run.seed": "3"}
 
     def test_unknown_key_rejected_by_name(self):
+        # parse_config_text only splits lines; build_config knows the keys.
         with pytest.raises(ConfigError, match="unknown config key: run.sede"):
-            parse_config_text("run.sede = 3")
+            build_config(parse_config_text("run.sede = 3"))
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate config key: run.seed"):
@@ -95,6 +96,10 @@ class TestDefaults:
 
 
 class TestValidation:
+    def test_unknown_key_rejected_without_parsing(self):
+        with pytest.raises(ConfigError, match="unknown config key: rnu.seed"):
+            build_config({"rnu.seed": "3"})
+
     def test_integer_error_names_key(self):
         with pytest.raises(ConfigError, match="run.seed"):
             build_config({"run.seed": "abc"})
@@ -454,6 +459,43 @@ class TestPipelineGuards:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "agent_1m_seed0.ckpt: unsupported checkpoint version 1" in err
+
+    def test_deeply_nested_checkpoint_header_is_single_error_line(
+        self, pipeline, tmp_path, capsys
+    ):
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        ckpt = copy / "checkpoints" / "agent_1m_seed0.ckpt"
+        header = b"[" * 100_000 + b"]" * 100_000
+        ckpt.write_bytes(ckpt.read_bytes()[:8] + struct.pack("<I", len(header)) + header)
+        args = ["backtest", "agent:1m", "--config", str(cfg_path), "--out", str(copy)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "agent_1m_seed0.ckpt: corrupt header" in err
+
+    @pytest.mark.parametrize("content, match", [
+        (b"{", "corrupt metrics file (Expecting property name"),
+        (b'{"sharpe": 1}', "metrics file has no 'cumulative_return_pct'"),
+        (b"\xff\xfe", "corrupt metrics file ('utf-8' codec can't decode byte 0xff"),
+        (b'{"cumulative_return_pct": "12", "sharpe": null, "max_drawdown_pct": 3.5}',
+         "metrics 'cumulative_return_pct' is not a number ('12')"),
+    ], ids=["truncated-json", "missing-key", "not-utf8", "string-return"])
+    def test_bad_metrics_file_is_single_error_line(self, pipeline, tmp_path, capsys,
+                                                   content, match):
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "reports" / "buyhold_metrics.json").write_bytes(content)
+        assert main(["report", "--config", str(cfg_path), "--out", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert f"buyhold_metrics.json: {match}" in err
 
     @pytest.mark.parametrize("strategy, name, key, value, match", [
         ("agent:1h", "agent_1h", "window_size", None, "extra has no 'window_size'"),

@@ -1,12 +1,15 @@
 """Indicator oracles: brute-force reimplementations and exact degenerate values.
 
 Each indicator is checked at the last row of its rolling form, the value
-feature_table puts in an observation for that bar.
+feature_table puts in an observation for that bar. The one-pass RSI/MACD is
+also checked bit for bit against the per-indicator loops it replaced.
 """
 
 import numpy as np
 import pytest
 
+from alloctrader import envs
+from alloctrader.config import default_config
 from alloctrader.indicators import (
     FEATURE_COLUMNS,
     FEATURE_WARMUP,
@@ -16,39 +19,10 @@ from alloctrader.indicators import (
     rolling_pband,
     rolling_rsi,
 )
+from alloctrader.market_data import synthesize
 
-
-def _oracle_rsi(closes, period=14):
-    """Wilder smoothing written out step by step."""
-    deltas = [closes[i + 1] - closes[i] for i in range(len(closes) - 1)]
-    gains = [max(d, 0.0) for d in deltas]
-    losses = [max(-d, 0.0) for d in deltas]
-    avg_gain = sum(gains[:period]) / period
-    avg_loss = sum(losses[:period]) / period
-    for g, l in zip(gains[period:], losses[period:]):
-        avg_gain = (avg_gain * (period - 1) + g) / period
-        avg_loss = (avg_loss * (period - 1) + l) / period
-    if avg_loss == 0.0 and avg_gain == 0.0:
-        return 50.0
-    if avg_loss == 0.0:
-        return 100.0
-    return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
-
-
-def _oracle_ema_series(values, period):
-    alpha = 2.0 / (period + 1)
-    out = [values[0]]
-    for v in values[1:]:
-        out.append(out[-1] + alpha * (v - out[-1]))
-    return out
-
-
-def _oracle_macd_hist(closes, fast=12, slow=26, signal=9):
-    fast_e = _oracle_ema_series(closes, fast)
-    slow_e = _oracle_ema_series(closes, slow)
-    macd = [f - s for f, s in zip(fast_e, slow_e)]
-    sig = _oracle_ema_series(macd, signal)
-    return macd[-1] - sig[-1]
+import indicator_reference
+from indicator_reference import oracle_macd_hist, oracle_rsi
 
 
 def _oracle_cci(highs, lows, closes, period=20):
@@ -105,7 +79,7 @@ class TestRsi:
         for trial in range(30):
             n = int(rng.integers(15, 80))
             _, _, closes, _ = _random_walk(rng, n)
-            assert rsi(closes) == pytest.approx(_oracle_rsi(list(closes)), abs=1e-9)
+            assert rsi(closes) == pytest.approx(oracle_rsi(list(closes)), abs=1e-9)
 
     def test_constant_series_exactly_50(self):
         assert rsi(np.full(40, 77.7)) == 50.0
@@ -142,7 +116,7 @@ class TestMacd:
             n = int(rng.integers(35, 120))
             _, _, closes, _ = _random_walk(rng, n)
             got = macd_histogram(closes)
-            assert got == pytest.approx(_oracle_macd_hist(list(closes)), abs=1e-9)
+            assert got == pytest.approx(oracle_macd_hist(list(closes)), abs=1e-9)
 
     def test_constant_series_exactly_zero(self):
         assert macd_histogram(np.full(50, 12.25)) == 0.0
@@ -257,8 +231,8 @@ class TestFeatureTable:
         assert table.shape == (80, 5)
         for t in range(FEATURE_WARMUP, 80):
             h, l, c = list(highs[: t + 1]), list(lows[: t + 1]), list(closes[: t + 1])
-            assert table[t, 0] == pytest.approx(_oracle_rsi(c), abs=1e-9)
-            assert table[t, 1] == pytest.approx(_oracle_macd_hist(c), abs=1e-9)
+            assert table[t, 0] == pytest.approx(oracle_rsi(c), abs=1e-9)
+            assert table[t, 1] == pytest.approx(oracle_macd_hist(c), abs=1e-9)
             assert table[t, 2] == pytest.approx(_oracle_cci(h, l, c), abs=1e-9)
             assert table[t, 3] == pytest.approx(_oracle_pband(c), abs=1e-9)
             assert table[t, 4] == volumes[t]
@@ -269,3 +243,73 @@ class TestFeatureTable:
         # Some indicator column is NaN on every pre-warmup row.
         assert np.isnan(table[:FEATURE_WARMUP, :4]).any(axis=1).all()
         assert np.isfinite(table[FEATURE_WARMUP:]).all()
+
+
+def _walk_with_flat_stretches(rng, n):
+    """A random walk in which some stretches hold the close constant, so
+    Wilder's loss average reaches 0 and the RSI takes its degenerate values."""
+    highs, lows, closes, volumes = _random_walk(rng, n)
+    for start in rng.integers(0, n, size=4):
+        stop = start + int(rng.integers(5, 60))
+        closes[start:stop] = closes[start]
+        highs[start:stop] = lows[start:stop] = closes[start]
+    return highs, lows, closes, volumes
+
+
+@pytest.fixture(scope="module")
+def market_100d():
+    """The columns of a synthesized 100-day market at the default config."""
+    result = synthesize(default_config().synth, seed=7, days=100)
+    return tuple(np.concatenate([getattr(s, name) for s in result.sessions], dtype=np.float64)
+                 for name in ("high", "low", "close", "volume"))
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestOnePassMatchesReferenceLoops:
+    """RSI and MACD share one loop over Python floats; every value must keep
+    the bits of the per-indicator numpy-scalar loops in indicator_reference."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 14, 15, 16, 33, 34, 35, 36])
+    def test_short_series(self, n):
+        rng = np.random.default_rng(n)
+        highs, lows, closes, volumes = _random_walk(rng, max(n, 2))
+        args = highs[:n], lows[:n], closes[:n], volumes[:n]
+        _assert_same_bytes(rolling_rsi(args[2]), indicator_reference.rolling_rsi(args[2]))
+        _assert_same_bytes(rolling_macd_histogram(args[2]),
+                           indicator_reference.rolling_macd_histogram(args[2]))
+        _assert_same_bytes(feature_table(*args), indicator_reference.reference_feature_table(*args))
+
+    def test_random_walks_with_flat_stretches(self):
+        rng = np.random.default_rng(13)
+        for _ in range(12):
+            args = _walk_with_flat_stretches(rng, int(rng.integers(40, 600)))
+            _assert_same_bytes(feature_table(*args),
+                               indicator_reference.reference_feature_table(*args))
+        flat = np.full(80, 42.0)
+        table = feature_table(flat, flat, flat, flat)
+        assert (table[FEATURE_WARMUP:, :2] == [50.0, 0.0]).all()
+
+    def test_closes_of_mixed_magnitude(self):
+        # Price deltas share one exponent range, so their sums are often
+        # exact in any order; closes spread over decades make the order of
+        # the seed sums and of every update visible.
+        rng = np.random.default_rng(14)
+        for _ in range(12):
+            closes = rng.lognormal(0.0, 3.0, size=int(rng.integers(15, 200)))
+            args = closes * 1.01, closes * 0.99, closes, np.ones_like(closes)
+            _assert_same_bytes(feature_table(*args),
+                               indicator_reference.reference_feature_table(*args))
+
+    @pytest.mark.parametrize("length", [1, 10, 60])
+    def test_trailing_tables(self, monkeypatch, market_100d, length):
+        rng = np.random.default_rng(length)
+        walk = _walk_with_flat_stretches(rng, 3000)
+        got = [envs.trailing_table(*walk, length), envs.trailing_table(*market_100d, length)]
+        monkeypatch.setattr(envs, "feature_table", indicator_reference.reference_feature_table)
+        want = [envs.trailing_table(*walk, length), envs.trailing_table(*market_100d, length)]
+        for g, w in zip(got, want):
+            _assert_same_bytes(g, w)

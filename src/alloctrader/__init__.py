@@ -5,7 +5,8 @@ a meta-agent (the allocator) picks which agent is active next and is paid the
 log-return of portfolio value over each decision span. The package covers the
 whole experiment loop: data ingestion/synthesis, feature computation,
 training, backtesting, and evaluation reports. The package itself exports
-nothing: import each name from its module, e.g. `alloctrader.ppo.train`.
+nothing but `AlloctraderError`: import every other name from its module,
+e.g. `alloctrader.ppo.train`.
 
 Importing the package caps BLAS at one thread unless the environment says
 otherwise: the PPO update already runs its two nets on two threads, and at
@@ -25,3 +26,8 @@ for _name in (
 ):
     _os.environ.setdefault(_name, "1")
 del _name
+
+
+class AlloctraderError(Exception):
+    """Base of every error the package raises on bad input or misuse. Each
+    module's error also derives from ValueError or RuntimeError."""

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import AlloctraderError
 from .atomic import atomic_write
 from .envs import (
     BaseBarEnv,
@@ -38,7 +39,7 @@ from .portfolio import TradeLogEntry, features
 from .ppo import PolicyParameters, greedy_action
 
 
-class AllocatorError(RuntimeError):
+class AllocatorError(AlloctraderError, RuntimeError):
     """Hierarchy misuse: incomplete registry, bad choice, missing warmup."""
 
 
@@ -90,7 +91,7 @@ class AgentRegistry:
                     f"agent registered under {tf.label} is configured for "
                     f"{agent.config.timeframe.label}"
                 )
-            expected = agent.config.window_size * 8
+            expected = agent.config.observation_size
             if agent.params.spec.input_dim != expected:
                 raise AllocatorError(
                     f"{tf.label} agent network expects input {agent.params.spec.input_dim}, "

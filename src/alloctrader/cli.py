@@ -18,13 +18,13 @@ from datetime import date
 from pathlib import Path
 from typing import Callable
 
+from . import AlloctraderError
 from .allocator import (
     AgentRegistry,
     AllocatorConfig,
     AllocatorError,
     HierarchyEnv,
     RegisteredAgent,
-    observation_size,
     read_decision_log,
     run_hierarchy,
     write_decision_log,
@@ -54,27 +54,8 @@ from .market_data import (
     synthesize,
     write_sessions_csv,
 )
-from .portfolio import PortfolioError, TradeLogEntry, write_trade_log
-from .ppo import (
-    Checkpoint,
-    CheckpointError,
-    NetworkSpec,
-    PpoError,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
-
-_CLI_ERRORS = (
-    ConfigError,
-    MarketDataError,
-    EnvError,
-    PortfolioError,
-    PpoError,
-    CheckpointError,
-    AllocatorError,
-    EvaluationError,
-)
+from .portfolio import TradeLogEntry, write_trade_log
+from .ppo import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint, train
 
 STRATEGIES = ("hierarchy", "agent:1m", "agent:10m", "agent:1h", "buyhold")
 
@@ -164,6 +145,18 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _train(cfg: RunConfig, paths: _Paths, ckpt_path: Path, title: str, settings, make_env,
+           extra: dict) -> int:
+    """Train the policy `settings` describes (an AgentSettings or an
+    AllocatorSettings) on `make_env`'s environments, then write the
+    checkpoint with `extra` and the training curve named after it."""
+    params, curve = train(make_env, settings.network, settings.hyperparams, cfg.seed)
+    save_checkpoint(str(ckpt_path), params, settings.hyperparams, cfg.seed, extra=extra)
+    curve.to_csv(str(paths.logs / f"train_curve_{ckpt_path.stem}.csv"))
+    print(f"trained {title} for {settings.hyperparams.total_timesteps} timesteps -> {ckpt_path}")
+    return 0
+
+
 def cmd_train_agent(args) -> int:
     cfg, paths = _load_run(args)
     tf = Timeframe.from_label(args.timeframe)
@@ -172,33 +165,10 @@ def cmd_train_agent(args) -> int:
     _refuse_existing(ckpt_path, args.force)
     sessions = _materialize_sessions(cfg)
     train_sessions = _require_range(sessions, *cfg.train_range, "train")
-    env_config = EnvConfig(
-        timeframe=tf,
-        window_size=settings.window_size,
-        initial_cash=settings.initial_cash,
-        fee_per_sell_share=cfg.fee_per_sell_share,
-    )
-    spec = NetworkSpec(settings.window_size * 8, settings.hidden, 3)
-    params, curve = train(
-        lambda: TradingEnv(train_sessions, env_config), spec, settings.hyperparams, cfg.seed
-    )
-    save_checkpoint(
-        str(ckpt_path),
-        params,
-        settings.hyperparams,
-        cfg.seed,
-        extra={
-            "kind": "agent",
-            "timeframe": tf.label,
-            "window_size": settings.window_size,
-            "initial_cash": settings.initial_cash,
-        },
-    )
-    curve_path = paths.logs / f"train_curve_agent_{tf.label}_seed{cfg.seed}.csv"
-    curve.to_csv(str(curve_path))
-    print(f"trained {tf.label} agent for {settings.hyperparams.total_timesteps} timesteps "
-          f"-> {ckpt_path}")
-    return 0
+    extra = {"kind": "agent", "timeframe": tf.label, "window_size": settings.window_size,
+             "initial_cash": settings.initial_cash}
+    return _train(cfg, paths, ckpt_path, f"{tf.label} agent", settings,
+                  lambda: TradingEnv(train_sessions, settings), extra)
 
 
 def _extra(path, ckpt: Checkpoint, key: str, convert: Callable):
@@ -238,46 +208,18 @@ def _load_registry(cfg: RunConfig, paths: _Paths) -> AgentRegistry:
     return AgentRegistry({tf: _load_agent(cfg, paths, tf) for tf in TIMEFRAME_ORDER})
 
 
-def _allocator_config(cfg: RunConfig) -> AllocatorConfig:
-    return AllocatorConfig(
-        market_window=cfg.allocator.market_window,
-        vol_window=cfg.allocator.vol_window,
-        initial_cash=cfg.allocator.initial_cash,
-        fee_per_sell_share=cfg.fee_per_sell_share,
-    )
-
-
 def cmd_train_allocator(args) -> int:
     cfg, paths = _load_run(args)
+    settings = cfg.allocator
     ckpt_path = paths.allocator_checkpoint(cfg.seed)
     _refuse_existing(ckpt_path, args.force)
     registry = _load_registry(cfg, paths)
     sessions = _materialize_sessions(cfg)
     train_sessions = _require_range(sessions, *cfg.train_range, "train")
-    alloc_config = _allocator_config(cfg)
-    spec = NetworkSpec(observation_size(alloc_config), cfg.allocator.hidden, 3)
-    params, curve = train(
-        lambda: HierarchyEnv(train_sessions, registry, alloc_config),
-        spec,
-        cfg.allocator.hyperparams,
-        cfg.seed,
-    )
-    save_checkpoint(
-        str(ckpt_path),
-        params,
-        cfg.allocator.hyperparams,
-        cfg.seed,
-        extra={
-            "kind": "allocator",
-            "market_window": cfg.allocator.market_window,
-            "vol_window": cfg.allocator.vol_window,
-            "initial_cash": cfg.allocator.initial_cash,
-        },
-    )
-    curve.to_csv(str(paths.logs / f"train_curve_allocator_seed{cfg.seed}.csv"))
-    print(f"trained allocator for {cfg.allocator.hyperparams.total_timesteps} timesteps "
-          f"-> {ckpt_path}")
-    return 0
+    extra = {"kind": "allocator", "market_window": settings.market_window,
+             "vol_window": settings.vol_window, "initial_cash": settings.initial_cash}
+    return _train(cfg, paths, ckpt_path, "allocator", settings,
+                  lambda: HierarchyEnv(train_sessions, registry, settings), extra)
 
 
 def _write_backtest(
@@ -433,8 +375,12 @@ def cmd_report(args) -> int:
             f"{data['max_drawdown_pct']:>10.2f}"
         )
     for path in sorted(paths.reports.glob("quartiles_*.txt")):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise EvaluationError(f"{path}: corrupt quartiles file ({exc})") from exc
         lines.append("")
-        lines.append(path.read_text().rstrip("\n"))
+        lines.append(text.rstrip("\n"))
     text = "\n".join(lines) + "\n"
     with atomic_write(paths.reports / "summary.txt") as fh:
         fh.write(text)
@@ -508,7 +454,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CLI_ERRORS as exc:
+    except AlloctraderError as exc:
         message = str(exc).replace("\n", "; ")
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -8,16 +8,20 @@ rejected by name, as are type errors and ordering violations.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from datetime import date
 from typing import Mapping
 
-from .market_data import RegimeParams, SynthConfig, TIMEFRAME_ORDER, Timeframe
-from .ppo import PpoError, PpoHyperparams
+from . import AlloctraderError
+from .allocator import AllocatorConfig, AllocatorError, observation_size
+from .envs import EnvConfig, EnvError
+from .market_data import MarketDataError, RegimeParams, SynthConfig, TIMEFRAME_ORDER, Timeframe
+from .ppo import NetworkSpec, PpoError, PpoHyperparams
 
 
-class ConfigError(ValueError):
+class ConfigError(AlloctraderError, ValueError):
     """Configuration problem; the message names the offending key."""
 
 
@@ -103,21 +107,30 @@ DEFAULTS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class AgentSettings:
-    hyperparams: PpoHyperparams
-    window_size: int
-    hidden: tuple[int, int]
-    initial_cash: float
+@dataclass(frozen=True, kw_only=True)
+class AgentSettings(EnvConfig):
+    """A timeframe agent's environment config, with its PPO settings and
+    hidden layer sizes."""
 
-
-@dataclass(frozen=True)
-class AllocatorSettings:
     hyperparams: PpoHyperparams
     hidden: tuple[int, int]
-    market_window: int
-    vol_window: int
-    initial_cash: float
+
+    @property
+    def network(self) -> NetworkSpec:
+        return NetworkSpec(self.observation_size, self.hidden, 3)
+
+
+@dataclass(frozen=True, kw_only=True)
+class AllocatorSettings(AllocatorConfig):
+    """The allocator's environment config, with its PPO settings and hidden
+    layer sizes."""
+
+    hyperparams: PpoHyperparams
+    hidden: tuple[int, int]
+
+    @property
+    def network(self) -> NetworkSpec:
+        return NetworkSpec(observation_size(self), self.hidden, 3)
 
 
 @dataclass(frozen=True)
@@ -156,9 +169,12 @@ class _Reader:
 
     def number(self, key: str) -> float:
         try:
-            return float(self.raw[key])
+            value = float(self.raw[key])
         except ValueError:
-            raise ConfigError(f"config key {key}: expected a number, got {self.raw[key]!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key}: expected a finite number, got {self.raw[key]!r}")
+        return value
 
     def day(self, key: str) -> date:
         try:
@@ -200,37 +216,34 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _ppo_hyperparams(reader: _Reader, section: str) -> PpoHyperparams:
-    """The nine PPO keys shared by the `agent.<tf>` and `allocator` sections."""
+def _checked(where: str, build, **fields):
+    """`build(**fields)`; the range error of a type the config builds becomes
+    a ConfigError that starts with `where`."""
     try:
-        return PpoHyperparams(
-            total_timesteps=reader.integer(f"{section}.total_timesteps"),
-            learning_rate=reader.number(f"{section}.learning_rate"),
-            n_steps=reader.integer(f"{section}.n_steps"),
-            batch_size=reader.integer(f"{section}.batch_size"),
-            n_epochs=reader.integer(f"{section}.n_epochs"),
-            gamma=reader.number(f"{section}.gamma"),
-            gae_lambda=reader.number(f"{section}.gae_lambda"),
-            clip_range=reader.number(f"{section}.clip_range"),
-            entropy_coef=reader.number(f"{section}.entropy_coef"),
-        )
-    except PpoError as exc:
-        raise ConfigError(f"config section {section}: {exc}") from exc
+        return build(**fields)
+    except (MarketDataError, PpoError, EnvError, AllocatorError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _agent_settings(reader: _Reader, section: str) -> AgentSettings:
-    hp = _ppo_hyperparams(reader, section)
-    window = reader.integer(f"{section}.window_size")
-    if window < 1:
-        raise ConfigError(f"config key {section}.window_size: must be >= 1, got {window}")
-    cash = reader.number(f"{section}.initial_cash")
-    if not cash > 0:
-        raise ConfigError(f"config key {section}.initial_cash: must be positive, got {cash}")
-    return AgentSettings(
+def _policy(reader: _Reader, section: str, settings: type, **given):
+    """The `section` keys as `settings` (AgentSettings or AllocatorSettings),
+    together with `given`: the run's fee and, for an agent, its timeframe."""
+    key = f"{section}.{{}}".format
+    ints = ("total_timesteps", "n_steps", "batch_size", "n_epochs")
+    numbers = ("learning_rate", "gamma", "gae_lambda", "clip_range", "entropy_coef")
+    hp = _checked(
+        f"config section {section}", PpoHyperparams,
+        **{name: reader.integer(key(name)) for name in ints},
+        **{name: reader.number(key(name)) for name in numbers},
+    )
+    windows = ("window_size",) if settings is AgentSettings else ("market_window", "vol_window")
+    return _checked(
+        f"config section {section}", settings,
         hyperparams=hp,
-        window_size=window,
-        hidden=reader.pair(f"{section}.hidden"),
-        initial_cash=cash,
+        hidden=reader.pair(key("hidden")),
+        initial_cash=reader.number(key("initial_cash")),
+        **{name: reader.integer(key(name)) for name in windows},
+        **given,
     )
 
 
@@ -262,16 +275,21 @@ def build_config(raw: dict[str, str]) -> RunConfig:
             if not os.path.exists(value):
                 raise ConfigError(f"config key {key}: file not found: {value}")
 
-    low_vol = reader.number("synth.low_vol")
-    high_vol = reader.number("synth.high_vol")
     p_lh = reader.number("synth.p_low_to_high")
     p_hl = reader.number("synth.p_high_to_low")
     for key, p in (("synth.p_low_to_high", p_lh), ("synth.p_high_to_low", p_hl)):
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"config key {key}: must lie in [0, 1], got {p}")
-    synth = SynthConfig(
-        low=RegimeParams(reader.number("synth.low_drift"), low_vol),
-        high=RegimeParams(reader.number("synth.high_drift"), high_vol),
+    low, high = (
+        _checked(f"config key synth.{name}_vol", RegimeParams,
+                 drift=reader.number(f"synth.{name}_drift"),
+                 volatility=reader.number(f"synth.{name}_vol"))
+        for name in ("low", "high")
+    )
+    synth = _checked(
+        "config section synth", SynthConfig,
+        low=low,
+        high=high,
         transition=((1.0 - p_lh, p_lh), (p_hl, 1.0 - p_hl)),
         start_price=reader.number("synth.start_price"),
         start_date=reader.day("synth.start_date"),
@@ -289,29 +307,15 @@ def build_config(raw: dict[str, str]) -> RunConfig:
             f"config key range.test_start: {test[0]} is not after range.train_end {train[1]}"
         )
 
-    agents = {tf: _agent_settings(reader, f"agent.{tf.label}") for tf in TIMEFRAME_ORDER}
-
-    alloc_hp = _ppo_hyperparams(reader, "allocator")
-    market_window = reader.integer("allocator.market_window")
-    vol_window = reader.integer("allocator.vol_window")
-    alloc_cash = reader.number("allocator.initial_cash")
-    if market_window < 1:
-        raise ConfigError(f"config key allocator.market_window: must be >= 1, got {market_window}")
-    if vol_window < 2:
-        raise ConfigError(f"config key allocator.vol_window: must be >= 2, got {vol_window}")
-    if not alloc_cash > 0:
-        raise ConfigError(f"config key allocator.initial_cash: must be positive, got {alloc_cash}")
-    allocator = AllocatorSettings(
-        hyperparams=alloc_hp,
-        hidden=reader.pair("allocator.hidden"),
-        market_window=market_window,
-        vol_window=vol_window,
-        initial_cash=alloc_cash,
-    )
-
     fee = reader.number("run.fee_per_sell_share")
     if fee < 0:
         raise ConfigError(f"config key run.fee_per_sell_share: must be >= 0, got {fee}")
+    agents = {
+        tf: _policy(reader, f"agent.{tf.label}", AgentSettings,
+                    timeframe=tf, fee_per_sell_share=fee)
+        for tf in TIMEFRAME_ORDER
+    }
+    allocator = _policy(reader, "allocator", AllocatorSettings, fee_per_sell_share=fee)
 
     return RunConfig(
         source=source,

@@ -30,6 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import AlloctraderError
 from .indicators import FEATURE_WARMUP, feature_table
 from .market_data import MarketDataError, Session, Timeframe
 from .portfolio import (
@@ -54,7 +55,7 @@ MARKET_FEATURES = 5
 AGENT_BLOCK = 96
 
 
-class EnvError(RuntimeError):
+class EnvError(AlloctraderError, RuntimeError):
     """Environment misuse: bad cursor, stepping a finished episode, bad data."""
 
 
@@ -80,6 +81,11 @@ class EnvConfig:
             raise EnvError(f"initial_cash must be positive, got {self.initial_cash}")
         if self.fee_per_sell_share < 0:
             raise EnvError(f"fee_per_sell_share must be >= 0, got {self.fee_per_sell_share}")
+
+    @property
+    def observation_size(self) -> int:
+        """Agent input width: FEATURES_PER_BAR values per bar of the window."""
+        return self.window_size * FEATURES_PER_BAR
 
 
 @dataclass
@@ -306,7 +312,7 @@ class TradingEnv(BaseBarEnv):
 
     @property
     def observation_size(self) -> int:
-        return self.config.window_size * FEATURES_PER_BAR
+        return self.config.observation_size
 
     def reset(self, cursor: int | None = None) -> np.ndarray:
         """Start an episode with the cursor on a fully-warmed-up base bar.

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import AlloctraderError
 from .atomic import atomic_write
 from .market_data import Session, TIMEFRAME_ORDER
 
@@ -27,7 +28,7 @@ logger = logging.getLogger(__name__)
 GRANULARITIES = ("monthly", "daily", "hourly")
 
 
-class EvaluationError(ValueError):
+class EvaluationError(AlloctraderError, ValueError):
     """Bad metric input: too few points, unknown granularity, bad values."""
 
 

@@ -19,12 +19,13 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+from . import AlloctraderError
 from .atomic import atomic_write
 
 CSV_HEADER = ("timestamp", "open", "high", "low", "close", "volume")
 
 
-class MarketDataError(ValueError):
+class MarketDataError(AlloctraderError, ValueError):
     """Invalid market data (bad bar, malformed file row, bad configuration)."""
 
 
@@ -69,6 +70,12 @@ def _as_utc(ts: datetime) -> datetime:
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
+
+
+def _z_as_offset(text: str) -> str:
+    """`text` stripped, a trailing Z as +00:00 (Python 3.10's fromisoformat reads no Z)."""
+    text = text.strip()
+    return text[:-1] + "+00:00" if text.endswith("Z") else text
 
 
 @dataclass(frozen=True)
@@ -240,8 +247,8 @@ class TradingCalendar:
                     raise MarketDataError(f"calendar {path} line {lineno}: expected 3 fields")
                 try:
                     d = date.fromisoformat(parts[0].strip())
-                    o = time.fromisoformat(parts[1].strip())
-                    c = time.fromisoformat(parts[2].strip())
+                    o = time.fromisoformat(_z_as_offset(parts[1]))
+                    c = time.fromisoformat(_z_as_offset(parts[2]))
                 except ValueError as exc:
                     raise MarketDataError(f"calendar {path} line {lineno}: {exc}") from exc
                 if o.tzinfo is not None or c.tzinfo is not None:
@@ -282,13 +289,6 @@ class IngestResult:
     dropped_rows: int
 
 
-def _parse_timestamp(text: str) -> datetime:
-    cleaned = text.strip()
-    if cleaned.endswith("Z"):
-        cleaned = cleaned[:-1] + "+00:00"
-    return _as_utc(datetime.fromisoformat(cleaned))
-
-
 def ingest_csv(path: str, calendar: TradingCalendar) -> IngestResult:
     """Read an OHLCV CSV into per-day sessions.
 
@@ -317,7 +317,7 @@ def ingest_csv(path: str, calendar: TradingCalendar) -> IngestResult:
             if len(row) != 6:
                 raise MarketDataError(f"{path} row {lineno}: expected 6 fields, got {len(row)}")
             try:
-                ts = _parse_timestamp(row[0])
+                ts = _as_utc(datetime.fromisoformat(_z_as_offset(row[0])))
                 o, h, l, c = (float(v) for v in row[1:5])
                 vol_f = float(row[5])
                 if vol_f != int(vol_f):

@@ -13,10 +13,11 @@ from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Iterable
 
+from . import AlloctraderError
 from .atomic import atomic_write
 
 
-class PortfolioError(ValueError):
+class PortfolioError(AlloctraderError, ValueError):
     """Invalid portfolio state or operation (non-positive price, bad cash)."""
 
 

@@ -31,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import AlloctraderError
 from .atomic import atomic_write
 
 ADAM_BETA1 = 0.9
@@ -47,7 +48,7 @@ _LAYER_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
 ARRAY_ORDER = tuple(f"policy_{k}" for k in _LAYER_KEYS) + tuple(f"value_{k}" for k in _LAYER_KEYS)
 
 
-class PpoError(RuntimeError):
+class PpoError(AlloctraderError, RuntimeError):
     """Training or inference failure in the optimizer."""
 
 
@@ -55,7 +56,7 @@ class NonFiniteLossError(PpoError):
     """A minibatch produced a NaN or infinite loss; the update was aborted."""
 
 
-class CheckpointError(RuntimeError):
+class CheckpointError(AlloctraderError, RuntimeError):
     """A checkpoint file could not be read or fails integrity checks."""
 
 

@@ -2,8 +2,11 @@
 
 import csv
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import platform
 import shutil
 import struct
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import alloctrader
+from alloctrader import AlloctraderError
 from alloctrader.cli import main
 from alloctrader.config import (
     ConfigError,
@@ -25,8 +29,10 @@ from alloctrader.config import (
     load_config,
     parse_config_text,
 )
-from alloctrader.market_data import Timeframe, synthesize
-from alloctrader.allocator import read_decision_log
+from alloctrader.market_data import TIMEFRAME_ORDER, Timeframe, synthesize
+from alloctrader.allocator import AllocatorConfig, read_decision_log
+from alloctrader.envs import EnvConfig
+from alloctrader.ppo import NetworkSpec, load_checkpoint
 import csv_reference
 
 
@@ -158,6 +164,58 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot read config file"):
             load_config(str(tmp_path / "absent.cfg"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("synth.start_price", "nan"),
+        ("synth.start_price", "1e400"),
+        ("synth.high_vol", "inf"),
+        ("run.fee_per_sell_share", "nan"),
+        ("agent.1m.learning_rate", "inf"),
+        ("allocator.initial_cash", "-inf"),
+    ])
+    def test_non_finite_number_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError) as info:
+            build_config({key: value})
+        assert str(info.value) == f"config key {key}: expected a finite number, got {value!r}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("agent.1m.window_size", "0", "config section agent.1m: window_size must be >= 1, got 0"),
+        ("agent.10m.initial_cash", "0",
+         "config section agent.10m: initial_cash must be positive, got 0.0"),
+        ("allocator.market_window", "0",
+         "config section allocator: market_window must be >= 1, got 0"),
+        ("allocator.vol_window", "1", "config section allocator: vol_window must be >= 2, got 1"),
+        ("allocator.initial_cash", "-5",
+         "config section allocator: initial_cash must be positive, got -5.0"),
+        ("synth.start_price", "-1", "config section synth: start_price must be positive"),
+        ("synth.session_minutes", "0", "config section synth: session_minutes must be >= 1"),
+        ("synth.low_vol", "-1", "config key synth.low_vol: volatility must be >= 0, got -1.0"),
+        ("synth.high_vol", "-0.5", "config key synth.high_vol: volatility must be >= 0, got -0.5"),
+    ])
+    def test_range_error_of_a_built_type_names_its_section(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            build_config({key: value})
+        assert str(info.value) == message
+
+
+class TestSettingsAreEnvironmentConfigs:
+    def test_agents_and_allocator_carry_the_run_fee(self):
+        cfg = build_config({"run.fee_per_sell_share": "0.005"})
+        assert list(cfg.agents) == list(TIMEFRAME_ORDER)
+        for tf, settings in cfg.agents.items():
+            assert isinstance(settings, EnvConfig)
+            assert settings.timeframe is tf
+            assert settings.fee_per_sell_share == 0.005
+        assert isinstance(cfg.allocator, AllocatorConfig)
+        assert cfg.allocator.fee_per_sell_share == 0.005
+
+    def test_default_networks(self):
+        cfg = default_config()
+        widths = {tf: cfg.agents[tf].observation_size for tf in TIMEFRAME_ORDER}
+        assert widths == {Timeframe.ONE_MINUTE: 1920, Timeframe.TEN_MINUTE: 960,
+                          Timeframe.ONE_HOUR: 640}
+        assert cfg.agents[Timeframe.ONE_MINUTE].network == NetworkSpec(1920, (256, 256), 3)
+        assert cfg.allocator.network == NetworkSpec(310, (64, 64), 3)
+
 
 TINY_CONFIG = """\
 # fast end-to-end settings
@@ -257,6 +315,20 @@ class TestPipeline:
         _, out = pipeline
         for name in ("agent_1m_seed0", "agent_10m_seed0", "agent_1h_seed0", "allocator_seed0"):
             assert (out / "checkpoints" / f"{name}.ckpt").exists()
+
+    def test_checkpoints_hold_the_config_networks_and_extras(self, pipeline):
+        cfg_path, out = pipeline
+        cfg = load_config(str(cfg_path))
+        for tf in TIMEFRAME_ORDER:
+            ckpt = load_checkpoint(str(out / "checkpoints" / f"agent_{tf.label}_seed0.ckpt"))
+            settings = cfg.agents[tf]
+            assert ckpt.params.spec == settings.network
+            assert ckpt.extra == {"kind": "agent", "timeframe": tf.label,
+                                  "window_size": settings.window_size, "initial_cash": 10000.0}
+        ckpt = load_checkpoint(str(out / "checkpoints" / "allocator_seed0.ckpt"))
+        assert ckpt.params.spec == cfg.allocator.network
+        assert ckpt.extra == {"kind": "allocator", "market_window": 20, "vol_window": 10,
+                              "initial_cash": 10000.0}
 
     def test_training_curves_written(self, pipeline):
         _, out = pipeline
@@ -378,8 +450,13 @@ class TestPipelineGuards:
         ("synth.session_minutes = 1500\n", [], "session_minutes must be at most 869"),
         ("range.validation_start = 2024-03-01\n", [],
          "unknown config key: range.validation_start"),
+        ("synth.start_price = nan\n", [],
+         "config key synth.start_price: expected a finite number, got 'nan'"),
+        ("synth.start_price = -1\n", [], "config section synth: start_price must be positive"),
+        ("synth.low_vol = -1\n", [], "config key synth.low_vol: volatility must be >= 0"),
     ], ids=["config-seed", "option-seed", "synth-date-overflow", "synth-session-past-midnight",
-            "removed-validation-key"])
+            "removed-validation-key", "synth-nan-price", "synth-negative-price",
+            "synth-negative-low-vol"])
     def test_bad_run_value_is_single_error_line(self, tmp_path, capsys, config, args, match):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(config)
@@ -477,25 +554,29 @@ class TestPipelineGuards:
         assert "Traceback" not in err
         assert "agent_1m_seed0.ckpt: corrupt header" in err
 
-    @pytest.mark.parametrize("content, match", [
-        (b"{", "corrupt metrics file (Expecting property name"),
-        (b'{"sharpe": 1}', "metrics file has no 'cumulative_return_pct'"),
-        (b"\xff\xfe", "corrupt metrics file ('utf-8' codec can't decode byte 0xff"),
-        (b'{"cumulative_return_pct": "12", "sharpe": null, "max_drawdown_pct": 3.5}',
+    @pytest.mark.parametrize("name, content, match", [
+        ("buyhold_metrics.json", b"{", "corrupt metrics file (Expecting property name"),
+        ("buyhold_metrics.json", b'{"sharpe": 1}', "metrics file has no 'cumulative_return_pct'"),
+        ("buyhold_metrics.json", b"\xff\xfe",
+         "corrupt metrics file ('utf-8' codec can't decode byte 0xff"),
+        ("buyhold_metrics.json",
+         b'{"cumulative_return_pct": "12", "sharpe": null, "max_drawdown_pct": 3.5}',
          "metrics 'cumulative_return_pct' is not a number ('12')"),
-    ], ids=["truncated-json", "missing-key", "not-utf8", "string-return"])
+        ("quartiles_daily.txt", b"\xff\xfe",
+         "corrupt quartiles file ('utf-8' codec can't decode byte 0xff"),
+    ], ids=["truncated-json", "missing-key", "not-utf8", "string-return", "quartiles-not-utf8"])
     def test_bad_metrics_file_is_single_error_line(self, pipeline, tmp_path, capsys,
-                                                   content, match):
+                                                   name, content, match):
         cfg_path, out = pipeline
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
-        (copy / "reports" / "buyhold_metrics.json").write_bytes(content)
+        (copy / "reports" / name).write_bytes(content)
         assert main(["report", "--config", str(cfg_path), "--out", str(copy)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
-        assert f"buyhold_metrics.json: {match}" in err
+        assert f"{name}: {match}" in err
 
     @pytest.mark.parametrize("strategy, name, key, value, match", [
         ("agent:1h", "agent_1h", "window_size", None, "extra has no 'window_size'"),
@@ -671,3 +752,18 @@ class TestHeapTrim:
         from alloctrader import cli
 
         assert cli._malloc_trim is not None
+
+
+def test_every_package_error_derives_from_the_base():
+    """The CLI turns AlloctraderError into one `error:` line, so an error
+    class outside it would end a command in a traceback."""
+    errors = []
+    for info in pkgutil.iter_modules(alloctrader.__path__):
+        module = importlib.import_module(f"alloctrader.{info.name}")
+        errors += [obj for obj in vars(module).values()
+                   if inspect.isclass(obj) and issubclass(obj, Exception)
+                   and obj.__module__ == module.__name__]
+    assert len(errors) >= 10
+    for error in errors:
+        assert issubclass(error, AlloctraderError), error
+        assert issubclass(error, (ValueError, RuntimeError)), error

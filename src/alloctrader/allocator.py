@@ -3,10 +3,10 @@ timeframe agent trades next.
 
 Control flow per decision: the cursor rests on the last completed base bar.
 The chosen agent (forced to the 1-minute agent for a session's first
-decision) acts greedily at that bar's close on its `envs.agent_observation`,
-as in training; the market then advances one bar
-of the agent's timeframe (truncated at the session's final bar), and the
-allocator is paid the log-return of portfolio value over the span. The trade,
+decision) acts greedily at that bar's close on its `envs.build_observation`,
+as in training; the market then advances one bar of the agent's timeframe
+(truncated at the session's final bar), and the allocator is paid the
+log-return of portfolio value over the span. The trade,
 the marks at every base bar and the session-close liquidation happen in
 `envs.BaseBarEnv._span`, which `TradingEnv` also runs. Spans tile each
 session exactly, and the rewards telescope to ln(V_final / V_initial).
@@ -28,7 +28,7 @@ from .envs import (
     BaseBarEnv,
     EnvConfig,
     StepResult,
-    agent_observation,
+    build_observation,
     min_agent_cursor,
     normalize_market_window,
 )
@@ -256,7 +256,7 @@ class HierarchyEnv(BaseBarEnv):
         return observation_size(self.config)
 
     def _agent_observation(self, tf: Timeframe, cursor: int) -> np.ndarray:
-        return agent_observation(self.tables[tf], self.closes, self._pf_rows, cursor,
+        return build_observation(self.tables[tf], self.closes, self._pf_rows, cursor,
                                  self.registry[tf].config.window_size, tf.minutes)
 
     def _allocator_observation(self) -> np.ndarray:
@@ -265,14 +265,13 @@ class HierarchyEnv(BaseBarEnv):
         window = slice(b - mw + 1, b + 1)
         feats = self.tables[Timeframe.ONE_MINUTE][window]
         market = normalize_market_window(feats, self.closes[window])
-        pf = features(self.portfolio)
         realized_vol = return_volatility_pct(self.closes[b - self.config.vol_window: b + 1])
         last_rewards = [self._last_rewards[tf] for tf in TIMEFRAME_ORDER]
         onehot = [1.0 if self._last_active is tf else 0.0 for tf in TIMEFRAME_ORDER]
         return np.concatenate(
             [
                 market.reshape(-1),
-                [pf.cash_ratio, pf.stock_ratio, np.clip(pf.unrealized_profit_ratio, -1.0, 1.0)],
+                features(self._pf_rows[b:b + 1])[0],
                 [realized_vol],
                 last_rewards,
                 onehot,
@@ -284,11 +283,11 @@ class HierarchyEnv(BaseBarEnv):
     def reset(self) -> np.ndarray:
         """Rewind to the first session boundary with full warmup history."""
         self._open(self._start_cursor, self.config.initial_cash, self.config.fee_per_sell_share)
-        self._span_start_value = self.portfolio.total_value
+        self._span_start_value = self.value
         self._last_rewards = {tf: 0.0 for tf in TIMEFRAME_ORDER}
         self._last_active: Timeframe | None = None
         self.decisions = []
-        self.equity = [(self.timestamps[self.cursor], self.portfolio.total_value)]
+        self.equity = [(self.timestamps[self.cursor], self.value)]
         return self._allocator_observation()
 
     def step(self, choice: Timeframe | int) -> StepResult:
@@ -312,7 +311,7 @@ class HierarchyEnv(BaseBarEnv):
         span_end = self.cursor
         self.equity.extend(zip(self.timestamps[b + 1:span_end + 1], span.values))
 
-        v_end = self.portfolio.total_value
+        v_end = self.value
         reward = allocator_reward(v_end, self._span_start_value)
         decision = AllocationDecision(
             timestamp=self.timestamps[b + 1],

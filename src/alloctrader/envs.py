@@ -3,7 +3,7 @@ environments trade.
 
 `BaseBarEnv` lays sessions end to end as base (1-minute) bars and holds the
 one account traded over them. An agent observes trailing windows of its own
-timeframe that end at the decision bar (`agent_observation`), so it sees data
+timeframe that end at the decision bar (`build_observation`), so it sees data
 up to the decision instant wherever that falls in a session, in training and
 in the hierarchy alike.
 
@@ -34,7 +34,7 @@ from . import AlloctraderError
 from .indicators import FEATURE_WARMUP, feature_table
 from .market_data import MarketDataError, Session, Timeframe
 from .portfolio import (
-    PortfolioState, TradeLogEntry, buy_all, mark, sell_all, value_and_ratios,
+    PortfolioError, SaleRecord, TradeLogEntry, buy_all, features, mark, sell_all,
 )
 from .ppo import PolicyParameters, SplitGreedyPolicy, greedy_action
 
@@ -141,27 +141,6 @@ def normalize_market_window(feature_rows: np.ndarray, closes: np.ndarray) -> np.
     return out
 
 
-def portfolio_window(portfolio_rows: np.ndarray) -> np.ndarray:
-    """(window, 3) portfolio columns of an observation: cash ratio, stock
-    ratio and the unrealized profit ratio clamped to [-1, 1]."""
-    out = portfolio_rows.copy()
-    np.clip(out[:, 2], -1.0, 1.0, out=out[:, 2])
-    return out
-
-
-def build_observation(
-    feature_rows: np.ndarray, closes: np.ndarray, portfolio_rows: np.ndarray
-) -> np.ndarray:
-    """Assemble a flattened (window * 8) observation from per-bar inputs:
-    five normalized market columns (see normalize_market_window), then the
-    three portfolio columns (see portfolio_window)."""
-    w = feature_rows.shape[0]
-    out = np.empty((w, FEATURES_PER_BAR))
-    out[:, :MARKET_FEATURES] = normalize_market_window(feature_rows, closes)
-    out[:, MARKET_FEATURES:] = portfolio_window(portfolio_rows)
-    return out.reshape(-1)
-
-
 def trailing_table(highs: np.ndarray, lows: np.ndarray, closes: np.ndarray,
                    volumes: np.ndarray, length: int) -> np.ndarray:
     """(n, 5) feature table of the trailing `length`-bar series.
@@ -191,13 +170,18 @@ def min_agent_cursor(window: int, length: int) -> int:
     return (FEATURE_WARMUP + window - 1) * length
 
 
-def agent_observation(table: np.ndarray, closes: np.ndarray, pf_rows: np.ndarray,
+def build_observation(table: np.ndarray, closes: np.ndarray, pf_rows: np.ndarray,
                       cursor: int, window: int, length: int) -> np.ndarray:
-    """Observation at base bar `cursor` of an agent of timeframe `length`:
-    its last `window` trailing bars, every `length`-th base bar back from
-    `cursor`, from `table` (see trailing_table) and the portfolio rows."""
+    """Flattened (window * 8) observation at base bar `cursor` of an agent of
+    timeframe `length`: its last `window` trailing bars, every `length`-th
+    base bar back from `cursor`. Each bar holds five normalized market
+    columns of `table` (see trailing_table, normalize_market_window) and the
+    three portfolio columns of `pf_rows` (see portfolio.features)."""
     s = slice(cursor - (window - 1) * length, cursor + 1, length)
-    return build_observation(table[s], closes[s], pf_rows[s])
+    out = np.empty((window, FEATURES_PER_BAR))
+    out[:, :MARKET_FEATURES] = normalize_market_window(table[s], closes[s])
+    out[:, MARKET_FEATURES:] = features(pf_rows[s])
+    return out.reshape(-1)
 
 
 class BaseBarEnv:
@@ -205,8 +189,10 @@ class BaseBarEnv:
     them.
 
     `session_close[i]` is the index of bar i's session close, and `tables`
-    maps each of `timeframes` to its trailing_table. `_span` is the one place
-    that trades, marks and liquidates.
+    maps each of `timeframes` to its trailing_table. The account is `cash`,
+    `shares`, `cost_basis` and the sale `fee`; `value` is its value at the
+    cursor's close. `_span` is the one place that trades, marks and
+    liquidates.
     """
 
     def __init__(self, sessions: Sequence[Session], timeframes: Sequence[Timeframe]):
@@ -231,7 +217,8 @@ class BaseBarEnv:
                        for tf in timeframes}
         self.cursor = -1
         self.done = True
-        self.portfolio: PortfolioState | None = None
+        self.cash = self.cost_basis = self.fee = self.value = 0.0
+        self.shares = 0
         self.trades: list[TradeLogEntry] = []
         self._pf_rows = np.empty((self.n_bars, 3))
 
@@ -244,7 +231,8 @@ class BaseBarEnv:
         """Start an episode at `cursor` with a flat account of `cash`."""
         self.cursor = cursor
         self.done = False
-        self.portfolio = PortfolioState.initial(cash, float(self.closes[cursor]), fee)
+        self.cash, self.shares, self.cost_basis, self.fee = cash, 0, 0.0, fee
+        self.value = cash
         self.trades = []
         self._pf_rows[:] = (1.0, 0.0, 0.0)
 
@@ -259,41 +247,52 @@ class BaseBarEnv:
         """
         action = Action(action)
         decision, end = self.cursor, self._span_end(self.cursor, length)
-        portfolio, closes, timestamps = self.portfolio, self.closes, self.timestamps
+        closes, timestamps = self.closes, self.timestamps
         price = float(closes[decision])
         reward = 0.0
         trade = None
         if action is Action.BUY and not self.session_last[decision]:
-            portfolio, bought = buy_all(portfolio, price)
+            cost, bought = buy_all(self.cash, price)
             if bought:
+                self.cash -= cost
+                self.shares += bought
+                self.cost_basis += cost
                 trade = TradeLogEntry(timestamps[decision], "buy", bought, price, 0.0)
         elif action is Action.SELL:
-            portfolio, sale = sell_all(portfolio, price)
+            sale = self._sell_all(price)
             if sale is not None:
                 reward += agent_reward(sale.sell_price, sale.avg_cost)
                 trade = TradeLogEntry(timestamps[decision], "sell", sale.shares, price, reward)
         span = slice(decision + 1, end + 1)
         pf_rows = self._pf_rows
-        values, *ratios = value_and_ratios(
-            portfolio.cash, portfolio.shares, portfolio.cost_basis, closes[span]
-        )
+        values, *ratios = mark(self.cash, self.shares, self.cost_basis, closes[span])
         pf_rows[span, 0], pf_rows[span, 1], pf_rows[span, 2] = ratios
         values = values.tolist()
-        end_price = float(closes[end])
-        portfolio = mark(portfolio, end_price)
         liquidation = None
-        if self.session_last[end] and portfolio.shares > 0:
-            portfolio, sale = sell_all(portfolio, end_price)
+        if self.session_last[end] and self.shares > 0:
+            end_price = float(closes[end])
+            sale = self._sell_all(end_price)
             sale_reward = agent_reward(sale.sell_price, sale.avg_cost)
             reward += sale_reward
             liquidation = TradeLogEntry(timestamps[end], "sell", sale.shares, end_price, sale_reward)
-            values[-1], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = value_and_ratios(
-                portfolio.cash, portfolio.shares, portfolio.cost_basis, end_price)
-        self.portfolio = portfolio
+            values[-1], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = mark(
+                self.cash, self.shares, self.cost_basis, end_price)
+        self.value = values[-1]
         self.trades.extend(t for t in (trade, liquidation) if t is not None)
         self.cursor = end
         self.done = end == self.n_bars - 1
         return SpanResult(reward, trade, liquidation, values)
+
+    def _sell_all(self, price: float) -> SaleRecord | None:
+        """Sell the whole position at `price` (see portfolio.sell_all). A sale
+        whose fees leave no cash raises PortfolioError."""
+        proceeds, sale = sell_all(self.shares, self.cost_basis, price, self.fee)
+        if sale is not None:
+            cash = self.cash + proceeds
+            if not cash > 0:
+                raise PortfolioError(f"portfolio value must stay positive, got {cash}")
+            self.cash, self.shares, self.cost_basis = cash, 0, 0.0
+        return sale
 
 
 class TradingEnv(BaseBarEnv):
@@ -342,14 +341,14 @@ class TradingEnv(BaseBarEnv):
         span = self._span(action, self.length)
         info = {
             "timestamp": self.timestamps[self.cursor],
-            "portfolio_value": self.portfolio.total_value,
+            "portfolio_value": self.value,
             "trade": span.trade,
             "forced_liquidation": span.liquidation,
         }
         return StepResult(self._observation(), span.reward, self.done, info)
 
     def _observation(self) -> np.ndarray:
-        return agent_observation(self.table, self.closes, self._pf_rows, self.cursor,
+        return build_observation(self.table, self.closes, self._pf_rows, self.cursor,
                                  self.config.window_size, self.length)
 
 
@@ -383,7 +382,7 @@ def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRu
     w1 = params.arrays["policy_w1"]
     portfolio_inputs = np.arange(env.observation_size) % FEATURES_PER_BAR >= MARKET_FEATURES
     policy = SplitGreedyPolicy(params, portfolio_inputs)
-    equity = [(env.timestamps[cursor], env.portfolio.total_value)]
+    equity = [(env.timestamps[cursor], env.value)]
     fallbacks = 0
     # Span ends do not depend on actions, so every decision cursor is known
     # now. A run of cursors one timeframe bar apart shares a phase, and its
@@ -408,16 +407,16 @@ def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRu
             # Rows up to s0 are final when the block starts; later ones are
             # added per step.
             known = np.zeros((w + b - 1, 3))
-            known[:w] = portfolio_window(pf[s0 - w + 1:s0 + 1])
+            known[:w] = features(pf[s0 - w + 1:s0 + 1])
             x[..., MARKET_FEATURES:] = sliding_window_view(known, w, axis=0).transpose(0, 2, 1)
             x = x.reshape(b, -1)
             z, norms = x @ w1, np.abs(x).sum(axis=1).tolist()
             for i in range(b):
-                late = portfolio_window(pf[s0 + 1 + max(i - w, 0):s0 + i + 1])
+                late = features(pf[s0 + 1 + max(i - w, 0):s0 + i + 1])
                 action = policy.action(z[i], norms[i], late.reshape(-1))
                 if action is None:
                     action = greedy_action(params, env._observation())
                     fallbacks += 1
                 env._span(action, length)
-                equity.append((env.timestamps[env.cursor], env.portfolio.total_value))
+                equity.append((env.timestamps[env.cursor], env.value))
     return AgentRun(equity, fallbacks)

@@ -464,10 +464,10 @@ class SynthConfig:
                 f"session_minutes must be at most {limit} for a session opening at "
                 f"{self.open_time:%H:%M} to close the same day, got {self.session_minutes}"
             )
-        if self.base_volume > MAX_BASE_VOLUME:
+        # Below 1 every volume is clipped to 1; above the cap one may overflow.
+        if not 1 <= self.base_volume <= MAX_BASE_VOLUME:
             raise MarketDataError(
-                f"base_volume must be at most {MAX_BASE_VOLUME} so volumes fit in 64 bits, "
-                f"got {self.base_volume}"
+                f"base_volume must lie in [1, {MAX_BASE_VOLUME}], got {self.base_volume}"
             )
 
 

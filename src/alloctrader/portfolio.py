@@ -1,72 +1,34 @@
-"""Single-asset portfolio accounting with all-in/all-out integer-share trades.
+"""Single-asset portfolio arithmetic with all-in/all-out integer-share trades.
 
-Buys convert as much cash as possible into whole shares at the given price;
-sells liquidate the entire position. The state tracks the total cost basis of
-the open position so the average cost is exactly total-spent / total-shares
-regardless of how many buys built the position.
+The account is four numbers that `envs.BaseBarEnv` holds: cash, the open
+share count, the total cost basis of the open position and the per-share
+sale fee. Buys convert as much cash as possible into whole shares at the
+given price; sells liquidate the entire position. The cost basis is the sum
+of what the open position cost, so the average cost is exactly
+total-spent / total-shares regardless of how many buys built the position.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable
+
+import numpy as np
 
 from . import AlloctraderError
 from .atomic import atomic_write
 
 
 class PortfolioError(AlloctraderError, ValueError):
-    """Invalid portfolio state or operation (non-positive price, bad cash)."""
+    """Invalid portfolio operation (non-positive price, a sale that leaves no
+    value)."""
 
 
 def _check_price(price: float) -> None:
     if not price > 0:
         raise PortfolioError(f"price must be positive, got {price}")
-
-
-@dataclass(frozen=True)
-class PortfolioState:
-    """Immutable snapshot: cash, open share count, cost basis, last mark."""
-
-    cash: float
-    shares: int
-    cost_basis: float
-    last_price: float
-    fee_per_sell_share: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.cash < 0:
-            raise PortfolioError(f"cash went negative: {self.cash}")
-        if self.shares < 0:
-            raise PortfolioError(f"share count went negative: {self.shares}")
-        if self.shares == 0 and self.cost_basis != 0.0:
-            raise PortfolioError("cost basis must be zero on a flat position")
-        if self.fee_per_sell_share < 0:
-            raise PortfolioError(f"fee must be >= 0, got {self.fee_per_sell_share}")
-        _check_price(self.last_price)
-        if not self.total_value > 0:
-            raise PortfolioError(f"portfolio value must stay positive, got {self.total_value}")
-
-    @classmethod
-    def initial(cls, cash: float, price: float, fee_per_sell_share: float = 0.0) -> "PortfolioState":
-        if not cash > 0:
-            raise PortfolioError(f"initial cash must be positive, got {cash}")
-        _check_price(price)
-        return cls(cash=cash, shares=0, cost_basis=0.0, last_price=price,
-                   fee_per_sell_share=fee_per_sell_share)
-
-    @property
-    def total_value(self) -> float:
-        return self.cash + self.shares * self.last_price
-
-    @property
-    def avg_cost(self) -> float | None:
-        """Volume-weighted average purchase price, None when flat."""
-        if self.shares == 0:
-            return None
-        return self.cost_basis / self.shares
 
 
 @dataclass(frozen=True)
@@ -78,65 +40,28 @@ class SaleRecord:
     avg_cost: float
 
 
-@dataclass(frozen=True)
-class PortfolioFeatures:
-    """Observation inputs: value split ratios and open-position P&L ratio."""
-
-    cash_ratio: float
-    stock_ratio: float
-    unrealized_profit_ratio: float
-
-
-def mark(state: PortfolioState, price: float) -> PortfolioState:
-    """Re-mark the position at a new price without trading."""
+def buy_all(cash: float, price: float) -> tuple[float, int]:
+    """Cost and count of the floor(cash / price) whole shares that `cash`
+    buys at `price`; (0.0, 0) when it cannot cover one share."""
     _check_price(price)
-    return replace(state, last_price=price)
-
-
-def buy_all(state: PortfolioState, price: float) -> tuple[PortfolioState, int]:
-    """Buy floor(cash / price) shares at `price`.
-
-    Returns the new state and the share count bought (0 when cash cannot
-    cover a single share; the state is still re-marked at `price`).
-    """
-    _check_price(price)
-    n = int(state.cash // price)
+    n = int(cash // price)
     # Float floor can land one share high; never spend more cash than held.
-    while n > 0 and n * price > state.cash:
+    while n > 0 and n * price > cash:
         n -= 1
-    if n == 0:
-        return mark(state, price), 0
-    cost = n * price
-    new = replace(
-        state,
-        cash=state.cash - cost,
-        shares=state.shares + n,
-        cost_basis=state.cost_basis + cost,
-        last_price=price,
-    )
-    return new, n
+    return n * price, n
 
 
-def sell_all(state: PortfolioState, price: float) -> tuple[PortfolioState, SaleRecord | None]:
-    """Liquidate the whole position at `price`, net of the per-share fee.
-
-    Returns the new state and a SaleRecord, or None when already flat
-    (the state is still re-marked at `price`).
-    """
+def sell_all(shares: int, cost_basis: float, price: float,
+             fee: float) -> tuple[float, SaleRecord | None]:
+    """Proceeds of selling the whole position at `price`, net of the
+    per-share `fee`, and its SaleRecord; (0.0, None) when flat."""
     _check_price(price)
-    if state.shares == 0:
-        return mark(state, price), None
-    record = SaleRecord(
-        shares=state.shares,
-        sell_price=price,
-        avg_cost=state.cost_basis / state.shares,
-    )
-    proceeds = state.shares * price - state.shares * state.fee_per_sell_share
-    new = replace(state, cash=state.cash + proceeds, shares=0, cost_basis=0.0, last_price=price)
-    return new, record
+    if shares == 0:
+        return 0.0, None
+    return shares * price - shares * fee, SaleRecord(shares, price, cost_basis / shares)
 
 
-def value_and_ratios(cash: float, shares: int, cost_basis: float, price):
+def mark(cash: float, shares: int, cost_basis: float, price):
     """Value, cash ratio, stock ratio and unrealized profit ratio of a position
     marked at `price`, which may be one price or a float64 array of them.
 
@@ -153,16 +78,12 @@ def value_and_ratios(cash: float, shares: int, cost_basis: float, price):
     return value, cash / value, held / value, unrealized
 
 
-def features(state: PortfolioState) -> PortfolioFeatures:
-    """Cash/stock value ratios (summing to 1) and unrealized profit ratio.
-
-    No clamping happens here; observation assembly clips the profit ratio to
-    [-1, 1].
-    """
-    _, cash_ratio, stock_ratio, unrealized = value_and_ratios(
-        state.cash, state.shares, state.cost_basis, state.last_price
-    )
-    return PortfolioFeatures(cash_ratio, stock_ratio, unrealized)
+def features(rows: np.ndarray) -> np.ndarray:
+    """Observation columns of (n, 3) portfolio rows of `mark` ratios: cash
+    ratio, stock ratio and the unrealized profit ratio clamped to [-1, 1]."""
+    out = rows.copy()
+    np.clip(out[:, 2], -1.0, 1.0, out=out[:, 2])
+    return out
 
 
 @dataclass(frozen=True)

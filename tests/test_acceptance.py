@@ -21,6 +21,7 @@ from alloctrader.allocator import (
     observation_size,
     run_hierarchy,
 )
+from alloctrader import portfolio
 from alloctrader.cli import main
 from alloctrader.envs import EnvConfig, TradingEnv, agent_reward
 from alloctrader.evaluation import EquityCurve, cumulative_return, quartile_allocation
@@ -34,7 +35,6 @@ from alloctrader.market_data import (
     resample_bars,
     synthesize,
 )
-from alloctrader.portfolio import PortfolioState, buy_all, mark, sell_all
 from alloctrader.ppo import (
     ARRAY_ORDER,
     NetworkSpec,
@@ -47,6 +47,7 @@ from alloctrader.ppo import (
 )
 from conftest import small_synth_config
 from indicator_reference import oracle_macd_hist, oracle_rsi
+from portfolio_reference import PortfolioState, buy_all, mark, sell_all
 from toyenv import ToyTradingEnv, greedy_episode_reward, optimal_episode_reward
 
 UTC = timezone.utc
@@ -179,11 +180,11 @@ def test_criterion_03_telescoping_episode_return(capsys):
     for script_seed in range(3):
         rng = np.random.default_rng(script_seed)
         env.reset()
-        start_value = env.portfolio.total_value
+        start_value = env.value
         total = 0.0
         while not env.done:
             total += env.step(int(rng.integers(0, 3))).reward
-        episode_log_return = float(np.log(env.portfolio.total_value / start_value))
+        episode_log_return = float(np.log(env.value / start_value))
         worst = max(worst, abs(total - episode_log_return))
     ok = worst <= 1e-9
     _verdict(capsys, 3, ok, "span rewards telescope to ln(V_final/V_initial)",
@@ -371,21 +372,38 @@ def test_criterion_07_value_conservation_and_fees(capsys):
                 trades.append(("sell", shares))
         return state.total_value, sold, trades
 
+    def run_floats(fee):
+        """The same script on the float account that the environments hold."""
+        cash, shares, basis = 10_000.0, 0, 0.0
+        for price, is_buy in zip(prices.tolist(), buys):
+            if is_buy:
+                cost, bought = portfolio.buy_all(cash, price)
+                if bought:
+                    cash, shares, basis = cash - cost, shares + bought, basis + cost
+            else:
+                proceeds, sale = portfolio.sell_all(shares, basis, price, fee)
+                if sale is not None:
+                    cash, shares, basis = cash + proceeds, 0, 0.0
+        return portfolio.mark(cash, shares, basis, float(prices[-1]))[0]
+
     value_free, _, trades_free = run_script(0.0)
     value_fee, sold, trades_fee = run_script(0.01)
     assert trades_free == trades_fee, "fixture must trade identical quantities"
     fee_effect = value_fee - value_free
     fee_gap = abs(fee_effect + 0.01 * sold)
     fee_ok = fee_effect < 0.0 and fee_gap <= 1e-9
+    floats_ok = run_floats(0.0) == value_free and run_floats(0.01) == value_fee
 
-    ok = conservation_ok and fee_ok
+    ok = conservation_ok and fee_ok and floats_ok
     _verdict(capsys, 7, ok, "portfolio value conservation and fee arithmetic",
              f"worst drift {worst:.2e} over 1e5 sequences; "
-             f"fee effect {fee_effect:.2f} for {sold} shares sold (gap {fee_gap:.2e})")
+             f"fee effect {fee_effect:.2f} for {sold} shares sold (gap {fee_gap:.2e}); "
+             f"float account equals the state oracle: {floats_ok}")
     assert conservation_ok
     assert trades_free == trades_fee
     assert fee_effect < 0.0
     assert fee_gap <= 1e-9
+    assert floats_ok
 
 
 # --- criterion 8: session open and close rules over twenty sessions ----------
@@ -403,7 +421,7 @@ def test_criterion_08_session_rules(capsys):
         env.step(int(rng.integers(0, 3)))
         if env.session_last[env.cursor]:
             session_closes += 1
-            flat_at_close = flat_at_close and env.portfolio.shares == 0
+            flat_at_close = flat_at_close and env.shares == 0
     session_opens = 0
     openers_ok = True
     for decision in env.decisions:

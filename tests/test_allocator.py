@@ -23,9 +23,9 @@ from alloctrader.allocator import (
 from alloctrader.envs import Action, EnvConfig, TradingEnv, build_observation
 from alloctrader.indicators import feature_table
 from alloctrader.market_data import TIMEFRAME_ORDER, Timeframe
-from alloctrader.portfolio import PortfolioState, buy_all, features, mark, sell_all
 from alloctrader.ppo import NetworkSpec, PolicyParameters
 from conftest import constant_action_params, stub_registry
+from portfolio_reference import PortfolioState, buy_all, features, mark, sell_all
 
 mp.dps = 50
 
@@ -171,12 +171,12 @@ class TestStep:
 
     def test_telescoping_sum_of_rewards(self, buy_env):
         buy_env.reset()
-        v0 = buy_env.portfolio.total_value
+        v0 = buy_env.value
         total = 0.0
         rng = np.random.default_rng(3)
         while not buy_env.done:
             total += buy_env.step(int(rng.integers(0, 3))).reward
-        v1 = buy_env.portfolio.total_value
+        v1 = buy_env.value
         assert total == pytest.approx(np.log(v1 / v0), abs=1e-9)
         assert buy_env.equity[-1][1] == v1
 
@@ -184,7 +184,7 @@ class TestStep:
         hold_env.reset()
         while not hold_env.done:
             hold_env.step(Timeframe.ONE_HOUR)
-        assert hold_env.portfolio.total_value == ALLOC.initial_cash
+        assert hold_env.value == ALLOC.initial_cash
         assert not hold_env.trades
         assert all(v == ALLOC.initial_cash for _, v in hold_env.equity)
         assert all(d.log_return == 0.0 for d in hold_env.decisions)
@@ -203,7 +203,7 @@ class TestStep:
         rng = np.random.default_rng(4)
         while not buy_env.done:
             buy_env.step(int(rng.integers(0, 3)))
-            assert not buy_env.session_last[buy_env.cursor] or buy_env.portfolio.shares == 0
+            assert not buy_env.session_last[buy_env.cursor] or buy_env.shares == 0
 
     def test_no_position_opened_at_a_session_close(self, buy_env):
         # The forced 1m decision at a session open trades at the previous
@@ -213,7 +213,7 @@ class TestStep:
             decision = buy_env.cursor
             buy_env.step(Timeframe.ONE_HOUR)
             if buy_env.session_last[decision]:
-                assert buy_env.portfolio.shares == 0
+                assert buy_env.shares == 0
 
     def test_bad_choice_rejected(self, hold_env):
         hold_env.reset()
@@ -287,6 +287,24 @@ class TestStep:
         assert env.equity == equity
         assert (env._pf_rows[start:] == np.array(rows)).all()
 
+    def test_observation_holds_the_account_features(self, buy_env):
+        # The allocator sees the account's ratios at the cursor's close, the
+        # profit ratio clamped, as the oracle computes them from the account.
+        obs = buy_env.reset()
+        rng = np.random.default_rng(8)
+        pf = slice(ALLOC.market_window * 5, ALLOC.market_window * 5 + 3)
+        while True:
+            state = PortfolioState(buy_env.cash, buy_env.shares, buy_env.cost_basis,
+                                   float(buy_env.closes[buy_env.cursor]))
+            assert buy_env.value == state.total_value
+            f = features(state)
+            want = [f.cash_ratio, f.stock_ratio, min(max(f.unrealized_profit_ratio, -1.0), 1.0)]
+            assert obs[pf].tolist() == want
+            if buy_env.done:
+                break
+            obs = buy_env.step(int(rng.integers(0, 3))).observation
+        assert buy_env.trades
+
 
 def _base_arrays(sessions):
     bars = [b for s in sessions for b in s.bars]
@@ -314,9 +332,8 @@ class TestPhaseSeries:
         buy_env.reset()
         b = buy_env.cursor
         w = buy_env.registry[Timeframe.ONE_MINUTE].config.window_size
-        window = slice(b - w + 1, b + 1)
         base = feature_table(*_base_arrays(regime_result.sessions))
-        want = build_observation(base[window], buy_env.closes[window], buy_env._pf_rows[window])
+        want = build_observation(base, buy_env.closes, buy_env._pf_rows, b, w, 1)
         got = buy_env._agent_observation(Timeframe.ONE_MINUTE, b)
         np.testing.assert_array_equal(got, want)
 

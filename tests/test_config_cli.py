@@ -188,6 +188,10 @@ class TestValidation:
          "config section allocator: initial_cash must be positive, got -5.0"),
         ("synth.start_price", "-1", "config section synth: start_price must be positive"),
         ("synth.session_minutes", "0", "config section synth: session_minutes must be >= 1"),
+        ("synth.base_volume", "-5",
+         "config section synth: base_volume must lie in [1, 1000000000000000], got -5"),
+        ("synth.base_volume", "0",
+         "config section synth: base_volume must lie in [1, 1000000000000000], got 0"),
         ("synth.low_vol", "-1", "config key synth.low_vol: volatility must be >= 0, got -1.0"),
         ("synth.high_vol", "-0.5", "config key synth.high_vol: volatility must be >= 0, got -0.5"),
     ])
@@ -454,9 +458,11 @@ class TestPipelineGuards:
          "config key synth.start_price: expected a finite number, got 'nan'"),
         ("synth.start_price = -1\n", [], "config section synth: start_price must be positive"),
         ("synth.low_vol = -1\n", [], "config key synth.low_vol: volatility must be >= 0"),
+        ("synth.base_volume = -5\n", [], "config section synth: base_volume must lie in [1, "),
+        ("synth.base_volume = 0\n", [], "config section synth: base_volume must lie in [1, "),
     ], ids=["config-seed", "option-seed", "synth-date-overflow", "synth-session-past-midnight",
             "removed-validation-key", "synth-nan-price", "synth-negative-price",
-            "synth-negative-low-vol"])
+            "synth-negative-low-vol", "synth-negative-base-volume", "synth-zero-base-volume"])
     def test_bad_run_value_is_single_error_line(self, tmp_path, capsys, config, args, match):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(config)

@@ -18,6 +18,7 @@ from alloctrader.envs import (
 )
 from alloctrader.indicators import feature_table
 from alloctrader.market_data import Timeframe, resample
+from alloctrader.portfolio import PortfolioError
 from alloctrader.ppo import (
     NetworkSpec,
     PolicyParameters,
@@ -25,6 +26,7 @@ from alloctrader.ppo import (
     _net_forward,
     greedy_action,
 )
+from portfolio_reference import PortfolioState, buy_all, mark, sell_all
 
 mp.dps = 50
 
@@ -96,7 +98,7 @@ class TestNormalization:
     def test_unrealized_column_clamped(self):
         rows = np.tile([50.0, 0.0, 0.0, 0.5, 10.0], (2, 1))
         pf = np.array([[0.0, 1.0, 2.5], [1.0, 0.0, -3.0]])
-        obs = build_observation(rows, np.full(2, 100.0), pf)
+        obs = build_observation(rows, np.full(2, 100.0), pf, cursor=1, window=2, length=1)
         assert obs.shape == (16,)
         assert obs[7] == 1.0 and obs[15] == -1.0
 
@@ -151,7 +153,7 @@ class TestStep:
         r2 = env.step(Action.SELL)
         want = float(mp_tanh(mpf(5) * (mpf(c1) - mpf(c0)) / mpf(c0)))
         assert r2.reward == pytest.approx(want, abs=1e-12)
-        assert env.portfolio.shares == 0
+        assert env.shares == 0
 
     def test_all_hold_preserves_cash_exactly(self, short_sessions):
         env = _env(short_sessions, window=5)
@@ -161,7 +163,7 @@ class TestStep:
             result = env.step(Action.HOLD)
             assert result.info["portfolio_value"] == 10_000.0
             done = result.done
-        assert env.portfolio.cash == 10_000.0
+        assert env.cash == 10_000.0
         assert not env.trades
 
     def test_forced_liquidation_at_session_end(self, short_sessions):
@@ -169,7 +171,7 @@ class TestStep:
         # Bar 89 closes the first 90-minute session.
         env.reset(cursor=88)
         result = env.step(Action.BUY)
-        assert env.portfolio.shares == 0
+        assert env.shares == 0
         assert result.info["forced_liquidation"] is not None
         c_buy, c_sell = float(env.closes[88]), float(env.closes[89])
         want = float(mp_tanh(mpf(5) * (mpf(c_sell) - mpf(c_buy)) / mpf(c_buy)))
@@ -186,7 +188,7 @@ class TestStep:
             while not done:
                 result = env.step(int(rng.integers(0, 3)))
                 if env.session_last[env.cursor]:
-                    assert env.portfolio.shares == 0, timeframe
+                    assert env.shares == 0, timeframe
                 done = result.done
 
     def test_no_position_opened_at_a_session_close(self, short_sessions, regime_sessions):
@@ -199,7 +201,7 @@ class TestStep:
                 decision = env.cursor
                 done = env.step(Action.BUY).done
                 if env.session_last[decision]:
-                    assert env.portfolio.shares == 0, timeframe
+                    assert env.shares == 0, timeframe
 
     def test_rewards_always_bounded(self, short_sessions):
         rng = np.random.default_rng(6)
@@ -215,9 +217,9 @@ class TestStep:
         env = _env(short_sessions, window=5)
         env.reset(cursor=88)
         env.step(Action.BUY)          # forced out at bar 89, the session close
-        value_at_close = env.portfolio.total_value
+        value_at_close = env.value
         result = env.step(Action.HOLD)  # first bar of the next session
-        assert env.portfolio.cash == value_at_close
+        assert env.cash == value_at_close
         assert result.info["portfolio_value"] == value_at_close
 
     def test_step_after_done_rejected(self, short_sessions):
@@ -245,7 +247,47 @@ class TestStep:
             env.reset(cursor=40)
             env.step(Action.BUY)
             env.step(Action.SELL)
-        assert paid.portfolio.cash < free.portfolio.cash
+        assert paid.cash < free.cash
+
+    def test_fee_above_the_price_is_portfolio_error(self, short_sessions):
+        # A sale whose fees exceed its gross proceeds would leave negative cash.
+        env = _env(short_sessions, window=5, fee=1_000.0)
+        env.reset(cursor=40)
+        env.step(Action.BUY)
+        with pytest.raises(PortfolioError, match="portfolio value must stay positive"):
+            env.step(Action.SELL)
+        env.reset(cursor=88)
+        with pytest.raises(PortfolioError, match="portfolio value must stay positive"):
+            env.step(Action.BUY)  # forced out at bar 89, the session close
+
+
+class TestAccountEqualsOracle:
+    @pytest.mark.parametrize("fee", [0.0, 0.01])
+    def test_every_step_bit_for_bit(self, short_sessions, regime_sessions, fee):
+        # Random actions, biased to buy, replayed on the state-object oracle:
+        # the decision's trade, the mark at the span's last bar and the
+        # session-close liquidation.
+        for timeframe, sessions in _every_timeframe(short_sessions, regime_sessions):
+            rng = np.random.default_rng(11)
+            env = _env(sessions, timeframe, window=5, cash=9_876.5, fee=fee)
+            env.reset()
+            state = PortfolioState.initial(9_876.5, float(env.closes[env.cursor]), fee)
+            while not env.done:
+                decision = env.cursor
+                action = int(rng.choice(3, p=[0.5, 0.3, 0.2]))
+                env.step(action)
+                price = float(env.closes[decision])
+                if action == Action.BUY.value and not env.session_last[decision]:
+                    state, _ = buy_all(state, price)
+                elif action == Action.SELL.value:
+                    state, _ = sell_all(state, price)
+                state = mark(state, float(env.closes[env.cursor]))
+                if env.session_last[env.cursor] and state.shares:
+                    state, _ = sell_all(state, state.last_price)
+                got = (env.cash, env.shares, env.cost_basis, env.value)
+                assert got == (state.cash, state.shares, state.cost_basis, state.total_value)
+                assert [type(v) for v in got] == [float, int, float, float]
+            assert {t.side for t in env.trades} == {"buy", "sell"}, timeframe
 
 
 def _agent_params(window, hidden, seed):
@@ -260,7 +302,7 @@ def _agent_params(window, hidden, seed):
 def _step_loop(env, params, cursor):
     """The plain greedy episode: env.step(greedy_action(obs)) to the end."""
     obs = env.reset(cursor)
-    equity = [(env.timestamps[env.cursor], env.portfolio.total_value)]
+    equity = [(env.timestamps[env.cursor], env.value)]
     while not env.done:
         result = env.step(greedy_action(params, obs))
         obs = result.observation

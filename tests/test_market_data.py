@@ -523,6 +523,10 @@ class TestSynthesizeMatchesScalarLoop:
     def test_base_volume_bounded(self):
         with pytest.raises(MarketDataError, match="base_volume"):
             small_synth_config(base_volume=10**16)
+        # At 0 or below every bar's volume would be clipped to 1.
+        for volume in (0, -5):
+            with pytest.raises(MarketDataError, match="base_volume"):
+                small_synth_config(base_volume=volume)
 
 
 class TestColumnsOnly:

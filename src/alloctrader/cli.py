@@ -172,11 +172,15 @@ def cmd_train_agent(args) -> int:
 
 
 def _extra(path, ckpt: Checkpoint, key: str, convert: Callable):
-    """`convert(ckpt.extra[key])`, or CheckpointError naming the file and the key."""
+    """`convert(ckpt.extra[key])`, or CheckpointError naming the file and the key.
+    For `int` the value must be an int and for `float` a number; a bool is neither."""
     if key not in ckpt.extra:
         raise CheckpointError(f"{path}: checkpoint extra has no {key!r}")
     value = ckpt.extra[key]
+    kinds = {int: int, float: (int, float)}.get(convert, object)
     try:
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError(f"not a {convert.__name__}")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import AlloctraderError
 from .indicators import FEATURE_WARMUP, feature_table
-from .market_data import MarketDataError, Session, Timeframe
+from .market_data import MarketDataError, Session, Timeframe, resample
 from .portfolio import (
     PortfolioError, SaleRecord, TradeLogEntry, buy_all, features, mark, sell_all,
 )
@@ -145,19 +145,14 @@ def trailing_table(highs: np.ndarray, lows: np.ndarray, closes: np.ndarray,
                    volumes: np.ndarray, length: int) -> np.ndarray:
     """(n, 5) feature table of the trailing `length`-bar series.
 
-    Every base bar ends one aggregate bar: the high, low and volume of the
-    `length` base bars up to it (of those that exist, at the start of the
-    data) and its own close. The aggregates whose ends share a residue p mod
-    `length` form one series; its feature_table fills rows p::length. At
-    length 1 this is the feature_table of the base bars.
+    Every base bar ends one aggregate bar: its market_data.resample high,
+    low and volume, and its own close. The aggregates whose ends share a
+    residue p mod `length` form one series; its feature_table fills rows
+    p::length. At length 1 this is the feature_table of the base bars.
     """
     if length == 1:
         return feature_table(highs, lows, closes, volumes)
-    pad = np.full(length - 1, np.inf)
-    t_high = sliding_window_view(np.concatenate([-pad, highs]), length).max(axis=1)
-    t_low = sliding_window_view(np.concatenate([pad, lows]), length).min(axis=1)
-    csum = np.concatenate([np.zeros(length), np.cumsum(volumes)])
-    t_vol = csum[length:] - csum[:-length]
+    t_high, t_low, t_vol = resample(highs, lows, volumes, length)
     table = np.empty((closes.size, MARKET_FEATURES))
     for p in range(length):
         idx = np.arange(p, closes.size, length)

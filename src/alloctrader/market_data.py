@@ -1,5 +1,6 @@
-"""OHLCV market data handling: bar/session types, CSV ingestion, resampling,
-and a regime-switching synthetic minute-bar generator.
+"""OHLCV market data handling: bar/session types, CSV ingestion, the
+trailing bar aggregation every timeframe's features are built from, and a
+regime-switching synthetic minute-bar generator.
 
 All timestamps are timezone-normalized to UTC. A bar's timestamp marks the
 start of its one-minute interval, so a 09:30-16:00 session holds bars
@@ -13,11 +14,11 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import AlloctraderError
 from .atomic import atomic_write
@@ -122,8 +123,7 @@ class Session:
     Bar's rules. Timestamps are strictly increasing and lie inside
     [open_time, close_time). A column given as a read-only array of its
     dtype is kept without a copy, so sessions can be views of one market's
-    arrays. `bars` builds the rows as Bar objects on first use; `from_bars`
-    builds a session from them.
+    arrays. `from_bars` builds a session from Bar rows.
     """
 
     day: date
@@ -193,12 +193,6 @@ class Session:
                     )
                 prev = ts
 
-    @cached_property
-    def bars(self) -> tuple[Bar, ...]:
-        """The rows as Bar objects, built on first use and kept."""
-        return tuple(map(Bar, self.timestamps,
-                         *(getattr(self, name).tolist() for name in _COLUMNS)))
-
     def __len__(self) -> int:
         return len(self.timestamps)
 
@@ -236,7 +230,7 @@ class TradingCalendar:
     @classmethod
     def from_file(cls, path: str) -> "TradingCalendar":
         """Read a calendar file with lines `YYYY-MM-DD,HH:MM,HH:MM`."""
-        days = {}
+        days, linenos = {}, {}
         with open(path, newline="", encoding="utf-8") as fh:
             for lineno, raw in enumerate(_utf8_lines(fh, f"calendar {path}"), start=1):
                 line = raw.strip()
@@ -259,6 +253,10 @@ class TradingCalendar:
                         f"calendar {path} line {lineno}: close {parts[2].strip()} "
                         f"is not after open {parts[1].strip()}"
                     )
+                if d in linenos:
+                    raise MarketDataError(f"calendar {path} line {lineno}: day {d} is "
+                                          f"already listed on line {linenos[d]}")
+                linenos[d] = lineno
                 days[d] = (
                     datetime.combine(d, o, tzinfo=timezone.utc),
                     datetime.combine(d, c, tzinfo=timezone.utc),
@@ -369,41 +367,21 @@ def write_sessions_csv(sessions: Iterable[Session], path: str) -> None:
             )))
 
 
-def resample_bars(bars: Sequence[Bar], bars_per_window: int) -> tuple[Bar, ...]:
-    """Aggregate consecutive bars into windows of `bars_per_window`.
+def resample(highs: np.ndarray, lows: np.ndarray, volumes: np.ndarray,
+             length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trailing `length`-bar aggregates of base bars laid end to end.
 
-    Windows are anchored at the start of `bars`; a trailing partial window
-    still emits a bar. Output timestamp is the first constituent's timestamp.
+    Aggregate i covers base bars i - length + 1 through i, of those that
+    exist at the start of the data: their highest high, lowest low and
+    summed volume, as float64 columns as long as the input.
     """
-    if bars_per_window < 1:
-        raise MarketDataError(f"bars_per_window must be >= 1, got {bars_per_window}")
-    out = []
-    for start in range(0, len(bars), bars_per_window):
-        chunk = bars[start:start + bars_per_window]
-        out.append(
-            Bar(
-                timestamp=chunk[0].timestamp,
-                open=chunk[0].open,
-                high=max(b.high for b in chunk),
-                low=min(b.low for b in chunk),
-                close=chunk[-1].close,
-                volume=sum(b.volume for b in chunk),
-            )
-        )
-    return tuple(out)
-
-
-def resample(session: Session, tf: Timeframe) -> tuple[Bar, ...]:
-    """Resample a session's base bars to the given timeframe.
-
-    At one minute the session's own bars are returned: they are frozen and
-    equal to what resampling them one by one would build.
-    """
-    if not len(session):
-        raise MarketDataError(f"session {session.day} is empty")
-    if tf is Timeframe.ONE_MINUTE:
-        return session.bars
-    return resample_bars(session.bars, tf.minutes)
+    if length < 1 or not len(highs):
+        raise MarketDataError(f"cannot aggregate {len(highs)} bars by {length}")
+    pad = np.full(length - 1, np.inf)
+    t_high = sliding_window_view(np.concatenate([-pad, highs]), length).max(axis=1)
+    t_low = sliding_window_view(np.concatenate([pad, lows]), length).min(axis=1)
+    csum = np.concatenate([np.zeros(length), np.cumsum(volumes)])
+    return t_high, t_low, csum[length:] - csum[:-length]
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +549,5 @@ def sessions_in_range(
     sessions: Sequence[Session], start: date | None, end: date | None
 ) -> tuple[Session, ...]:
     """Sessions whose day lies in the inclusive [start, end] range."""
-    out = []
-    for s in sessions:
-        if start is not None and s.day < start:
-            continue
-        if end is not None and s.day > end:
-            continue
-        out.append(s)
-    return tuple(out)
+    return tuple(s for s in sessions
+                 if (start is None or start <= s.day) and (end is None or s.day <= end))

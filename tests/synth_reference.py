@@ -19,6 +19,7 @@ from alloctrader.market_data import (
     SynthConfig,
     SynthResult,
 )
+from resample_reference import session_bars
 
 
 def reference_synthesize(config: SynthConfig, seed: int, days: int) -> SynthResult:
@@ -70,7 +71,7 @@ def reference_sessions_csv(sessions) -> str:
     """The CSV text `write_sessions_csv` wrote one `Bar` at a time."""
     lines = [",".join(("timestamp", "open", "high", "low", "close", "volume"))]
     for session in sessions:
-        for b in session.bars:
+        for b in session_bars(session):
             lines.append(",".join([b.timestamp.isoformat(), repr(b.open), repr(b.high),
                                    repr(b.low), repr(b.close), str(b.volume)]))
     return "\r\n".join(lines) + "\r\n"

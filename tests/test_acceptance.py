@@ -32,7 +32,6 @@ from alloctrader.market_data import (
     TIMEFRAME_ORDER,
     Timeframe,
     resample,
-    resample_bars,
     synthesize,
 )
 from alloctrader.ppo import (
@@ -444,16 +443,27 @@ def test_criterion_08_session_rules(capsys):
 
 
 def test_criterion_09_resampling_exact(capsys):
+    # Sessions laid end to end, as BaseBarEnv feeds trailing_table. Each
+    # session is six whole hours, so the trailing aggregates ending at its
+    # bars 9, 19, ... and 59, 119, ... are its 10m and 1h bars.
     sessions = synthesize(small_synth_config(session_minutes=360), seed=9, days=3).sessions
+    highs, lows, volumes = (np.concatenate([getattr(s, k) for s in sessions], dtype=np.float64)
+                            for k in ("high", "low", "volume"))
+    tens = resample(highs, lows, volumes, 10)
+    hours = resample(highs, lows, volumes, 60)
     volume_ok = True
+    for k, session in enumerate(sessions):
+        base_volume = int(session.volume.sum())
+        own = slice(k * 360, (k + 1) * 360)
+        volume_ok = volume_ok and base_volume == tens[2][own][9::10].sum()
+        volume_ok = volume_ok and base_volume == hours[2][own][59::60].sum()
+    # The trailing hour at bar i aggregates the trailing 10m bars at i, i - 10,
+    # ..., i - 50 (those that exist, at the start of the data).
     path_ok = True
-    for session in sessions:
-        tens = resample(session, Timeframe.TEN_MINUTE)
-        hours = resample(session, Timeframe.ONE_HOUR)
-        base_volume = sum(b.volume for b in session.bars)
-        volume_ok = volume_ok and base_volume == sum(b.volume for b in tens)
-        volume_ok = volume_ok and base_volume == sum(b.volume for b in hours)
-        path_ok = path_ok and hours == resample_bars(tens, 6)
+    for i in range(highs.size):
+        ends = slice(max(i % 10, i - 50), i + 1, 10)
+        path_ok = path_ok and (hours[0][i], hours[1][i], hours[2][i]) == (
+            tens[0][ends].max(), tens[1][ends].min(), tens[2][ends].sum())
     ok = volume_ok and path_ok
     _verdict(capsys, 9, ok, "resampling volume conservation and 1m-10m-1h path consistency",
              f"{len(sessions)} full-hour sessions, exact equality")

@@ -307,8 +307,7 @@ class TestStep:
 
 
 def _base_arrays(sessions):
-    bars = [b for s in sessions for b in s.bars]
-    return tuple(np.array([getattr(b, k) for b in bars], dtype=float)
+    return tuple(np.concatenate([getattr(s, k) for s in sessions], dtype=float)
                  for k in ("high", "low", "close", "volume"))
 
 

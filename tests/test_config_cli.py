@@ -479,9 +479,11 @@ class TestPipelineGuards:
         ("bars", b"2024-01-02T09:30:00+00:00,1,1,1,1,\xff\xfe\n", "bars.csv: not UTF-8 text"),
         ("calendar", b"\xff\xfe\n", "calendar.csv: not UTF-8 text"),
         ("calendar", b"2024-01-03,09:30,16:00Z\n", "calendar.csv line 2: times are UTC"),
+        ("calendar", b"2024-01-02,14:00,14:05\n",
+         "calendar.csv line 2: day 2024-01-02 is already listed on line 1"),
         ("config", b"\xff\xfe\n", "run.cfg: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["inf-volume", "overflowing-volume", "bars-not-utf8", "calendar-not-utf8",
-            "calendar-time-offset", "config-not-utf8"])
+            "calendar-time-offset", "calendar-repeated-day", "config-not-utf8"])
     def test_bad_input_file_is_single_error_line(self, tmp_path, capsys, bad_file, content,
                                                  match):
         files = {
@@ -594,9 +596,23 @@ class TestPipelineGuards:
         ("hierarchy", "allocator", "market_window", None, "extra has no 'market_window'"),
         ("hierarchy", "allocator", "vol_window", "x", "extra 'vol_window' has a bad value ('x')"),
         ("hierarchy", "allocator", "initial_cash", None, "extra has no 'initial_cash'"),
+        ("agent:1m", "agent_1m", "window_size", 4.9, "extra 'window_size' has a bad value (4.9)"),
+        ("agent:1m", "agent_1m", "window_size", True,
+         "extra 'window_size' has a bad value (True)"),
+        ("agent:1m", "agent_1m", "window_size", "240",
+         "extra 'window_size' has a bad value ('240')"),
+        ("hierarchy", "allocator", "market_window", 20.0,
+         "extra 'market_window' has a bad value (20.0)"),
+        ("hierarchy", "allocator", "vol_window", True, "extra 'vol_window' has a bad value (True)"),
+        ("agent:10m", "agent_10m", "initial_cash", "10000",
+         "extra 'initial_cash' has a bad value ('10000')"),
+        ("hierarchy", "allocator", "initial_cash", False,
+         "extra 'initial_cash' has a bad value (False)"),
     ], ids=["agent-no-window", "agent-bad-window", "agent-no-cash", "agent-bad-cash",
             "registry-bad-timeframe", "registry-bad-cash", "allocator-no-market-window",
-            "allocator-bad-vol-window", "allocator-no-cash"])
+            "allocator-bad-vol-window", "allocator-no-cash", "agent-fractional-window",
+            "agent-bool-window", "agent-string-window", "allocator-float-market-window",
+            "allocator-bool-vol-window", "agent-string-cash", "allocator-bool-cash"])
     def test_bad_checkpoint_extra_is_single_error_line(
         self, pipeline, tmp_path, capsys, strategy, name, key, value, match
     ):

@@ -17,7 +17,7 @@ from alloctrader.envs import (
     run_agent,
 )
 from alloctrader.indicators import feature_table
-from alloctrader.market_data import Timeframe, resample
+from alloctrader.market_data import Timeframe
 from alloctrader.portfolio import PortfolioError
 from alloctrader.ppo import (
     NetworkSpec,
@@ -27,6 +27,7 @@ from alloctrader.ppo import (
     greedy_action,
 )
 from portfolio_reference import PortfolioState, buy_all, mark, sell_all
+from resample_reference import resample
 
 mp.dps = 50
 

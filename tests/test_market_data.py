@@ -23,13 +23,14 @@ from alloctrader.market_data import (
     TradingCalendar,
     ingest_csv,
     resample,
-    resample_bars,
     sessions_in_range,
     synthesize,
     write_sessions_csv,
 )
 from conftest import small_synth_config, stub_registry, weekday_calendar
 import csv_reference
+import resample_reference
+from resample_reference import resample_bars, session_bars
 from synth_reference import reference_sessions_csv, reference_synthesize
 
 UTC = timezone.utc
@@ -125,8 +126,8 @@ class TestColumnarSession:
         session = _columnar(**_columns(volume={2: 7}))
         assert session.close.dtype == np.float64 and session.volume.dtype == np.int64
         assert session.volume.tolist() == [10, 10, 7, 10]
-        assert session.bars[2] == _bar(9, 32, v=7)
-        assert session.bars is session.bars
+        assert session_bars(session)[2] == _bar(9, 32, v=7)
+        assert not hasattr(session, "bars")
 
     def test_columns_are_read_only(self):
         session = _columnar(**_columns())
@@ -321,6 +322,13 @@ class TestCalendar:
         with pytest.raises(MarketDataError, match=r"cal\.csv line 2: close 09:30 is not after"):
             TradingCalendar.from_file(str(path))
 
+    def test_repeated_day_names_file_and_both_lines(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_text("2024-01-02,09:30,16:00\n# late close\n2024-01-02,14:00,14:05\n")
+        with pytest.raises(MarketDataError, match=r"cal\.csv line 3: day 2024-01-02 is "
+                                                  r"already listed on line 1"):
+            TradingCalendar.from_file(str(path))
+
     def test_locate_boundaries(self):
         cal = weekday_calendar(date(2024, 1, 1), date(2024, 1, 7))
         assert cal.locate(_ts(9, 30)) == date(2024, 1, 2)
@@ -344,57 +352,109 @@ def _session_of(n_bars, start_price=100.0, day=2):
     return Session.from_bars(date(2024, 1, day), start, start + timedelta(minutes=n_bars), bars)
 
 
+def _trailing(session, length):
+    return resample(session.high, session.low, session.volume, length)
+
+
 class TestResample:
     def test_390_to_10m_counts_and_volume(self):
         session = _session_of(390)
-        out = resample(session, Timeframe.TEN_MINUTE)
+        t_high, t_low, t_vol = _trailing(session, 10)
+        assert t_high.shape == t_low.shape == t_vol.shape == (390,)
+        out = resample_reference.resample(session, Timeframe.TEN_MINUTE)
         assert len(out) == 39
+        bars = session_bars(session)
         for i, bar in enumerate(out):
-            chunk = session.bars[i * 10:(i + 1) * 10]
+            chunk = bars[i * 10:(i + 1) * 10]
             assert bar.volume == sum(b.volume for b in chunk)
             assert bar.open == chunk[0].open
             assert bar.close == chunk[-1].close
             assert bar.high == max(b.high for b in chunk)
             assert bar.low == min(b.low for b in chunk)
             assert bar.timestamp == chunk[0].timestamp
+            # The trailing aggregate ending at the window's last bar is the window.
+            end = i * 10 + 9
+            assert (t_high[end], t_low[end], t_vol[end]) == (bar.high, bar.low, bar.volume)
 
     def test_390_to_1h_partial_window(self):
-        out = resample(_session_of(390), Timeframe.ONE_HOUR)
+        session = _session_of(390)
+        out = resample_reference.resample(session, Timeframe.ONE_HOUR)
         assert len(out) == 7
         # Trailing partial hour covers the last 30 minutes.
         assert out[-1].timestamp == _ts(9, 30) + timedelta(minutes=360)
+        # Trailing aggregates are partial at the start of the data instead:
+        # bar i < 59 aggregates the i + 1 bars that exist.
+        t_high, t_low, t_vol = _trailing(session, 60)
+        for i in range(60):
+            assert t_high[i] == session.high[:i + 1].max()
+            assert t_low[i] == session.low[:i + 1].min()
+            assert t_vol[i] == session.volume[:i + 1].sum()
+        assert (t_high[389], t_low[389], t_vol[389]) == \
+            (session.high[330:].max(), session.low[330:].min(), session.volume[330:].sum())
 
     def test_single_bar_identity(self):
         session = _session_of(1)
-        out = resample(session, Timeframe.ONE_HOUR)
-        assert out == (session.bars[0],)
+        out = resample_reference.resample(session, Timeframe.ONE_HOUR)
+        assert out == (session_bars(session)[0],)
+        t_high, t_low, t_vol = _trailing(session, 60)
+        assert (t_high.tolist(), t_low.tolist(), t_vol.tolist()) == \
+            (session.high.tolist(), session.low.tolist(), session.volume.tolist())
 
     def test_one_minute_returns_session_bars(self):
         session = _session_of(390)
-        out = resample(session, Timeframe.ONE_MINUTE)
-        assert out is session.bars
-        assert out == resample_bars(session.bars, 1)
+        out = resample_reference.resample(session, Timeframe.ONE_MINUTE)
+        assert out == session_bars(session)
+        assert out == resample_bars(session_bars(session), 1)
+        # At length 1 every aggregate is its own bar, bit for bit.
+        t_high, t_low, t_vol = _trailing(session, 1)
+        assert t_high.tobytes() == session.high.tobytes()
+        assert t_low.tobytes() == session.low.tobytes()
+        assert t_vol.tobytes() == session.volume.astype(np.float64).tobytes()
 
     def test_volume_conserved_any_window(self):
         session = _session_of(97)
-        total = sum(b.volume for b in session.bars)
+        total = sum(b.volume for b in session_bars(session))
         for n in (1, 2, 7, 10, 60, 97, 200):
-            assert sum(b.volume for b in resample_bars(session.bars, n)) == total
+            assert sum(b.volume for b in resample_bars(session_bars(session), n)) == total
+            # Windows ending at the last bar and every n-th before it tile the
+            # data, the first one partial.
+            assert _trailing(session, n)[2][::-n].sum() == total
+
+    def test_exact_integer_volume_sums(self):
+        # The running volume sum stays below 2**53, so every difference is exact.
+        rng = np.random.default_rng(5)
+        volumes = rng.integers(1, 10**12, size=500)
+        for n in (10, 60):
+            t_vol = resample(np.ones(500), np.ones(500), volumes, n)[2]
+            want = [int(volumes[max(0, i - n + 1):i + 1].sum()) for i in range(500)]
+            assert t_vol.dtype == np.float64
+            assert [int(v) for v in t_vol] == want
 
     def test_path_consistency_full_hour_session(self):
         session = _session_of(360)
-        direct = resample(session, Timeframe.ONE_HOUR)
-        via_10m = resample_bars(resample(session, Timeframe.TEN_MINUTE), 6)
+        direct = resample_reference.resample(session, Timeframe.ONE_HOUR)
+        via_10m = resample_bars(resample_reference.resample(session, Timeframe.TEN_MINUTE), 6)
         assert direct == via_10m
+        hours, tens = _trailing(session, 60), _trailing(session, 10)
+        for i in range(360):
+            ends = slice(max(i % 10, i - 50), i + 1, 10)
+            assert hours[0][i] == tens[0][ends].max()
+            assert hours[1][i] == tens[1][ends].min()
+            assert hours[2][i] == tens[2][ends].sum()
 
     def test_empty_session_rejected(self):
         empty = Session.from_bars(date(2024, 1, 2), _ts(9, 30), _ts(16, 0), ())
         with pytest.raises(MarketDataError):
-            resample(empty, Timeframe.ONE_MINUTE)
+            resample_reference.resample(empty, Timeframe.ONE_MINUTE)
+        for n in (1, 60):
+            with pytest.raises(MarketDataError, match="cannot aggregate 0 bars"):
+                _trailing(empty, n)
 
     def test_bad_window_rejected(self):
         with pytest.raises(MarketDataError):
-            resample_bars(_session_of(5).bars, 0)
+            resample_bars(session_bars(_session_of(5)), 0)
+        with pytest.raises(MarketDataError, match="cannot aggregate 5 bars by 0"):
+            _trailing(_session_of(5), 0)
 
 
 class TestSynthesize:
@@ -421,8 +481,8 @@ class TestSynthesize:
         )
         result = synthesize(cfg, seed=1, days=2)
         for session in result.sessions:
-            for bar in session.bars:
-                assert bar.open == bar.high == bar.low == bar.close == 42.0
+            for name in ("open", "high", "low", "close"):
+                assert (getattr(session, name) == 42.0).all()
 
     def test_non_stochastic_matrix_rejected(self):
         with pytest.raises(MarketDataError):
@@ -458,7 +518,7 @@ class TestSynthesize:
             share_high = labels.mean()
             if 0.2 < share_high < 0.8:
                 continue  # mixed day, regime ambiguous
-            closes = np.array([b.close for b in session.bars])
+            closes = session.close
             realized = np.diff(closes) / closes[:-1]
             (high_vols if share_high >= 0.8 else low_vols).append(realized.std(ddof=1))
         assert len(low_vols) >= 10 and len(high_vols) >= 10
@@ -530,14 +590,14 @@ class TestSynthesizeMatchesScalarLoop:
 
 
 class TestColumnsOnly:
-    """The market's readers use the columns and never build Session.bars."""
+    """The market's readers use the columns and never build a Bar row."""
 
     @pytest.fixture(autouse=True)
     def no_bars(self, monkeypatch):
-        def built(session):
-            raise AssertionError("Session.bars was built")
+        def built(bar):
+            raise AssertionError("a Bar was built")
 
-        monkeypatch.setattr(Session, "bars", property(built))
+        monkeypatch.setattr(Bar, "__post_init__", built)
 
     @pytest.fixture(scope="class")
     def sessions(self):

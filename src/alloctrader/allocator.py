@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import AlloctraderError
-from .atomic import atomic_write
+from .atomic import write_csv
 from .envs import (
     BaseBarEnv,
     EnvConfig,
@@ -35,7 +35,7 @@ from .envs import (
 from .evaluation import return_volatility_pct
 from .indicators import FEATURE_WARMUP
 from .market_data import Session, TIMEFRAME_ORDER, Timeframe, _as_utc
-from .portfolio import TradeLogEntry, features
+from .portfolio import features
 from .ppo import PolicyParameters, greedy_action
 
 
@@ -116,32 +116,14 @@ def allocator_reward(v_current: float, v_previous: float) -> float:
 
 
 @dataclass(frozen=True)
-class AllocationDecision:
-    """One allocator choice and the base-bar span it governed.
+class DecisionRecord:
+    """One allocator decision, as kept, logged and read back.
 
     The timestamp is the span's first bar (the bar the decision takes effect
     on), so calendar grouping attributes each decision to the session it
-    traded in. `timeframe` is the agent actually activated; when `forced` is
-    set, the engine overrode `requested` with the 1-minute agent because the
-    span opens a session.
+    traded in. `timeframe` is the agent actually activated; `forced` is set
+    when the span opens a session, so the 1-minute agent overrode the choice.
     """
-
-    timestamp: datetime
-    timeframe: Timeframe
-    requested: Timeframe
-    forced: bool
-    span_start: int
-    span_end: int
-    log_return: float
-
-    @property
-    def span_bars(self) -> int:
-        return self.span_end - self.span_start + 1
-
-
-@dataclass(frozen=True)
-class DecisionRecord:
-    """Decision log row as read back from CSV."""
 
     timestamp: datetime
     timeframe: Timeframe
@@ -155,23 +137,18 @@ _DECISION_LOG_FIELDS = (
 )
 
 
-def write_decision_log(decisions: Sequence[AllocationDecision], path: str) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DECISION_LOG_FIELDS)
-        for d in decisions:
-            writer.writerow(
-                [d.timestamp.isoformat(), d.timeframe.label, int(d.forced),
-                 d.span_bars, repr(d.log_return)]
-            )
+def write_decision_log(decisions: Sequence[DecisionRecord], path: str) -> None:
+    write_csv(path, _DECISION_LOG_FIELDS,
+              ((d.timestamp.isoformat(), d.timeframe.label, int(d.forced), d.span_bars,
+                d.log_return) for d in decisions))
 
 
 def read_decision_log(path: str) -> tuple[DecisionRecord, ...]:
     """Read a decision log written by write_decision_log. A timestamp without
     an offset is taken as UTC, as market data timestamps are. Anything that
-    is not a well-formed row (a bad field, span_bars below 1, a non-finite
-    span_log_return, undecodable text) raises AllocatorError naming the file
-    and the row."""
+    is not a well-formed row (a bad field, a forced_flag other than 0 or 1,
+    span_bars below 1, a non-finite span_log_return, undecodable text)
+    raises AllocatorError naming the file and the row."""
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -201,6 +178,8 @@ def _decision_record(row: list[str], where: str) -> DecisionRecord:
         )
     except (ValueError, OverflowError) as exc:
         raise AllocatorError(f"{where}: {exc}") from exc
+    if row[2] not in ("0", "1"):
+        raise AllocatorError(f"{where}: forced_flag must be 0 or 1, got {row[2]!r}")
     if record.span_bars < 1:
         raise AllocatorError(f"{where}: span_bars must be >= 1, got {record.span_bars}")
     if not math.isfinite(record.log_return):
@@ -224,7 +203,7 @@ class HierarchyEnv(BaseBarEnv):
         self.registry = registry
         self.config = config
         self._start_cursor = self._find_start_cursor(sessions, start_day)
-        self.decisions: list[AllocationDecision] = []
+        self.decisions: list[DecisionRecord] = []
         self.equity: list[tuple[datetime, float]] = []
 
     def _find_start_cursor(self, sessions, start_day) -> int:
@@ -313,13 +292,11 @@ class HierarchyEnv(BaseBarEnv):
 
         v_end = self.value
         reward = allocator_reward(v_end, self._span_start_value)
-        decision = AllocationDecision(
+        decision = DecisionRecord(
             timestamp=self.timestamps[b + 1],
             timeframe=executed,
-            requested=requested,
             forced=forced,
-            span_start=b + 1,
-            span_end=span_end,
+            span_bars=span_end - b,
             log_return=reward,
         )
         self.decisions.append(decision)
@@ -338,23 +315,15 @@ class HierarchyEnv(BaseBarEnv):
         )
 
 
-@dataclass(frozen=True)
-class HierarchyReport:
-    """Everything a hierarchy backtest produced."""
-
-    equity: tuple[tuple[datetime, float], ...]
-    trades: tuple[TradeLogEntry, ...]
-    decisions: tuple[AllocationDecision, ...]
-
-
 def run_hierarchy(
     sessions: Sequence[Session],
     registry: AgentRegistry,
     allocator_params: PolicyParameters,
     config: AllocatorConfig = AllocatorConfig(),
     start_day=None,
-) -> HierarchyReport:
-    """Deterministic greedy evaluation episode over the full data span."""
+) -> HierarchyEnv:
+    """Deterministic greedy evaluation episode over the full data span; the
+    finished environment holds its equity, trades and decisions."""
     env = HierarchyEnv(sessions, registry, config, start_day=start_day)
     expected = env.observation_size
     if allocator_params.spec.input_dim != expected:
@@ -366,8 +335,4 @@ def run_hierarchy(
     while not env.done:
         result = env.step(greedy_action(allocator_params, obs))
         obs = result.observation
-    return HierarchyReport(
-        equity=tuple(env.equity),
-        trades=tuple(env.trades),
-        decisions=tuple(env.decisions),
-    )
+    return env

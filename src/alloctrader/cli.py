@@ -29,7 +29,7 @@ from .allocator import (
     run_hierarchy,
     write_decision_log,
 )
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .config import ConfigError, RunConfig, default_config, load_config
 from .envs import EnvConfig, EnvError, TradingEnv, run_agent
 from .evaluation import (
@@ -283,12 +283,10 @@ def _backtest_hierarchy(cfg: RunConfig, paths: _Paths, sessions, test_start: dat
         initial_cash=_extra(alloc_path, ckpt, "initial_cash", float),
         fee_per_sell_share=cfg.fee_per_sell_share,
     )
-    report = run_hierarchy(sessions, registry, ckpt.params, alloc_config, start_day=test_start)
-    curve = EquityCurve.from_pairs(report.equity)
-    write_decision_log(report.decisions, str(paths.reports / "hierarchy_allocations.csv"))
-    _write_backtest(
-        paths, "hierarchy", curve, report.trades, annualization_factor(curve.timestamps)
-    )
+    env = run_hierarchy(sessions, registry, ckpt.params, alloc_config, start_day=test_start)
+    curve = EquityCurve.from_pairs(env.equity)
+    write_decision_log(env.decisions, str(paths.reports / "hierarchy_allocations.csv"))
+    _write_backtest(paths, "hierarchy", curve, env.trades, annualization_factor(curve.timestamps))
 
 
 def cmd_backtest(args) -> int:
@@ -329,9 +327,7 @@ def cmd_analyze(args) -> int:
         )
     report = quartile_allocation(decisions, sessions, args.granularity)
     stem = paths.reports / f"quartiles_{args.granularity}"
-    with atomic_write(f"{stem}.json") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(f"{stem}.json", report.to_json_dict())
     with atomic_write(f"{stem}.txt") as fh:
         fh.write(report.to_text())
     report.to_plot_csv(f"{stem}.csv")

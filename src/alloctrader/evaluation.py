@@ -9,10 +9,8 @@ and yield None.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from itertools import chain
 from typing import Iterable, Sequence
@@ -20,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import AlloctraderError
-from .atomic import atomic_write
+from .atomic import atomic_write, write_csv, write_json
 from .market_data import Session, TIMEFRAME_ORDER
 
 logger = logging.getLogger(__name__)
@@ -135,12 +133,7 @@ class MetricsReport:
     periods_per_year: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "cumulative_return_pct": self.cumulative_return_pct,
-            "sharpe": self.sharpe,
-            "max_drawdown_pct": self.max_drawdown_pct,
-            "periods_per_year": self.periods_per_year,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         sharpe_text = "undefined (zero variance)" if self.sharpe is None else f"{self.sharpe:.4f}"
@@ -161,12 +154,10 @@ def compute_metrics(curve, periods_per_year: float) -> MetricsReport:
 
 
 def write_equity_csv(curve: EquityCurve, path: str) -> None:
-    """Write the curve as `timestamp,value` CSV rows (ISO-8601, `repr`),
-    with csv.writer's CRLF line ends."""
-    with atomic_write(path, newline="") as fh:
-        fh.write("timestamp,value\r\n")
-        fh.write("".join(map("{},{}\r\n".format, map(datetime.isoformat, curve.timestamps),
-                             map(repr, curve.values.tolist()))))
+    """Write the curve as `timestamp,value` CSV rows (ISO-8601, `repr`), one
+    point at a time, so no list of the values is built."""
+    write_csv(path, ("timestamp", "value"),
+              zip(map(datetime.isoformat, curve.timestamps), map(float, curve.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +222,10 @@ class QuartileAllocationReport:
         return "\n".join(lines) + "\n"
 
     def to_plot_csv(self, path: str) -> None:
-        with atomic_write(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["quartile", "units", "vol_min", "vol_max"]
-                + [f"share_{tf.label}" for tf in TIMEFRAME_ORDER]
-            )
-            for i, q in enumerate(self.quartiles):
-                writer.writerow(
-                    [i, q.units, repr(q.vol_min), repr(q.vol_max)]
-                    + [repr(s) for s in q.shares]
-                )
+        write_csv(path, ("quartile", "units", "vol_min", "vol_max",
+                         *(f"share_{tf.label}" for tf in TIMEFRAME_ORDER)),
+                  ((i, q.units, q.vol_min, q.vol_max, *q.shares)
+                   for i, q in enumerate(self.quartiles)))
 
 
 def quartile_allocation(
@@ -309,9 +293,7 @@ def annualization_factor(timestamps: Sequence[datetime]) -> float:
 
 
 def write_metrics(report: MetricsReport, json_path: str, text_path: str | None = None) -> None:
-    with atomic_write(json_path) as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, report.to_json_dict())
     if text_path is not None:
         with atomic_write(text_path) as fh:
             fh.write(report.to_text())

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
+from itertools import chain
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import AlloctraderError
-from .atomic import atomic_write
+from .atomic import atomic_write, write_csv
 
 CSV_HEADER = ("timestamp", "open", "high", "low", "close", "volume")
 
@@ -351,20 +352,11 @@ def iso_timestamps(session: Session) -> list[str]:
 
 
 def write_sessions_csv(sessions: Iterable[Session], path: str) -> None:
-    """Serialize sessions to CSV so that re-ingesting reproduces them exactly.
-
-    Prices use shortest round-trip decimal form (`repr`), timestamps ISO-8601.
-    The bytes are those of csv.writer: comma-separated, CRLF-terminated rows.
-    """
-    with atomic_write(path, newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
-        for s in sessions:
-            fh.write("".join(map(
-                "{},{},{},{},{},{}\r\n".format,
-                iso_timestamps(s),
-                *(map(repr, getattr(s, name).tolist()) for name in _COLUMNS[:4]),
-                s.volume.tolist(),
-            )))
+    """Serialize sessions to CSV so that re-ingesting reproduces them exactly:
+    prices in shortest round-trip decimal form (`repr`), timestamps ISO-8601."""
+    write_csv(path, CSV_HEADER, chain.from_iterable(
+        zip(iso_timestamps(s), *(getattr(s, name).tolist() for name in _COLUMNS))
+        for s in sessions))
 
 
 def resample(highs: np.ndarray, lows: np.ndarray, volumes: np.ndarray,
@@ -380,8 +372,9 @@ def resample(highs: np.ndarray, lows: np.ndarray, volumes: np.ndarray,
     pad = np.full(length - 1, np.inf)
     t_high = sliding_window_view(np.concatenate([-pad, highs]), length).max(axis=1)
     t_low = sliding_window_view(np.concatenate([pad, lows]), length).min(axis=1)
-    csum = np.concatenate([np.zeros(length), np.cumsum(volumes)])
-    return t_high, t_low, csum[length:] - csum[:-length]
+    # Each window summed on its own: every partial sum below 2**53 is exact.
+    t_vol = sliding_window_view(np.concatenate([np.zeros(length - 1), volumes]), length)
+    return t_high, t_low, t_vol.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

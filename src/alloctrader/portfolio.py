@@ -10,7 +10,6 @@ total-spent / total-shares regardless of how many buys built the position.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterable
@@ -18,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import AlloctraderError
-from .atomic import atomic_write
+from .atomic import write_csv
 
 
 class PortfolioError(AlloctraderError, ValueError):
@@ -99,10 +98,6 @@ class TradeLogEntry:
 
 def write_trade_log(entries: Iterable[TradeLogEntry], path: str) -> None:
     """Write fills as CSV: timestamp, side, shares, price, realized_reward."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "side", "shares", "price", "realized_reward"])
-        for e in entries:
-            writer.writerow(
-                [e.timestamp.isoformat(), e.side, e.shares, repr(e.price), repr(e.realized_reward)]
-            )
+    write_csv(path, ("timestamp", "side", "shares", "price", "realized_reward"),
+              ((e.timestamp.isoformat(), e.side, e.shares, e.price, e.realized_reward)
+               for e in entries))

@@ -26,13 +26,13 @@ import struct
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from . import AlloctraderError
-from .atomic import atomic_write
+from .atomic import atomic_write, write_csv
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -651,15 +651,7 @@ class TrainingCurve:
     points: list[CurvePoint] = field(default_factory=list)
 
     def to_csv(self, path: str) -> None:
-        import csv as _csv
-
-        names = ["timesteps", "mean_step_reward", "mean_episode_return", "loss",
-                 "policy_loss", "value_loss", "entropy", "clip_fraction"]
-        with atomic_write(path, newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(names)
-            for p in self.points:
-                writer.writerow([p.timesteps] + [repr(getattr(p, n)) for n in names[1:]])
+        write_csv(path, [f.name for f in fields(CurvePoint)], map(astuple, self.points))
 
 
 def train(

@@ -413,6 +413,7 @@ def test_criterion_08_session_rules(capsys):
     env = HierarchyEnv(sessions, _random_registry(seed=8),
                        AllocatorConfig(market_window=20, vol_window=10))
     env.reset()
+    span_start = env.cursor + 1
     rng = np.random.default_rng(88)
     session_closes = 0
     flat_at_close = True
@@ -424,7 +425,9 @@ def test_criterion_08_session_rules(capsys):
     session_opens = 0
     openers_ok = True
     for decision in env.decisions:
-        if env.session_first[decision.span_start]:
+        opens = env.session_first[span_start]
+        span_start += decision.span_bars
+        if opens:
             session_opens += 1
             openers_ok = openers_ok and decision.forced \
                 and decision.timeframe is Timeframe.ONE_MINUTE
@@ -636,9 +639,8 @@ def test_criterion_13_directional_volatility_preference(capsys):
     for seed in range(5):
         params, _ = train(lambda: HierarchyEnv(train_sessions, registry, alloc_cfg),
                           alloc_spec, alloc_hp, seed)
-        report = run_hierarchy(result.sessions, registry, params, alloc_cfg,
-                               start_day=test_day)
-        quartiles = quartile_allocation(report.decisions, test_sessions, "daily").quartiles
+        env = run_hierarchy(result.sessions, registry, params, alloc_cfg, start_day=test_day)
+        quartiles = quartile_allocation(env.decisions, test_sessions, "daily").quartiles
         outcomes.append(quartiles[-1].shares[0] >= quartiles[0].shares[0])
     wins = sum(outcomes)
     elapsed = time.perf_counter() - t0

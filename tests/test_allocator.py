@@ -134,7 +134,6 @@ class TestStep:
         assert len(forced) == sessions_traded
         for d in forced:
             assert d.timeframe is Timeframe.ONE_MINUTE
-            assert d.requested is Timeframe.ONE_HOUR
             assert d.span_bars == 1
 
     def test_spans_tile_contiguously(self, buy_env):
@@ -144,9 +143,9 @@ class TestStep:
             buy_env.step(Timeframe.TEN_MINUTE)
         expected_start = start + 1
         for d in buy_env.decisions:
-            assert d.span_start == expected_start
-            expected_start = d.span_end + 1
-        assert buy_env.decisions[-1].span_end == buy_env.n_bars - 1
+            assert d.timestamp == buy_env.timestamps[expected_start]
+            expected_start += d.span_bars
+        assert expected_start == buy_env.n_bars
 
     def test_hour_spans_truncate_at_session_close(self, buy_env):
         # A 390-minute session under all-hour choices splits into
@@ -374,11 +373,14 @@ class TestDecisionLog:
             assert rec.forced == d.forced
             assert rec.span_bars == d.span_bars
             assert rec.log_return == d.log_return
+        assert records == tuple(buy_env.decisions)
 
     @pytest.mark.parametrize("row, match", [
         ("2024-01-02T14:30:00+00:00,1m,0,1", "row 3 has 4 fields, expected 5"),
         ("", "row 3 has 0 fields, expected 5"),
         ("2024-01-02T14:30:00+00:00,1m,1.0,1,0.0", "row 3: invalid literal for int"),
+        ("2024-01-02T14:30:00+00:00,1m,7,1,0.0", "row 3: forced_flag must be 0 or 1, got '7'"),
+        ("2024-01-02T14:30:00+00:00,1m,-1,1,0.0", "row 3: forced_flag must be 0 or 1, got '-1'"),
         ("yesterday,1m,0,1,0.0", "row 3: Invalid isoformat string: .yesterday."),
         ("2024-01-02T14:30:00+00:00,1m,0,1,nope", "row 3: could not convert string to float"),
         ("2024-01-02T14:30:00+00:00,2m,0,1,0.0", "row 3: unknown timeframe label"),
@@ -387,8 +389,9 @@ class TestDecisionLog:
         ("2024-01-02T14:30:00+00:00,1m,0,1,nan", "row 3: span_log_return must be finite, got 'nan'"),
         ("2024-01-02T14:30:00+00:00,1m,0,1,-inf", "row 3: span_log_return must be finite"),
         ("0001-01-01T00:00:00+05:00,1m,0,1,0.0", "row 3: date value out of range"),
-    ], ids=["short-row", "blank-row", "forced-flag", "timestamp", "float", "timeframe",
-            "zero-span", "negative-span", "nan-return", "infinite-return", "utc-overflow"])
+    ], ids=["short-row", "blank-row", "forced-flag", "forced-flag-7", "forced-flag-minus-1",
+            "timestamp", "float", "timeframe", "zero-span", "negative-span", "nan-return",
+            "infinite-return", "utc-overflow"])
     def test_bad_row_names_file_and_row(self, tmp_path, row, match):
         path = tmp_path / "decisions.csv"
         good = "2024-01-02T14:30:00+00:00,1m,0,1,0.0"
@@ -464,17 +467,15 @@ class TestRunHierarchy:
 
     def test_report_consistency(self, regime_result):
         registry = stub_registry(BUY)
-        report = run_hierarchy(
+        env = run_hierarchy(
             regime_result.sessions, registry, self._allocator_params(), ALLOC
         )
-        initial, final = report.equity[0][1], report.equity[-1][1]
+        initial, final = env.equity[0][1], env.equity[-1][1]
         assert initial == ALLOC.initial_cash
-        total = sum(d.log_return for d in report.decisions)
+        total = sum(d.log_return for d in env.decisions)
         assert total == pytest.approx(np.log(final / initial), abs=1e-9)
         # Equity curve spans every base bar plus the pre-span anchor point.
-        first = report.decisions[0].span_start
-        last = report.decisions[-1].span_end
-        assert len(report.equity) == last - first + 2
+        assert len(env.equity) == sum(d.span_bars for d in env.decisions) + 1
 
     def test_input_dim_mismatch_rejected(self, regime_result):
         bad_spec = NetworkSpec(input_dim=17, hidden=(8, 8), action_count=3)
@@ -485,7 +486,7 @@ class TestRunHierarchy:
     def test_start_day_skips_earlier_sessions(self, regime_result):
         registry = stub_registry(HOLD)
         day = regime_result.sessions[-3].day
-        report = run_hierarchy(
+        env = run_hierarchy(
             regime_result.sessions, registry, self._allocator_params(), ALLOC, start_day=day
         )
-        assert report.decisions[0].timestamp.date() == day
+        assert env.decisions[0].timestamp.date() == day

@@ -2,13 +2,13 @@
 
 import errno
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from alloctrader import atomic
-from alloctrader.allocator import AllocationDecision, write_decision_log
+from alloctrader.allocator import DecisionRecord, write_decision_log
 from alloctrader.cli import main
 from alloctrader.evaluation import (
     EquityCurve,
@@ -18,7 +18,7 @@ from alloctrader.evaluation import (
     write_equity_csv,
     write_metrics,
 )
-from alloctrader.market_data import Timeframe, synthesize, write_sessions_csv
+from alloctrader.market_data import TIMEFRAME_ORDER, Timeframe, synthesize, write_sessions_csv
 from alloctrader.portfolio import TradeLogEntry, write_trade_log
 from alloctrader.ppo import (
     CurvePoint,
@@ -29,6 +29,7 @@ from alloctrader.ppo import (
     save_checkpoint,
 )
 from conftest import small_synth_config, weekday_calendar
+import csv_reference
 
 OLD = b"old contents\n"
 T0 = datetime(2024, 1, 2, 15, 0, tzinfo=timezone.utc)
@@ -84,8 +85,7 @@ WRITERS = {
     "metrics_json": lambda p: write_metrics(_metrics(), p),
     "metrics_text": lambda p: write_metrics(_metrics(), str(p) + ".json", p),
     "decision_log": lambda p: write_decision_log(
-        [AllocationDecision(T0, Timeframe.ONE_MINUTE, Timeframe.ONE_MINUTE, True, 1, 1, 0.0)] * 3,
-        p),
+        [DecisionRecord(T0, Timeframe.ONE_MINUTE, True, 1, 0.0)] * 3, p),
     "training_curve": lambda p: TrainingCurve(
         [CurvePoint(4, 0.0, 0.0, 1.0, 0.5, 0.5, 1.0, 0.0)] * 3).to_csv(p),
     "checkpoint": _checkpoint,
@@ -134,3 +134,42 @@ def test_successful_write_replaces_file(tmp_path):
         fh.write(b"new")
     assert path.read_bytes() == b"new"
     assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+# Floats whose text is easy to get wrong: signs, non-finite values, a
+# subnormal, exponent forms and a value that does not round-trip at 17 digits.
+AWKWARD = (-1.5, float("nan"), float("inf"), -float("inf"), 5e-324, -0.0, 1e16, 1e-5, 0.1 + 0.2)
+
+TABLES = {
+    "trade_log": (
+        write_trade_log, csv_reference.write_trade_log,
+        [TradeLogEntry(T0 + timedelta(minutes=k), ("buy", "sell")[k % 2], k, x, -x)
+         for k, x in enumerate(AWKWARD)]),
+    "decision_log": (
+        write_decision_log, csv_reference.write_decision_log,
+        [DecisionRecord(T0 + timedelta(minutes=k), TIMEFRAME_ORDER[k % 3], k % 2 == 0, k + 1, x)
+         for k, x in enumerate(AWKWARD)]),
+    "quartile_plot_csv": (
+        QuartileAllocationReport.to_plot_csv, csv_reference.write_quartile_plot_csv,
+        QuartileAllocationReport("daily", tuple(
+            QuartileStats(k, x, -x, (x, 1.0 - k, 5e-324)) for k, x in enumerate(AWKWARD)))),
+    "training_curve": (
+        TrainingCurve.to_csv, csv_reference.write_training_curve,
+        TrainingCurve([CurvePoint(k * 512, x, -x, x, 1e-300, x * 3, -0.0, 0.25)
+                       for k, x in enumerate(AWKWARD)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_write_csv_matches_csv_writer_reference(tmp_path, name):
+    write, reference, table = TABLES[name]
+    write(table, str(tmp_path / "got.csv"))
+    reference(table, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_json_is_sorted_indented_and_newline_terminated(tmp_path):
+    obj = {"b": [1, 2.5, None], "a": {"y": float("inf"), "x": "text"}}
+    atomic.write_json(tmp_path / "out.json", obj)
+    want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "out.json").read_text() == want

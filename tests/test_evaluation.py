@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -80,6 +81,18 @@ class TestWriteEquityCsv:
             csv_reference.write_equity_csv(curve, str(want))
             assert (hashlib.sha256(path.read_bytes()).hexdigest()
                     == hashlib.sha256(want.read_bytes()).hexdigest())
+
+    def test_rows_are_streamed(self, tmp_path):
+        # A 39,000-point curve (100 sessions of 390 bars) is about 1.5 MB of
+        # text; writing it must not hold the file, or its values, in memory.
+        curve = _curve(np.linspace(10_000.0, 12_000.0, 39_000))
+        tracemalloc.start()
+        try:
+            write_equity_csv(curve, str(tmp_path / "equity.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCumulativeReturn:

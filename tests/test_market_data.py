@@ -421,13 +421,25 @@ class TestResample:
             assert _trailing(session, n)[2][::-n].sum() == total
 
     def test_exact_integer_volume_sums(self):
-        # The running volume sum stays below 2**53, so every difference is exact.
+        # Every window's sum stays below 2**53, so it is exact.
         rng = np.random.default_rng(5)
         volumes = rng.integers(1, 10**12, size=500)
         for n in (10, 60):
             t_vol = resample(np.ones(500), np.ones(500), volumes, n)[2]
             want = [int(volumes[max(0, i - n + 1):i + 1].sum()) for i in range(500)]
             assert t_vol.dtype == np.float64
+            assert [int(v) for v in t_vol] == want
+
+    def test_exact_sums_when_the_market_total_passes_2_53(self):
+        # 7,800 bars near 10**13 each total about 8e16, past 2**53, so a
+        # running sum over the market would round; each window stays exact.
+        sessions = synthesize(small_synth_config(base_volume=10**13), seed=7, days=20).sessions
+        volumes = [v for s in sessions for v in s.volume.tolist()]
+        assert sum(volumes) > 2**53
+        floats = np.array(volumes, dtype=np.float64)
+        for n in (10, 60):
+            t_vol = resample(floats, floats, floats, n)[2]
+            want = [sum(volumes[max(0, i - n + 1):i + 1]) for i in range(len(volumes))]
             assert [int(v) for v in t_vol] == want
 
     def test_path_consistency_full_hour_session(self):

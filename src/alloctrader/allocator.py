@@ -165,7 +165,7 @@ def read_decision_log(path: str) -> tuple[DecisionRecord, ...]:
 
 
 def _decision_record(row: list[str], where: str) -> DecisionRecord:
-    if len(row) < len(_DECISION_LOG_FIELDS):
+    if len(row) != len(_DECISION_LOG_FIELDS):
         raise AllocatorError(f"{where} has {len(row)} fields, "
                              f"expected {len(_DECISION_LOG_FIELDS)}")
     try:

@@ -291,8 +291,6 @@ def _backtest_hierarchy(cfg: RunConfig, paths: _Paths, sessions, test_start: dat
 
 def cmd_backtest(args) -> int:
     cfg, paths = _load_run(args)
-    if args.strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {', '.join(STRATEGIES)}, got {args.strategy}")
     sessions = _materialize_sessions(cfg)
     test_start, test_end = cfg.test_range
     test_sessions = _require_range(sessions, test_start, test_end, "test")
@@ -393,15 +391,23 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so that it exits 1 with one
+    `error:` line like every other failure. Subparsers take the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
     common.add_argument("--seed", type=int, help="override run.seed")
     common.add_argument("--out", help="override run.out_dir")
     common.add_argument("--force", action="store_true",
                         help="overwrite existing checkpoints")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alloctrader",
         description="Hierarchical multi-timeframe trading agents: train, backtest, analyze.",
     )
@@ -451,8 +457,8 @@ def main(argv=None) -> int:
     keep the largest one's transient arrays resident. glibc trims by itself
     only when the free space is at the top of the heap, which depends on
     where the last live allocation happens to sit."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except AlloctraderError as exc:
         message = str(exc).replace("\n", "; ")

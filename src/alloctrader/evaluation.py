@@ -57,24 +57,18 @@ class EquityCurve:
         return self.values.size
 
 
-def _curve_values(curve) -> np.ndarray:
-    if isinstance(curve, EquityCurve):
-        return curve.values
-    return np.asarray(curve, dtype=np.float64)
-
-
-def cumulative_return(curve) -> float:
+def cumulative_return(curve: EquityCurve) -> float:
     """Total gain over the curve as a percentage of the starting value."""
-    values = _curve_values(curve)
+    values = curve.values
     if values.size < 2:
         raise EvaluationError(f"cumulative_return needs >= 2 points, got {values.size}")
     return float((values[-1] - values[0]) / values[0] * 100.0)
 
 
-def sharpe(curve, periods_per_year: float) -> float | None:
+def sharpe(curve: EquityCurve, periods_per_year: float) -> float | None:
     """Annualized Sharpe ratio of the curve's period returns, or None when
     the returns have zero variance (no defined signal)."""
-    values = _curve_values(curve)
+    values = curve.values
     if values.size < 3:
         raise EvaluationError(f"sharpe needs >= 3 points, got {values.size}")
     if not periods_per_year > 0:
@@ -86,9 +80,9 @@ def sharpe(curve, periods_per_year: float) -> float | None:
     return float(returns.mean() / std * np.sqrt(periods_per_year))
 
 
-def max_drawdown(curve) -> float:
+def max_drawdown(curve: EquityCurve) -> float:
     """Largest peak-to-trough decline, as a non-positive percentage."""
-    values = _curve_values(curve)
+    values = curve.values
     if values.size < 2:
         raise EvaluationError(f"max_drawdown needs >= 2 points, got {values.size}")
     peaks = np.maximum.accumulate(values)
@@ -144,7 +138,7 @@ class MetricsReport:
         )
 
 
-def compute_metrics(curve, periods_per_year: float) -> MetricsReport:
+def compute_metrics(curve: EquityCurve, periods_per_year: float) -> MetricsReport:
     return MetricsReport(
         cumulative_return_pct=cumulative_return(curve),
         sharpe=sharpe(curve, periods_per_year),
@@ -166,15 +160,12 @@ def write_equity_csv(curve: EquityCurve, path: str) -> None:
 
 
 def _unit_key(ts: datetime, granularity: str):
+    """The calendar unit of `ts`; `granularity` is one of GRANULARITIES."""
     if granularity == "monthly":
         return (ts.year, ts.month)
     if granularity == "daily":
         return ts.date()
-    if granularity == "hourly":
-        return (ts.date(), ts.hour)
-    raise EvaluationError(
-        f"granularity must be one of {GRANULARITIES}, got {granularity!r}"
-    )
+    return (ts.date(), ts.hour)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,10 @@ generalized advantage estimation, per-minibatch advantage normalization,
 entropy bonus, Adam with global gradient-norm clipping, orthogonal
 initialization (gain sqrt(2) hidden, 0.01 policy head, 1.0 value head).
 Adam runs in place, in L2-sized row blocks of each array, and allocates
-nothing the size of the model. Above SERIAL_WORK, each minibatch's policy-net
-work (forward, backward, squared-gradient sums, Adam) runs on a worker thread
-while the value net's runs on the caller's, with bit-identical results. Adam's
-state lives in an AdamState that only training holds; checkpoints store the
-parameters alone.
+nothing the size of the model. Each minibatch's policy-net work (forward,
+backward, squared-gradient sums, Adam) runs on a worker thread while the value
+net's runs on the caller's, with bit-identical results. Adam's state lives in
+an AdamState that only training holds; checkpoints store the parameters alone.
 """
 
 from __future__ import annotations
@@ -374,31 +373,14 @@ class UpdateStats:
 # same bit for bit whatever the scheduling. The thread starts on first use.
 _worker: ThreadPoolExecutor | None = None
 _worker_lock = threading.Lock()
-# Below this many multiply-adds in a minibatch's first two layers,
-# batch_size * (input_dim * h1 + h1 * h2), both halves run on the calling
-# thread: every numpy call is then so short that the two threads trade the
-# interpreter lock on almost every call and run slower than one. An 11->32,32
-# net at batch 128 is 0.18 M; the smallest default net, the allocator's
-# 310->64,64 at batch 256, is 6.1 M.
-SERIAL_WORK = 1_000_000
 
 
-def _threaded(spec: NetworkSpec, hp: PpoHyperparams) -> bool:
-    h1, h2 = spec.hidden
-    return hp.batch_size * (spec.input_dim * h1 + h1 * h2) >= SERIAL_WORK
+def _both_halves(policy_half: Callable, value_half: Callable) -> tuple:
+    """Run policy_half on the worker and value_half here; return both results.
 
-
-def _both_halves(threaded: bool, policy_half: Callable, value_half: Callable) -> tuple:
-    """Run policy_half and value_half; return both results.
-
-    Threaded, policy_half runs on the worker and value_half here; otherwise
-    value_half then policy_half run here. Both have finished when this
-    returns or raises. An error from the value half wins over one from the
-    policy half.
+    Both have finished when this returns or raises. An error from the value
+    half wins over one from the policy half.
     """
-    if not threaded:
-        value = value_half()
-        return policy_half(), value
     global _worker
     with _worker_lock:
         if _worker is None:
@@ -464,12 +446,10 @@ def ppo_loss_and_grads(
     loss = -mean(min(ratio * A, clip(ratio) * A))
            + value_coef * mean((V - R)^2) - entropy_coef * mean(H).
 
-    The policy half runs on the worker thread and the value half on this one,
-    unless the nets are below SERIAL_WORK.
+    The policy half runs on the worker thread and the value half on this one.
     """
     arrays = params.arrays
     (policy_loss, entropy_mean, clip_fraction, grads), (value_loss, value_grads) = _both_halves(
-        _threaded(params.spec, hp),
         lambda: _policy_loss_and_grads(
             arrays, observations, actions, old_log_probs, advantages, hp
         ),
@@ -492,10 +472,9 @@ def _square_sums(grads: dict, prefix: str) -> dict[str, float]:
     return {key: float((g * g).sum()) for key, g in grads.items() if key.startswith(prefix)}
 
 
-def _global_grad_norm(grads: dict, threaded: bool) -> float:
+def _global_grad_norm(grads: dict) -> float:
     """sqrt of the per-array squared sums, added up in `grads` order."""
     policy, value = _both_halves(
-        threaded,
         lambda: _square_sums(grads, "policy_"), lambda: _square_sums(grads, "value_")
     )
     sums = policy | value
@@ -553,12 +532,10 @@ def _adam_step(params: PolicyParameters, adam: AdamState, grads: dict,
     of operations is that of the textbook expression, so the result is the
     same bit for bit.
     """
-    threaded = _threaded(params.spec, hp)
-    norm = _global_grad_norm(grads, threaded)
+    norm = _global_grad_norm(grads)
     scale = hp.max_grad_norm / norm if norm > hp.max_grad_norm else None
     adam.t += 1
     _both_halves(
-        threaded,
         lambda: _adam_half(params, adam, grads, "policy_", scale, hp),
         lambda: _adam_half(params, adam, grads, "value_", scale, hp),
     )

@@ -377,6 +377,7 @@ class TestDecisionLog:
 
     @pytest.mark.parametrize("row, match", [
         ("2024-01-02T14:30:00+00:00,1m,0,1", "row 3 has 4 fields, expected 5"),
+        ("2024-01-02T14:30:00+00:00,1m,1,1,0.0,extra", "row 3 has 6 fields, expected 5"),
         ("", "row 3 has 0 fields, expected 5"),
         ("2024-01-02T14:30:00+00:00,1m,1.0,1,0.0", "row 3: invalid literal for int"),
         ("2024-01-02T14:30:00+00:00,1m,7,1,0.0", "row 3: forced_flag must be 0 or 1, got '7'"),
@@ -389,9 +390,9 @@ class TestDecisionLog:
         ("2024-01-02T14:30:00+00:00,1m,0,1,nan", "row 3: span_log_return must be finite, got 'nan'"),
         ("2024-01-02T14:30:00+00:00,1m,0,1,-inf", "row 3: span_log_return must be finite"),
         ("0001-01-01T00:00:00+05:00,1m,0,1,0.0", "row 3: date value out of range"),
-    ], ids=["short-row", "blank-row", "forced-flag", "forced-flag-7", "forced-flag-minus-1",
-            "timestamp", "float", "timeframe", "zero-span", "negative-span", "nan-return",
-            "infinite-return", "utc-overflow"])
+    ], ids=["short-row", "long-row", "blank-row", "forced-flag", "forced-flag-7",
+            "forced-flag-minus-1", "timestamp", "float", "timeframe", "zero-span",
+            "negative-span", "nan-return", "infinite-return", "utc-overflow"])
     def test_bad_row_names_file_and_row(self, tmp_path, row, match):
         path = tmp_path / "decisions.csv"
         good = "2024-01-02T14:30:00+00:00,1m,0,1,0.0"
@@ -413,6 +414,7 @@ class TestDecisionLog:
     def test_fuzzed_logs_raise_only_allocator_errors(self, tmp_path):
         # Byte flips, truncations and dropped fields of a well-formed log:
         # each read either returns well-formed records or raises AllocatorError.
+        # An extra field on a data row is always refused.
         rng = np.random.default_rng(5)
         rows = [",".join(_DECISION_LOG_FIELDS)] + [
             f"2024-01-{2 + k // 20:02d}T{14 + k % 6}:{k % 60:02d}:00+00:00,"
@@ -424,9 +426,9 @@ class TestDecisionLog:
         assert len(read_decision_log(_write(tmp_path / "good.csv", data))) == 40
         path = tmp_path / "fuzzed.csv"
         outcomes = {"read": 0, "refused": 0}
-        for trial in range(600):
+        for trial in range(800):
             fuzzed = bytearray(data)
-            kind = trial % 3
+            kind = trial % 4
             if kind == 0:
                 for pos in rng.integers(0, len(fuzzed), int(rng.integers(1, 4))):
                     fuzzed[pos] = int(rng.integers(0, 256))
@@ -434,10 +436,13 @@ class TestDecisionLog:
                 del fuzzed[int(rng.integers(0, len(fuzzed))):]
             else:
                 lines = fuzzed.split(b"\r\n")
-                row = int(rng.integers(0, len(lines)))
-                fields = lines[row].split(b",")
-                del fields[int(rng.integers(0, len(fields)))]
-                lines[row] = b",".join(fields)
+                if kind == 2:
+                    row = int(rng.integers(0, len(lines)))
+                    fields = lines[row].split(b",")
+                    del fields[int(rng.integers(0, len(fields)))]
+                    lines[row] = b",".join(fields)
+                else:
+                    lines[int(rng.integers(1, len(rows)))] += b",x"
                 fuzzed = bytearray(b"\r\n".join(lines))
             try:
                 records = read_decision_log(_write(path, bytes(fuzzed)))
@@ -445,6 +450,7 @@ class TestDecisionLog:
                 assert "fuzzed.csv: " in str(exc)
                 outcomes["refused"] += 1
                 continue
+            assert kind != 3, "a row with an extra field was read"
             outcomes["read"] += 1
             for rec in records:
                 assert rec.timestamp.utcoffset() == timedelta(0)

@@ -12,7 +12,7 @@ import shutil
 import struct
 import subprocess
 import sys
-from datetime import date, datetime
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -30,8 +30,15 @@ from alloctrader.config import (
     parse_config_text,
 )
 from alloctrader.market_data import TIMEFRAME_ORDER, Timeframe, synthesize
-from alloctrader.allocator import AllocatorConfig, read_decision_log
+from alloctrader.allocator import (
+    _DECISION_LOG_FIELDS,
+    AllocatorConfig,
+    DecisionRecord,
+    read_decision_log,
+    write_decision_log,
+)
 from alloctrader.envs import EnvConfig
+from alloctrader.evaluation import EquityCurve, compute_metrics, write_metrics
 from alloctrader.ppo import NetworkSpec, load_checkpoint
 import csv_reference
 
@@ -264,6 +271,19 @@ allocator.vol_window = 10
 """
 
 
+def _tiny_config(overrides: dict) -> str:
+    """TINY_CONFIG with the value of each key in `overrides` replaced."""
+    lines = []
+    for line in TINY_CONFIG.splitlines():
+        key = line.partition("=")[0].strip()
+        lines.append(f"{key} = {overrides[key]}" if key in overrides else line)
+    return "\n".join(lines) + "\n"
+
+
+_BARS_HEADER = "timestamp,open,high,low,close,volume\n"
+_INGEST = ["ingest", "--csv", "{tmp}/bars.csv", "--calendar", "{tmp}/cal.csv"]
+
+
 def _rewrite_header(ckpt, mutate):
     """Apply `mutate` to a checkpoint's JSON header in place."""
     blob = ckpt.read_bytes()
@@ -393,6 +413,35 @@ class TestPipeline:
         for name in ("buyhold", "agent_1m", "agent_10m", "agent_1h", "hierarchy"):
             assert name in text
         assert "volatility quartile" in text
+
+    def test_monthly_quartiles(self, tmp_path):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("synth.days = 90\n")
+        cfg = load_config(str(cfg_path))
+        sessions = synthesize(cfg.synth, cfg.seed, cfg.synth_days).sessions
+        # One decision at each session's open, the same timeframe all month.
+        chosen = {s.day.month: TIMEFRAME_ORDER[s.day.month % 3] for s in sessions}
+        write_decision_log([DecisionRecord(s.timestamps[0], chosen[s.day.month], False, 1, 0.0)
+                            for s in sessions], str(tmp_path / "log.csv"))
+        argv = ["analyze", "--granularity", "monthly", "--log", str(tmp_path / "log.csv"),
+                "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        data = json.loads((tmp_path / "out" / "reports" / "quartiles_monthly.json").read_text())
+        assert data["granularity"] == "monthly"
+        assert sum(q["units"] for q in data["quartiles"]) == len(chosen) >= 4
+        for tf in TIMEFRAME_ORDER:
+            months = sum(q["shares"][tf.label] * q["units"] for q in data["quartiles"])
+            assert months == pytest.approx(list(chosen.values()).count(tf))
+
+    def test_undefined_sharpe_reads_undef(self, tmp_path, capsys):
+        reports = tmp_path / "out" / "reports"
+        reports.mkdir(parents=True)
+        stamps = [datetime(2024, 1, 2, 14, 30 + k, tzinfo=timezone.utc) for k in range(3)]
+        report = compute_metrics(EquityCurve(stamps, [100.0] * 3), 252.0)
+        assert report.sharpe is None
+        write_metrics(report, str(reports / "flat_metrics.json"))
+        assert main(["report", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split() == ["flat", "0.00", "undef", "0.00"]
 
 
 class TestPipelineGuards:
@@ -668,9 +717,75 @@ class TestPipelineGuards:
         assert "allocation log spans" in err
         assert "..2024-02-05 09:30:00+00:00 but market data spans" in err
 
-    def test_unknown_strategy_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["backtest", "momentum", "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("config, files, argv, match", [
+        ({"range.train_start": "2023-01-02", "range.train_end": "2023-01-31"}, {},
+         ["train-agent", "1m", "--force"], "no sessions in train range 2023-01-02..2023-01-31"),
+        ({}, {}, ["ingest"], "ingest needs data.csv_path and data.calendar_path"),
+        ({"range.train_start": "2023-12-01", "range.train_end": "2023-12-29",
+          "range.test_start": "2024-01-02"}, {}, ["backtest", "agent:1m"],
+         "insufficient warmup before test start 2024-01-02: bar 0"),
+        ({}, {"out/checkpoints/allocator_seed0.ckpt": None}, ["backtest", "hierarchy"],
+         "missing checkpoint: allocator"),
+        ({}, {"log.csv": ",".join(_DECISION_LOG_FIELDS) + "\n"},
+         ["analyze", "--log", "{tmp}/log.csv"], "log.csv has no decisions"),
+        ({}, {"out/reports/zz_metrics.json": "[]"}, ["report"],
+         "zz_metrics.json: corrupt metrics file (not a JSON object)"),
+        ({"agent.1m.hidden": "a,b"}, {}, ["synth"],
+         "config key agent.1m.hidden: expected two positive layer sizes like '64,64', got 'a,b'"),
+        ({"synth.days": "0"}, {}, ["synth"], "config key synth.days: must be >= 1, got 0"),
+        ({}, {"cal.csv": "2024-01-02,09:30\n"}, _INGEST, "cal.csv line 1: expected 3 fields"),
+        ({}, {"cal.csv": "2024-13-02,09:30,16:00\n"}, _INGEST,
+         "cal.csv line 1: month must be in 1..12"),
+        ({}, {"cal.csv": "# no trading\n"}, _INGEST, "cal.csv lists no trading days"),
+        ({}, {"bars.csv": _BARS_HEADER + "2024-01-02T14:30:00+00:00,1,1,1,1\n"}, _INGEST,
+         "bars.csv row 2: expected 6 fields, got 5"),
+    ], ids=["no-train-sessions", "ingest-without-paths", "insufficient-warmup",
+            "missing-allocator", "header-only-log", "metrics-array", "bad-hidden-pair",
+            "zero-synth-days", "calendar-two-fields", "calendar-bad-date", "calendar-no-days",
+            "bars-five-fields"])
+    def test_command_error_is_single_error_line(self, pipeline, tmp_path, capsys, config,
+                                                files, argv, match):
+        _, out = pipeline
+        shutil.copytree(out, tmp_path / "out")
+        inputs = {
+            "run.cfg": _tiny_config(config),
+            "cal.csv": "2024-01-02,14:30,21:00\n",
+            "bars.csv": _BARS_HEADER + "2024-01-02T14:30:00+00:00,1,1,1,1,1\n",
+        }
+        for name, text in (inputs | files).items():
+            if text is None:
+                (tmp_path / name).unlink()
+            else:
+                (tmp_path / name).write_text(text)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        argv += ["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert match in err
+
+    def test_unknown_strategy_rejected_by_parser(self, tmp_path, capsys):
+        assert main(["backtest", "momentum", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alloctrader backtest: argument strategy: invalid choice")
+        assert err.count("\n") == 1
+        # Asking for help is not an error.
+        with pytest.raises(SystemExit) as exc:
+            main(["backtest", "--help"])
+        assert exc.value.code == 0
+        assert "hierarchy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, match", [
+        (["synth", "--seed", "x"], "alloctrader synth: argument --seed: invalid int value: 'x'"),
+        ([], "alloctrader: the following arguments are required: command"),
+        (["frobnicate"], "alloctrader: argument command: invalid choice: 'frobnicate'"),
+    ], ids=["bad-option-value", "no-command", "unknown-command"])
+    def test_usage_error_is_single_error_line(self, capsys, argv, match):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {match}")
+        assert err.count("\n") == 1
 
 
 def _analyze_with_row_3(pipeline, tmp_path, capsys, row: str) -> str:

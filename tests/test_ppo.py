@@ -17,8 +17,6 @@ import pytest
 
 import alloctrader
 from alloctrader import ppo
-from alloctrader.allocator import AllocatorConfig, observation_size
-from alloctrader.config import default_config
 from alloctrader.ppo import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -201,12 +199,6 @@ TWO_SPECS = pytest.mark.parametrize("spec", [NetworkSpec(300, (130, 64)), SPEC],
                                     ids=["ragged-blocks", "fortran-order"])
 
 
-@pytest.fixture
-def threaded(monkeypatch):
-    """Run the two halves of the update on two threads, however small the nets."""
-    monkeypatch.setattr(ppo, "SERIAL_WORK", 0)
-
-
 def _reference_loss_and_grads(params, observations, actions, old_log_probs, advantages,
                               returns, hp):
     """ppo_loss_and_grads as one serial pass over both nets."""
@@ -316,7 +308,6 @@ class TestLossAndGradients:
                 assert np.abs(grads[key]).max() == 0.0
 
     @TWO_SPECS
-    @pytest.mark.usefixtures("threaded")
     def test_matches_serial_reference(self, spec):
         params = _params(seed=24, spec=spec)
         adam = AdamState.zeros(params)
@@ -385,7 +376,6 @@ class TestAdam:
             np.testing.assert_allclose(adam.m[k], 0.1 * 10.0 * scale, rtol=1e-12)
 
     @TWO_SPECS
-    @pytest.mark.usefixtures("threaded")
     def test_thirty_steps_bit_identical(self, spec):
         hp = PpoHyperparams(total_timesteps=32, learning_rate=3e-3, n_steps=32,
                             batch_size=8, max_grad_norm=0.5)
@@ -458,7 +448,6 @@ class TestPpoUpdate:
             assert v.tobytes() == batch_before[k].tobytes(), k
 
     @TWO_SPECS
-    @pytest.mark.usefixtures("threaded")
     def test_three_epochs_match_serial_reference(self, spec):
         hp = PpoHyperparams(total_timesteps=64, learning_rate=3e-3, n_steps=64,
                             batch_size=16, n_epochs=3, entropy_coef=0.01, max_grad_norm=0.5)
@@ -558,7 +547,6 @@ def _tracked(monkeypatch, delay=0.0):
     return calls
 
 
-@pytest.mark.usefixtures("threaded")
 class TestWorkerThread:
     def test_policy_half_runs_on_worker(self, monkeypatch):
         calls = _tracked(monkeypatch)
@@ -597,7 +585,6 @@ class TestWorkerThread:
             "ppo.sample_action(params, obs, np.random.default_rng(1))",
             "ppo.greedy_action(params, obs)",
             "assert threading.active_count() == 1, 'inference started a thread'",
-            "ppo.SERIAL_WORK = 0",
             "hp = ppo.PpoHyperparams(total_timesteps=64, learning_rate=1e-3, n_steps=32,",
             "                        batch_size=16, n_epochs=2)",
             "ppo.train(ToyTradingEnv, spec, hp, seed=0)",
@@ -611,42 +598,6 @@ class TestWorkerThread:
         exited = time.time()
         assert proc.returncode == 0, proc.stderr
         assert exited - float(proc.stdout) < 5.0
-
-
-class TestSmallNets:
-    def test_stay_on_calling_thread(self, monkeypatch):
-        calls = _tracked(monkeypatch)
-        params = _params(seed=28)
-        ppo_loss_and_grads(params, *_minibatch(params, n=8, seed=29), HP)
-        assert calls == [threading.main_thread()]
-
-    def test_default_nets_threaded_toy_nets_serial(self):
-        cfg = default_config()
-        nets = [(NetworkSpec(s.window_size * 8, s.hidden), s.hyperparams)
-                for s in cfg.agents.values()]
-        a = cfg.allocator
-        width = observation_size(AllocatorConfig(market_window=a.market_window))
-        nets.append((NetworkSpec(width, a.hidden), a.hyperparams))
-        assert len(nets) == 4
-        assert all(ppo._threaded(spec, hp) for spec, hp in nets)
-        toy = NetworkSpec(ToyTradingEnv().observation_size, (32, 32))
-        assert not ppo._threaded(toy, PpoHyperparams(512, 1e-3, 512, batch_size=128))
-
-    @TWO_SPECS
-    def test_serial_update_matches_threaded(self, monkeypatch, spec):
-        params = _params(seed=34, spec=spec)
-        batch = RolloutBatch(*_minibatch(params, n=48, seed=35))
-        hp = PpoHyperparams(total_timesteps=64, learning_rate=3e-3, n_steps=64,
-                            batch_size=16, n_epochs=2, entropy_coef=0.01, max_grad_norm=0.5)
-        runs = []
-        for serial_work in (0, math.inf):
-            monkeypatch.setattr(ppo, "SERIAL_WORK", serial_work)
-            adam = AdamState.zeros(params)
-            got, stats = ppo_update(params, adam, batch, hp, np.random.default_rng(36))
-            runs.append([got.arrays[k].tobytes() for k in ARRAY_ORDER]
-                        + [adam.m[k].tobytes() + adam.v[k].tobytes() for k in ARRAY_ORDER]
-                        + [_bytes(stats)])
-        assert runs[0] == runs[1]
 
 
 class TestTrain:

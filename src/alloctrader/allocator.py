@@ -32,10 +32,9 @@ from .envs import (
     min_agent_cursor,
     normalize_market_window,
 )
-from .evaluation import return_volatility_pct
+from .evaluation import trailing_volatility_pct
 from .indicators import FEATURE_WARMUP
 from .market_data import Session, TIMEFRAME_ORDER, Timeframe, _as_utc
-from .portfolio import features
 from .ppo import PolicyParameters, greedy_action
 
 
@@ -203,6 +202,7 @@ class HierarchyEnv(BaseBarEnv):
         self.registry = registry
         self.config = config
         self._start_cursor = self._find_start_cursor(sessions, start_day)
+        self._volatility = trailing_volatility_pct(self.closes, config.vol_window)
         self.decisions: list[DecisionRecord] = []
         self.equity: list[tuple[datetime, float]] = []
 
@@ -235,23 +235,20 @@ class HierarchyEnv(BaseBarEnv):
         return observation_size(self.config)
 
     def _agent_observation(self, tf: Timeframe, cursor: int) -> np.ndarray:
-        return build_observation(self.tables[tf], self.closes, self._pf_rows, cursor,
+        return build_observation(self.tables[tf], self._pf_rows, cursor,
                                  self.registry[tf].config.window_size, tf.minutes)
 
     def _allocator_observation(self) -> np.ndarray:
         b = self.cursor
-        mw = self.config.market_window
-        window = slice(b - mw + 1, b + 1)
-        feats = self.tables[Timeframe.ONE_MINUTE][window]
-        market = normalize_market_window(feats, self.closes[window])
-        realized_vol = return_volatility_pct(self.closes[b - self.config.vol_window: b + 1])
+        market = normalize_market_window(
+            self.tables[Timeframe.ONE_MINUTE][b - self.config.market_window + 1:b + 1])
         last_rewards = [self._last_rewards[tf] for tf in TIMEFRAME_ORDER]
         onehot = [1.0 if self._last_active is tf else 0.0 for tf in TIMEFRAME_ORDER]
         return np.concatenate(
             [
                 market.reshape(-1),
-                features(self._pf_rows[b:b + 1])[0],
-                [realized_vol],
+                self._pf_rows[b],
+                [self._volatility[b]],
                 last_rewards,
                 onehot,
             ]

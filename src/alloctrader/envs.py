@@ -115,24 +115,20 @@ class SpanResult(NamedTuple):
     values: list[float]
 
 
-def normalize_market_window(feature_rows: np.ndarray, closes: np.ndarray) -> np.ndarray:
-    """Normalize a (window, 5) market feature block for scale invariance.
-
-    RSI / 100, MACD histogram divided by the bar's own close, CCI / 200,
-    %B as-is, volume z-scored within the window (0 when constant).
-    `feature_rows` may also be a stack (..., window, 5) of windows, with
-    `closes` (..., window); each window comes out with the same bytes as
-    when normalized alone.
+def normalize_market_window(rows: np.ndarray) -> np.ndarray:
+    """Observation columns of a (window, 5) block of a BaseBarEnv table, whose
+    rows are already scaled (RSI / 100, MACD histogram / the bar's close,
+    CCI / 200, %B): those four as they are, and the volume z-scored within
+    the window (0 when constant). `rows` may also be a stack
+    (..., window, 5) of windows; each comes out with the same bytes as when
+    normalized alone.
     """
-    out = np.empty(feature_rows.shape)
-    out[..., 0] = feature_rows[..., 0] / RSI_DIVISOR
-    out[..., 1] = feature_rows[..., 1] / closes
-    out[..., 2] = feature_rows[..., 2] / CCI_DIVISOR
-    out[..., 3] = feature_rows[..., 3]
+    out = np.empty(rows.shape)
+    out[..., :4] = rows[..., :4]
     # Contiguous rows, so each window's sums run in the same pairwise order.
     # The mean and the population std are those of np.mean and np.std, step
     # for step.
-    vol = np.ascontiguousarray(feature_rows[..., 4])
+    vol = np.ascontiguousarray(rows[..., 4])
     n = vol.shape[-1]
     centered = vol - np.add.reduce(vol, axis=-1, keepdims=True) / n
     sd = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / n)
@@ -165,17 +161,17 @@ def min_agent_cursor(window: int, length: int) -> int:
     return (FEATURE_WARMUP + window - 1) * length
 
 
-def build_observation(table: np.ndarray, closes: np.ndarray, pf_rows: np.ndarray,
-                      cursor: int, window: int, length: int) -> np.ndarray:
+def build_observation(table: np.ndarray, pf_rows: np.ndarray, cursor: int,
+                      window: int, length: int) -> np.ndarray:
     """Flattened (window * 8) observation at base bar `cursor` of an agent of
     timeframe `length`: its last `window` trailing bars, every `length`-th
-    base bar back from `cursor`. Each bar holds five normalized market
-    columns of `table` (see trailing_table, normalize_market_window) and the
-    three portfolio columns of `pf_rows` (see portfolio.features)."""
+    base bar back from `cursor`. Each bar holds the five market columns of
+    `table` (a BaseBarEnv table, see normalize_market_window) and the three
+    observation-ready portfolio columns of `pf_rows` (see BaseBarEnv._span)."""
     s = slice(cursor - (window - 1) * length, cursor + 1, length)
     out = np.empty((window, FEATURES_PER_BAR))
-    out[:, :MARKET_FEATURES] = normalize_market_window(table[s], closes[s])
-    out[:, MARKET_FEATURES:] = features(pf_rows[s])
+    out[:, :MARKET_FEATURES] = normalize_market_window(table[s])
+    out[:, MARKET_FEATURES:] = pf_rows[s]
     return out.reshape(-1)
 
 
@@ -184,7 +180,9 @@ class BaseBarEnv:
     them.
 
     `session_close[i]` is the index of bar i's session close, and `tables`
-    maps each of `timeframes` to its trailing_table. The account is `cash`,
+    maps each of `timeframes` to its trailing_table, scaled once per bar as
+    observations read it: RSI / 100, MACD histogram / close, CCI / 200, %B,
+    raw volume (see normalize_market_window). The account is `cash`,
     `shares`, `cost_basis` and the sale `fee`; `value` is its value at the
     cursor's close. `_span` is the one place that trades, marks and
     liquidates.
@@ -208,8 +206,13 @@ class BaseBarEnv:
         # The final bar closes a session, so the roll also opens one at bar 0.
         self.session_first = np.roll(self.session_last, 1)
         self.session_close = np.repeat(ends, sizes)
-        self.tables = {tf: trailing_table(highs, lows, closes, volumes, tf.minutes)
-                       for tf in timeframes}
+        self.tables = {}
+        for tf in timeframes:
+            table = trailing_table(highs, lows, closes, volumes, tf.minutes)
+            table[:, 0] /= RSI_DIVISOR
+            table[:, 1] /= closes
+            table[:, 2] /= CCI_DIVISOR
+            self.tables[tf] = table
         self.cursor = -1
         self.done = True
         self.cash = self.cost_basis = self.fee = self.value = 0.0
@@ -234,8 +237,9 @@ class BaseBarEnv:
     def _span(self, action: Action | int, length: int) -> SpanResult:
         """Trade `action` at the cursor's close, then mark each bar of the
         span (see _span_end) into the portfolio rows as (cash, stock,
-        unrealized) ratios. A span never crosses a session close before its
-        end, so cash and shares are fixed over it and the marks are one
+        unrealized) ratios, the last clamped to [-1, 1] as observations read
+        it (portfolio.features). A span never crosses a session close before
+        its end, so cash and shares are fixed over it and the marks are one
         vector. If the span ends its session the position is sold there, and
         that bar's row and value are the ones after the sale. A BUY at a
         session's final bar acts as HOLD, since it would be held overnight.
@@ -272,6 +276,7 @@ class BaseBarEnv:
             liquidation = TradeLogEntry(timestamps[end], "sell", sale.shares, end_price, sale_reward)
             values[-1], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = mark(
                 self.cash, self.shares, self.cost_basis, end_price)
+        features(pf_rows[span])
         self.value = values[-1]
         self.trades.extend(t for t in (trade, liquidation) if t is not None)
         self.cursor = end
@@ -343,7 +348,7 @@ class TradingEnv(BaseBarEnv):
         return StepResult(self._observation(), span.reward, self.done, info)
 
     def _observation(self) -> np.ndarray:
-        return build_observation(self.table, self.closes, self._pf_rows, self.cursor,
+        return build_observation(self.table, self._pf_rows, self.cursor,
                                  self.config.window_size, self.length)
 
 
@@ -389,25 +394,23 @@ def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRu
     cursors = np.array(cursors)
     for run in np.split(cursors, np.flatnonzero(np.diff(cursors) != length) + 1):
         phase = slice(run[0] % length, None, length)
-        table, closes, pf = env.table[phase], env.closes[phase], env._pf_rows[phase]
+        table, pf = env.table[phase], env._pf_rows[phase]
         first = run[0] // length
         for lo in range(0, run.size, AGENT_BLOCK):
             b, s0 = min(AGENT_BLOCK, run.size - lo), first + lo
             rows = slice(s0 - w + 1, s0 + b)
             x = np.empty((b, w, FEATURES_PER_BAR))
             x[..., :MARKET_FEATURES] = normalize_market_window(
-                sliding_window_view(table[rows], w, axis=0).transpose(0, 2, 1),
-                sliding_window_view(closes[rows], w),
-            )
+                sliding_window_view(table[rows], w, axis=0).transpose(0, 2, 1))
             # Rows up to s0 are final when the block starts; later ones are
             # added per step.
             known = np.zeros((w + b - 1, 3))
-            known[:w] = features(pf[s0 - w + 1:s0 + 1])
+            known[:w] = pf[s0 - w + 1:s0 + 1]
             x[..., MARKET_FEATURES:] = sliding_window_view(known, w, axis=0).transpose(0, 2, 1)
             x = x.reshape(b, -1)
             z, norms = x @ w1, np.abs(x).sum(axis=1).tolist()
             for i in range(b):
-                late = features(pf[s0 + 1 + max(i - w, 0):s0 + i + 1])
+                late = pf[s0 + 1 + max(i - w, 0):s0 + i + 1]
                 action = policy.action(z[i], norms[i], late.reshape(-1))
                 if action is None:
                     action = greedy_action(params, env._observation())

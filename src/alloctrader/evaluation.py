@@ -16,6 +16,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import AlloctraderError
 from .atomic import atomic_write, write_csv, write_json
@@ -89,14 +90,39 @@ def max_drawdown(curve: EquityCurve) -> float:
     return float(((values - peaks) / peaks).min() * 100.0)
 
 
+#: Return windows per block of trailing_volatility_pct (about 1 MB at 30).
+VOLATILITY_BLOCK = 4096
+
+
+def _std_pct(returns: np.ndarray) -> np.ndarray:
+    """100 times the sample standard deviation of each row of contiguous
+    (..., n) returns: the arithmetic of np.std(ddof=1), step for step, so a
+    row's pairwise sums are those of the row alone."""
+    n = returns.shape[-1]
+    centered = returns - np.add.reduce(returns, axis=-1, keepdims=True) / n
+    return np.sqrt(np.add.reduce(centered * centered, axis=-1) / (n - 1)) * 100.0
+
+
 def return_volatility_pct(closes) -> float:
     """Sample standard deviation of simple per-bar returns, times 100: the
     volatility `analyze` ranks quartiles by and the allocator observes."""
     closes = np.asarray(closes, dtype=np.float64)
     if closes.size < 3:
         raise EvaluationError(f"volatility needs >= 3 closes, got {closes.size}")
+    return float(_std_pct(np.diff(closes) / closes[:-1]))
+
+
+def trailing_volatility_pct(closes: np.ndarray, window: int) -> np.ndarray:
+    """return_volatility_pct(closes[b - window:b + 1]) at every bar b, with
+    the same bytes; NaN for the first `window` bars, which lack the history.
+    The windows are copied contiguous in blocks of VOLATILITY_BLOCK."""
     returns = np.diff(closes) / closes[:-1]
-    return float(returns.std(ddof=1) * 100.0)
+    out = np.full(closes.size, np.nan)
+    windows = sliding_window_view(returns, window)
+    for lo in range(0, len(windows), VOLATILITY_BLOCK):
+        block = np.ascontiguousarray(windows[lo:lo + VOLATILITY_BLOCK])
+        out[window + lo:window + lo + len(block)] = _std_pct(block)
+    return out
 
 
 def buy_and_hold(sessions: Sequence[Session], initial_cash: float) -> EquityCurve:

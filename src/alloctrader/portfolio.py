@@ -77,12 +77,11 @@ def mark(cash: float, shares: int, cost_basis: float, price):
     return value, cash / value, held / value, unrealized
 
 
-def features(rows: np.ndarray) -> np.ndarray:
-    """Observation columns of (n, 3) portfolio rows of `mark` ratios: cash
-    ratio, stock ratio and the unrealized profit ratio clamped to [-1, 1]."""
-    out = rows.copy()
-    np.clip(out[:, 2], -1.0, 1.0, out=out[:, 2])
-    return out
+def features(rows: np.ndarray) -> None:
+    """Make (n, 3) portfolio rows of `mark` ratios observation-ready in place:
+    cash ratio and stock ratio as they are, the unrealized profit ratio
+    clamped to [-1, 1]."""
+    np.clip(rows[:, 2], -1.0, 1.0, out=rows[:, 2])
 
 
 @dataclass(frozen=True)

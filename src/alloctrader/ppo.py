@@ -216,9 +216,17 @@ def forward(params: PolicyParameters, observation: np.ndarray) -> tuple[np.ndarr
 def sample_action(
     params: PolicyParameters, observation: np.ndarray, rng: np.random.Generator
 ) -> tuple[int, float, float]:
-    """Draw an action from the policy; returns (action, log_prob, value)."""
+    """Draw an action from the policy; returns (action, log_prob, value).
+
+    The draw is rng.choice(probs.size, p=probs) without its validation: the
+    same action from the same one double, so the generator ends in the same
+    state. Non-finite probabilities raise PpoError."""
     probs, value = forward(params, observation)
-    action = int(rng.choice(probs.size, p=probs))
+    cdf = probs.cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise PpoError(f"policy gave non-finite action probabilities {probs.tolist()}")
+    cdf /= cdf[-1]
+    action = int(cdf.searchsorted(rng.random(), "right"))
     return action, float(np.log(probs[action])), value
 
 

@@ -11,6 +11,7 @@ from alloctrader.allocator import AgentRegistry, RegisteredAgent
 from alloctrader.envs import EnvConfig
 from alloctrader.market_data import (
     RegimeParams,
+    Session,
     SynthConfig,
     TIMEFRAME_ORDER,
     TradingCalendar,
@@ -55,6 +56,20 @@ def regime_result():
 def short_sessions():
     """6 compact sessions (90-minute days) for fast environment tests."""
     return synthesize(small_synth_config(session_minutes=90), seed=7, days=6).sessions
+
+
+def ramped_sessions(sessions, growth: float = 2.0) -> list[Session]:
+    """`sessions` with every bar's prices multiplied by exp(growth * t), t
+    running from 0 at a session's first bar to 1 at its last: a position
+    bought early in a session and held gains more than 100% (at the default
+    growth), so its unrealized profit ratio passes 1."""
+    out = []
+    for s in sessions:
+        ramp = np.exp(np.linspace(0.0, growth, len(s)))
+        out.append(Session(s.day, s.open_time, s.close_time, s.timestamps,
+                           *(getattr(s, k) * ramp for k in ("open", "high", "low", "close")),
+                           s.volume))
+    return out
 
 
 def constant_action_params(spec: NetworkSpec, action: int, seed: int = 0) -> PolicyParameters:

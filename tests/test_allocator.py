@@ -20,11 +20,12 @@ from alloctrader.allocator import (
     run_hierarchy,
     write_decision_log,
 )
-from alloctrader.envs import Action, EnvConfig, TradingEnv, build_observation
+from alloctrader.envs import Action, EnvConfig, TradingEnv
 from alloctrader.indicators import feature_table
 from alloctrader.market_data import TIMEFRAME_ORDER, Timeframe
 from alloctrader.ppo import NetworkSpec, PolicyParameters
-from conftest import constant_action_params, stub_registry
+import observation_reference
+from conftest import constant_action_params, ramped_sessions, stub_registry
 from portfolio_reference import PortfolioState, buy_all, features, mark, sell_all
 
 mp.dps = 50
@@ -275,7 +276,8 @@ class TestStep:
                 assert sale.shares == pending.pop(0).shares
             equity.append((env.timestamps[i], state.total_value))
             pf = features(state)
-            rows.append((pf.cash_ratio, pf.stock_ratio, pf.unrealized_profit_ratio))
+            rows.append((pf.cash_ratio, pf.stock_ratio,
+                         min(max(pf.unrealized_profit_ratio, -1.0), 1.0)))
             for t in pending:
                 if t.side == "buy":
                     state, shares = buy_all(state, price)
@@ -304,6 +306,32 @@ class TestStep:
             obs = buy_env.step(int(rng.integers(0, 3))).observation
         assert buy_env.trades
 
+    def test_every_observation_equals_the_per_call_reference(self, regime_result):
+        # Random choices over agents that always buy, on sessions whose prices
+        # ramp up within each day: held positions pass a profit ratio of 1,
+        # so the clamp written when the account is marked runs.
+        sessions = ramped_sessions(regime_result.sessions)
+        env = HierarchyEnv(sessions, stub_registry(BUY), ALLOC)
+        tables = {tf: observation_reference.raw_table(sessions, tf.minutes)
+                  for tf in TIMEFRAME_ORDER}
+        unrealized = ALLOC.market_window * 5 + 2
+        rng = np.random.default_rng(9)
+        obs = env.reset()
+        clamped = 0
+        while True:
+            want = observation_reference.allocator_observation(env, tables[Timeframe.ONE_MINUTE])
+            assert obs.tobytes() == want.tobytes(), f"decision at bar {env.cursor}"
+            clamped += obs[unrealized] == 1.0
+            for tf in TIMEFRAME_ORDER:
+                w = env.registry[tf].config.window_size
+                want = observation_reference.build_observation(
+                    tables[tf], env.closes, env._pf_rows, env.cursor, w, tf.minutes)
+                assert env._agent_observation(tf, env.cursor).tobytes() == want.tobytes()
+            if env.done:
+                break
+            obs = env.step(int(rng.integers(0, 3))).observation
+        assert clamped
+
 
 def _base_arrays(sessions):
     return tuple(np.concatenate([getattr(s, k) for s in sessions], dtype=float)
@@ -314,6 +342,9 @@ class TestPhaseSeries:
     def test_trailing_aggregates_match_brute_force(self, regime_result, buy_env):
         highs, lows, closes, volumes = _base_arrays(regime_result.sessions)
         tf = Timeframe.TEN_MINUTE
+        table = observation_reference.raw_table(regime_result.sessions, tf.minutes)
+        np.testing.assert_array_equal(buy_env.tables[tf],
+                                      observation_reference.scaled_rows(table, closes))
         rng = np.random.default_rng(6)
         for i in rng.integers(500, len(closes), size=5):
             i = int(i)
@@ -324,14 +355,15 @@ class TestPhaseSeries:
             t_low = np.array([lows[max(0, j - 9): j + 1].min() for j in idx])
             t_vol = np.array([volumes[max(0, j - 9): j + 1].sum() for j in idx])
             want = feature_table(t_high, t_low, closes[idx], t_vol)
-            np.testing.assert_allclose(buy_env.tables[tf][i], want[i // 10], atol=1e-10)
+            np.testing.assert_allclose(table[i], want[i // 10], atol=1e-10)
 
     def test_one_minute_agent_sees_base_features(self, regime_result, buy_env):
         buy_env.reset()
         b = buy_env.cursor
         w = buy_env.registry[Timeframe.ONE_MINUTE].config.window_size
         base = feature_table(*_base_arrays(regime_result.sessions))
-        want = build_observation(base, buy_env.closes, buy_env._pf_rows, b, w, 1)
+        want = observation_reference.build_observation(base, buy_env.closes, buy_env._pf_rows,
+                                                       b, w, 1)
         got = buy_env._agent_observation(Timeframe.ONE_MINUTE, b)
         np.testing.assert_array_equal(got, want)
 

@@ -17,8 +17,8 @@ from alloctrader.envs import (
     run_agent,
 )
 from alloctrader.indicators import feature_table
-from alloctrader.market_data import Timeframe
-from alloctrader.portfolio import PortfolioError
+from alloctrader.market_data import TIMEFRAME_ORDER, Timeframe
+from alloctrader.portfolio import PortfolioError, features
 from alloctrader.ppo import (
     NetworkSpec,
     PolicyParameters,
@@ -26,6 +26,8 @@ from alloctrader.ppo import (
     _net_forward,
     greedy_action,
 )
+import observation_reference
+from conftest import ramped_sessions
 from portfolio_reference import PortfolioState, buy_all, mark, sell_all
 from resample_reference import resample
 
@@ -77,31 +79,58 @@ class TestAgentReward:
 
 
 class TestNormalization:
-    def test_market_window_scaling(self):
-        rows = np.array([
-            [50.0, 1.2, 100.0, 0.4, 500.0],
-            [75.0, -0.6, -300.0, 0.9, 700.0],
-        ])
-        closes = np.array([100.0, 120.0])
-        out = normalize_market_window(rows, closes)
-        assert out[0, 0] == 0.5 and out[1, 0] == 0.75
-        assert out[0, 1] == pytest.approx(1.2 / 100.0)
-        assert out[1, 1] == pytest.approx(-0.6 / 120.0)
-        assert out[0, 2] == 0.5 and out[1, 2] == -1.5
-        assert out[0, 3] == 0.4 and out[1, 3] == 0.9
+    def test_market_window_scaling(self, short_sessions):
+        # The env's tables hold RSI / 100, MACD / close, CCI / 200, %B and the
+        # raw volume; a window passes the first four through and z-scores the
+        # volume.
+        env = _env(short_sessions)
+        raw = observation_reference.raw_table(short_sessions, 1)
+        table = env.tables[Timeframe.ONE_MINUTE]
+        np.testing.assert_array_equal(table[:, 0], raw[:, 0] / 100.0)
+        np.testing.assert_array_equal(table[:, 1], raw[:, 1] / env.closes)
+        np.testing.assert_array_equal(table[:, 2], raw[:, 2] / 200.0)
+        np.testing.assert_array_equal(table[:, 3:], raw[:, 3:])
+        out = normalize_market_window(table[100:110])
+        assert (out[:, :4] == table[100:110, :4]).all()
         assert out[:, 4].mean() == pytest.approx(0.0, abs=1e-12)
+        assert out[:, 4].std() == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_volume_maps_to_zero(self):
-        rows = np.tile([50.0, 0.0, 0.0, 0.5, 123.0], (4, 1))
-        out = normalize_market_window(rows, np.full(4, 100.0))
+        rows = np.tile([0.5, 0.0, 0.0, 0.5, 123.0], (4, 1))
+        out = normalize_market_window(rows)
         assert (out[:, 4] == 0.0).all()
 
     def test_unrealized_column_clamped(self):
-        rows = np.tile([50.0, 0.0, 0.0, 0.5, 10.0], (2, 1))
+        rows = np.tile([0.5, 0.0, 0.0, 0.5, 10.0], (2, 1))
         pf = np.array([[0.0, 1.0, 2.5], [1.0, 0.0, -3.0]])
-        obs = build_observation(rows, np.full(2, 100.0), pf, cursor=1, window=2, length=1)
+        features(pf)
+        obs = build_observation(rows, pf, cursor=1, window=2, length=1)
         assert obs.shape == (16,)
         assert obs[7] == 1.0 and obs[15] == -1.0
+
+
+class TestObservationsEqualReference:
+    @pytest.mark.parametrize("timeframe", TIMEFRAME_ORDER, ids=lambda tf: tf.label)
+    def test_every_observation_byte_for_byte(self, short_sessions, regime_sessions, timeframe):
+        # Random actions, biased to buy and hold, on sessions whose prices
+        # ramp up within each day, so that held positions pass a profit
+        # ratio of 1 and the clamp written when the account is marked runs.
+        sessions = dict(_every_timeframe(ramped_sessions(short_sessions),
+                                         ramped_sessions(regime_sessions)))[timeframe]
+        env = _env(sessions, timeframe, window=5)
+        table = observation_reference.raw_table(sessions, env.length)
+        rng = np.random.default_rng(3)
+        obs = env.reset()
+        clamped = 0
+        while True:
+            want = observation_reference.build_observation(
+                table, env.closes, env._pf_rows, env.cursor, 5, env.length)
+            assert obs.tobytes() == want.tobytes(), f"observation at bar {env.cursor}"
+            clamped += int((obs[7::8] == 1.0).any())
+            if env.done:
+                break
+            obs = env.step(int(rng.choice(3, p=[0.3, 0.02, 0.68]))).observation
+        assert clamped
 
 
 class TestReset:
@@ -140,7 +169,8 @@ class TestReset:
         tens = [b for s in short_sessions for b in resample(s, Timeframe.TEN_MINUTE)]
         want = feature_table(*(np.array([getattr(b, k) for b in tens], dtype=float)
                                for k in ("high", "low", "close", "volume")))
-        np.testing.assert_array_equal(env.table[9::10], want)
+        np.testing.assert_array_equal(
+            env.table[9::10], observation_reference.scaled_rows(want, env.closes[9::10]))
 
 
 class TestStep:
@@ -435,16 +465,18 @@ class TestStackedNormalization:
         rows[:, 4] = rng.integers(1, 5000, window + 40).astype(float)
         rows[10:10 + window + 3, 4] = 777.0  # windows of constant volume
         closes = rng.uniform(50.0, 150.0, window + 40)
+        scaled = observation_reference.scaled_rows(rows, closes)
         stack = normalize_market_window(
-            np.lib.stride_tricks.sliding_window_view(rows, window, axis=0).transpose(0, 2, 1),
-            np.lib.stride_tricks.sliding_window_view(closes, window),
-        )
+            np.lib.stride_tricks.sliding_window_view(scaled, window, axis=0).transpose(0, 2, 1))
         assert stack.shape == (41, window, 5)
         for k in range(41):
-            alone = normalize_market_window(rows[k:k + window], closes[k:k + window])
+            alone = normalize_market_window(scaled[k:k + window])
             assert stack[k].tobytes() == alone.tobytes()
             reference = _reference_normalize(rows[k:k + window], closes[k:k + window])
             assert alone.tobytes() == reference.tobytes()
+            per_call = observation_reference.normalize_market_window(
+                rows[k:k + window], closes[k:k + window])
+            assert alone.tobytes() == per_call.tobytes()
         if window > 1:
             assert (stack[10, :, 4] == 0.0).all()
 

@@ -21,11 +21,14 @@ from alloctrader.evaluation import (
     quartile_allocation,
     return_volatility_pct,
     sharpe,
+    trailing_volatility_pct,
     write_equity_csv,
     write_metrics,
 )
-from alloctrader.market_data import Bar, Session, Timeframe
+from alloctrader.market_data import Bar, Session, Timeframe, synthesize
 import csv_reference
+import observation_reference
+from conftest import small_synth_config
 
 UTC = timezone.utc
 
@@ -180,6 +183,25 @@ class TestReturnVolatility:
     def test_needs_three_closes(self):
         with pytest.raises(EvaluationError):
             return_volatility_pct([100.0, 101.0])
+
+
+class TestTrailingVolatility:
+    @pytest.fixture(scope="class")
+    def closes(self):
+        sessions = synthesize(small_synth_config(), seed=5, days=100).sessions
+        return np.concatenate([s.close for s in sessions])
+
+    # 127-129 straddle numpy's 128-element pairwise-sum block; 1000 splits.
+    @pytest.mark.parametrize("window", [2, 30, 127, 128, 129, 1000])
+    def test_every_bar_equals_the_per_bar_reference(self, closes, window):
+        assert closes.size == 39_000
+        got = trailing_volatility_pct(closes, window)
+        assert np.isnan(got[:window]).all()
+        want = np.array([observation_reference.return_volatility_pct(closes[b - window:b + 1])
+                         for b in range(window, closes.size)])
+        assert got[window:].tobytes() == want.tobytes()
+        for b in range(window, closes.size, 997):
+            assert return_volatility_pct(closes[b - window:b + 1]) == got[b]
 
 
 class TestBuyAndHold:

@@ -113,6 +113,28 @@ class TestForward:
         freq = np.bincount(draws, minlength=3) / 4000
         np.testing.assert_allclose(freq, [0.7, 0.2, 0.1], atol=0.03)
 
+    def test_draws_are_rng_choice_draws(self, monkeypatch):
+        # Probabilities from logits near-tied, spread and so far apart that
+        # some underflow to 0; forward is replaced so that the observation is
+        # the probability vector itself.
+        src = np.random.default_rng(4)
+        scales = src.choice([1e-3, 1.0, 10.0, 800.0], size=(100_000, 1))
+        probs = np.exp(ppo._log_softmax(src.normal(size=(100_000, 3)) * scales))
+        assert (probs == 0.0).any()
+        monkeypatch.setattr(ppo, "forward", lambda params, p: (p, 0.0))
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        for p in probs:
+            action, logp, _ = sample_action(None, p, ours)
+            assert action == theirs.choice(3, p=p)
+            assert logp == float(np.log(p[action]))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_non_finite_probabilities_are_ppo_error(self):
+        params = _params()
+        params.arrays["policy_w1"][0, 0] = np.nan
+        with pytest.raises(PpoError, match="non-finite action probabilities"):
+            sample_action(params, np.ones(4), np.random.default_rng(0))
+
 
 class TestInitialization:
     def test_hidden_layers_orthogonal(self):

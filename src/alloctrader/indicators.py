@@ -31,7 +31,8 @@ def _rsi_and_macd(
     numpy scalars, at a fraction of their cost per bar. The Wilder averages
     are seeded with the mean of the first `period` gains and losses. The
     EMAs are seeded with the first close; their incremental form keeps
-    constant series exact.
+    constant series exact. RSI is NaN before index `period`, and the
+    histogram before index slow + signal - 1.
     """
     closes = np.asarray(closes, dtype=np.float64)
     n = closes.size
@@ -73,22 +74,6 @@ def _rsi_and_macd(
     # The signal line has not seen a full window before slow + signal - 1.
     hist[: slow + signal - 1] = np.nan
     return rsi, hist
-
-
-def rolling_rsi(closes: np.ndarray, period: int = 14) -> np.ndarray:
-    """Wilder-smoothed RSI per bar; NaN before index `period`."""
-    return _rsi_and_macd(closes, period=period)[0]
-
-
-def rolling_macd_histogram(
-    closes: np.ndarray, fast: int = 12, slow: int = 26, signal: int = 9
-) -> np.ndarray:
-    """MACD histogram (MACD line minus signal line) per bar.
-
-    EMAs are seeded with the first close. Values before index
-    slow + signal - 1 are NaN: the signal line has not seen a full window.
-    """
-    return _rsi_and_macd(closes, fast=fast, slow=slow, signal=signal)[1]
 
 
 def rolling_cci(

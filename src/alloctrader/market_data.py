@@ -1,6 +1,6 @@
-"""OHLCV market data handling: bar/session types, CSV ingestion, the
-trailing bar aggregation every timeframe's features are built from, and a
-regime-switching synthetic minute-bar generator.
+"""OHLCV market data handling: the session type and its bar rules, CSV
+ingestion, the trailing bar aggregation every timeframe's features are
+built from, and a regime-switching synthetic minute-bar generator.
 
 All timestamps are timezone-normalized to UTC. A bar's timestamp marks the
 start of its one-minute interval, so a 09:30-16:00 session holds bars
@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
-from itertools import chain
+from itertools import chain, count, groupby
 from operator import attrgetter, lt
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -80,39 +81,42 @@ def _z_as_offset(text: str) -> str:
     return text[:-1] + "+00:00" if text.endswith("Z") else text
 
 
-@dataclass(frozen=True)
-class Bar:
-    """One OHLCV candle. Prices strictly positive, low <= open,close <= high."""
-
-    timestamp: datetime
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "timestamp", _as_utc(self.timestamp))
-        if self.timestamp.second or self.timestamp.microsecond:
-            raise MarketDataError(f"bar timestamp not minute-aligned: {self.timestamp}")
-        for name in ("open", "high", "low", "close"):
-            p = getattr(self, name)
-            if not (math.isfinite(p) and p > 0):
-                raise MarketDataError(f"non-positive {name} price: {p}")
-        if not (self.low <= self.open <= self.high and self.low <= self.close <= self.high):
-            raise MarketDataError(
-                f"OHLC ordering violated at {self.timestamp}: "
-                f"o={self.open} h={self.high} l={self.low} c={self.close}"
-            )
-        if not isinstance(self.volume, (int, np.integer)) or self.volume < 0:
-            raise MarketDataError(f"volume must be a non-negative integer, got {self.volume!r}")
-        if self.volume >= 2**63:
-            raise MarketDataError(f"volume {self.volume} does not fit in 64 bits")
-        object.__setattr__(self, "volume", int(self.volume))
-
-
-#: Session's per-bar columns, in Bar's field order after the timestamp.
+#: Session's per-bar columns, in CSV order after the timestamp.
 _COLUMNS = ("open", "high", "low", "close", "volume")
+
+
+def _bar_error(ts: datetime, o: float, h: float, l: float, c: float, volume) -> str | None:
+    """The message of the first bar rule one row breaks, or None. In order: the UTC
+    timestamp is minute-aligned; each price (o, h, l, c) is finite and positive;
+    low <= open, close <= high; the volume is an integer in [0, 2**63)."""
+    if ts.second or ts.microsecond:
+        return f"bar timestamp not minute-aligned: {ts}"
+    for name, p in zip(_COLUMNS, (o, h, l, c)):
+        if not (math.isfinite(p) and p > 0):
+            return f"non-positive {name} price: {p}"
+    if not (l <= o <= h and l <= c <= h):
+        return f"OHLC ordering violated at {ts}: o={o} h={h} l={l} c={c}"
+    if isinstance(volume, bool) or not isinstance(volume, (int, np.integer)) or volume < 0:
+        return f"volume must be a non-negative integer, got {volume!r}"
+    return f"volume {volume} does not fit in 64 bits" if volume >= 2**63 else None
+
+
+def _first_bad_bar(stamps: Sequence[datetime], prices: list[np.ndarray],
+                   volume: np.ndarray) -> tuple[int, str] | None:
+    """The first row of the columns that breaks a bar rule, and its message, or
+    None. Whole columns pick the rows that may; `_bar_error` judges them in
+    order (a volume column not of an integer dtype, value by value)."""
+    o, h, l, c = prices
+    bad = ~np.logical_and.reduce([np.isfinite(p) & (p > 0) for p in prices]
+                                 + [l <= o, o <= h, l <= c, c <= h])
+    bad |= volume.astype(np.int64, copy=False) < 0 if volume.dtype.kind in "iu" else True
+    if any(map(attrgetter("second"), stamps)) or any(map(attrgetter("microsecond"), stamps)):
+        bad |= [bool(t.second or t.microsecond) for t in stamps]
+    for i in np.flatnonzero(bad).tolist():
+        message = _bar_error(stamps[i], *(p.item(i) for p in prices), volume.item(i))
+        if message:
+            return i, message
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +125,10 @@ class Session:
 
     Row i of the read-only float64 `open`/`high`/`low`/`close` and int64
     `volume` columns is the bar stamped `timestamps[i]`, and every row obeys
-    Bar's rules. Timestamps are strictly increasing and lie inside
-    [open_time, close_time). A column given as a read-only array of its
-    dtype is kept without a copy, so sessions can be views of one market's
-    arrays. `from_bars` builds a session from Bar rows.
+    the bar rules of `_bar_error`. Timestamps are strictly increasing and lie
+    inside [open_time, close_time). A column given as a read-only array of
+    its dtype is kept without a copy, so sessions can be views of one
+    market's arrays.
     """
 
     day: date
@@ -136,14 +140,6 @@ class Session:
     low: np.ndarray
     close: np.ndarray
     volume: np.ndarray
-
-    @classmethod
-    def from_bars(cls, day: date, open_time: datetime, close_time: datetime,
-                  bars: Iterable[Bar]) -> "Session":
-        bars = tuple(bars)
-        prices = [[getattr(b, name) for b in bars] for name in _COLUMNS[:4]]
-        return cls(day, open_time, close_time, tuple(b.timestamp for b in bars),
-                   *prices, [b.volume for b in bars])
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "open_time", _as_utc(self.open_time))
@@ -157,22 +153,14 @@ class Session:
         volume = np.asarray(self.volume)
         for name, column in zip(_COLUMNS, prices + [volume]):
             if column.shape != (n,):
-                raise MarketDataError(
-                    f"session {self.day}: {name} column has shape {column.shape}, "
-                    f"expected ({n},)"
-                )
-        o, h, l, c = prices
-        # Bar's rules, row by row; the first failing row raises Bar's message.
-        bad = ~np.logical_and.reduce(
-            [np.isfinite(p) & (p > 0) for p in prices] + [l <= o, o <= h, l <= c, c <= h]
-        )
-        bad |= volume < 0 if volume.dtype.kind in "iu" else n > 0
-        first = int(np.argmax(bad)) if bad.any() else n
-        if any(map(attrgetter("second"), stamps)) or any(map(attrgetter("microsecond"), stamps)):
-            first = min(first, next(i for i, t in enumerate(stamps) if t.second or t.microsecond))
-        if first < n:
-            Bar(stamps[first], *(p[first].item() for p in prices), volume[first].item())
-            raise MarketDataError(f"session {self.day}: invalid bar at {stamps[first]}")
+                raise MarketDataError(f"session {self.day}: {name} column has shape "
+                                      f"{column.shape}, expected ({n},)")
+        if volume.dtype.kind not in "iu":
+            # Checked value by value as given, so 2**64 or 5.0 is refused as itself.
+            volume = np.array(self.volume, dtype=object)
+        fault = _first_bad_bar(stamps, prices, volume)
+        if fault:
+            raise MarketDataError(fault[1])
         for name, column in zip(_COLUMNS, prices + [volume.astype(np.int64, copy=False)]):
             if column.flags.writeable:
                 column = column.copy()
@@ -182,17 +170,12 @@ class Session:
             raise MarketDataError(f"session {self.day}: open_time >= close_time")
         if n and not (self.open_time <= stamps[0] and stamps[-1] < self.close_time
                       and all(map(lt, stamps, stamps[1:]))):
-            prev = None
-            for ts in stamps:
-                if not (self.open_time <= ts < self.close_time):
-                    raise MarketDataError(
-                        f"session {self.day}: bar {ts} outside session hours"
-                    )
+            for prev, ts in zip((None,) + stamps, stamps):
+                if not self.open_time <= ts < self.close_time:
+                    raise MarketDataError(f"session {self.day}: bar {ts} outside session hours")
                 if prev is not None and ts <= prev:
                     raise MarketDataError(
-                        f"session {self.day}: timestamps not strictly increasing at {ts}"
-                    )
-                prev = ts
+                        f"session {self.day}: timestamps not strictly increasing at {ts}")
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -272,15 +255,6 @@ class TradingCalendar:
                 o, c = self.days[d]
                 fh.write(f"{d.isoformat()},{o.strftime('%H:%M')},{c.strftime('%H:%M')}\n")
 
-    def locate(self, ts: datetime) -> date | None:
-        """Trading day whose session hours contain ts, or None."""
-        ts = _as_utc(ts)
-        hours = self.days.get(ts.date())
-        if hours is None:
-            return None
-        o, c = hours
-        return ts.date() if o <= ts < c else None
-
 
 @dataclass(frozen=True)
 class IngestResult:
@@ -288,58 +262,93 @@ class IngestResult:
     dropped_rows: int
 
 
+def _volume(text: str) -> int:
+    """An exact integer, also when written as a whole float (5.0, 1e3)."""
+    try:
+        return int(text)
+    except ValueError:
+        volume = float(text)
+        if volume != int(volume):
+            raise ValueError(f"fractional volume {text}") from None
+        return int(volume)
+
+
+def _parse(row: list[str]) -> list:
+    """The six values of a CSV data row. A field that does not parse raises
+    ValueError or OverflowError, for the first such field in the row."""
+    if len(row) != len(CSV_HEADER):
+        raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+    text, o, h, l, c, volume = row
+    return [datetime.fromisoformat(_z_as_offset(text)),
+            float(o), float(h), float(l), float(c), _volume(volume)]
+
+
 def ingest_csv(path: str, calendar: TradingCalendar) -> IngestResult:
     """Read an OHLCV CSV into per-day sessions.
 
     The file must carry the header ``timestamp,open,high,low,close,volume``.
-    Rows falling outside the calendar's session hours are dropped and counted;
-    any malformed row (bad number, OHLC violation, bad timestamp) rejects the
-    whole file with its row number.
+    Rows falling outside the calendar's session hours are dropped and counted.
+    The first malformed row in the file (a bad number or timestamp, a bar rule
+    broken) rejects the whole file with its row number. Volumes are exact.
     """
+    # Prices go to float64 arrays as they are read, so no float object is kept per price.
+    columns, linenos, fault = [[], *(array("d") for _ in _COLUMNS[:4]), []], [], None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataError(f"{path}: file is empty") from None
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise MarketDataError(f"{path} row 1: {exc}") from exc
+        if header is None:
+            raise EmptyDataError(f"{path}: file is empty")
         if tuple(h.strip().lower() for h in header) != CSV_HEADER:
-            raise MarketDataError(
-                f"{path}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
-            )
-        by_day: dict[date, list[Bar]] = {}
-        dropped = 0
-        rows = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rows += 1
-            if len(row) != 6:
-                raise MarketDataError(f"{path} row {lineno}: expected 6 fields, got {len(row)}")
-            try:
-                ts = _as_utc(datetime.fromisoformat(_z_as_offset(row[0])))
-                o, h, l, c = (float(v) for v in row[1:5])
-                vol_f = float(row[5])
-                if vol_f != int(vol_f):
-                    raise ValueError(f"fractional volume {row[5]}")
-                bar = Bar(ts, o, h, l, c, int(vol_f))
-            except (ValueError, OverflowError, MarketDataError) as exc:
-                raise MarketDataError(f"{path} row {lineno}: {exc}") from exc
-            day = calendar.locate(bar.timestamp)
-            if day is None:
-                dropped += 1
-                continue
-            by_day.setdefault(day, []).append(bar)
-    if rows == 0:
+            raise MarketDataError(f"{path}: expected header {','.join(CSV_HEADER)}, "
+                                  f"got {','.join(header)}")
+        appends, lineno = [column.append for column in columns], 1
+        try:  # a row that does not parse stops the read; the rows before it are checked first
+            for lineno, row in enumerate(reader, start=2):
+                if row:
+                    try:
+                        values = _parse(row)
+                    except (ValueError, OverflowError) as exc:
+                        raise MarketDataError(f"{path} row {lineno}: {exc}") from exc
+                    for append, value in zip(appends, values):
+                        append(value)
+                    linenos.append(lineno)
+        except csv.Error as exc:  # the csv module could not read the row after lineno
+            fault = MarketDataError(f"{path} row {lineno + 1}: {exc}")
+        except MarketDataError as exc:  # a bad field, or undecodable text
+            fault = exc
+    if not linenos and fault is None:
         raise EmptyDataError(f"{path}: no data rows")
-    sessions = []
-    for day in sorted(by_day):
-        o, c = calendar.days[day]
-        bars = sorted(by_day[day], key=lambda b: b.timestamp)
-        for a, b in zip(bars, bars[1:]):
-            if a.timestamp == b.timestamp:
-                raise MarketDataError(f"{path}: duplicate timestamp {a.timestamp} on {day}")
-        sessions.append(Session.from_bars(day, o, c, bars))
-    return IngestResult(tuple(sessions), dropped)
+    stamps, *prices, volumes = columns
+    if set(map(attrgetter("tzinfo"), stamps)) - {timezone.utc}:
+        stamps = list(map(_as_utc, stamps))
+    prices = [np.asarray(column, dtype=np.float64) for column in prices]
+    # A volume past int64 stays a Python int, which the bar rules then refuse.
+    wide = volumes and not -2**63 <= min(volumes) <= max(volumes) < 2**63
+    volume = np.array(volumes, dtype=object if wide else np.int64)
+    bad = _first_bad_bar(stamps, prices, volume)
+    if bad:
+        raise MarketDataError(f"{path} row {linenos[bad[0]]}: {bad[1]}")
+    if fault:
+        raise fault
+
+    # A row's trading day is its date, and time order is (day, time) order.
+    dates = list(map(datetime.date, stamps))
+    kept = [i for i, ts, hours in zip(count(), stamps, map(calendar.days.get, dates))
+            if hours and hours[0] <= ts < hours[1]]
+    kept.sort(key=stamps.__getitem__)
+    repeat = next((a for a, b in zip(kept, kept[1:]) if stamps[a] == stamps[b]), None)
+    if repeat is not None:
+        raise MarketDataError(f"{path}: duplicate timestamp {stamps[repeat]} on {dates[repeat]}")
+    columns = [list(map(stamps.__getitem__, kept)), *(column[kept] for column in (*prices, volume))]
+    sessions, a = [], 0
+    for day, rows_of_day in groupby(kept, key=dates.__getitem__):
+        b = a + len(list(rows_of_day))
+        sessions.append(Session(day, *calendar.days[day], *(column[a:b] for column in columns)))
+        a = b
+    return IngestResult(tuple(sessions), len(stamps) - len(kept))
 
 
 def iso_timestamps(session: Session) -> list[str]:

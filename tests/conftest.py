@@ -46,6 +46,28 @@ def weekday_calendar(start: date, end: date) -> TradingCalendar:
     return TradingCalendar(days)
 
 
+def mutate(data: bytes, rng: np.random.Generator, kind: int) -> bytes:
+    """A seeded mutation of a CSV file with CRLF line ends: kind 0 sets one to
+    three random bytes, 1 truncates the file, 2 drops one field of one line
+    and 3 appends a field to a line after the header."""
+    if kind == 0:
+        out = bytearray(data)
+        for pos in rng.integers(0, len(out), int(rng.integers(1, 4))):
+            out[pos] = int(rng.integers(0, 256))
+        return bytes(out)
+    if kind == 1:
+        return data[:int(rng.integers(0, len(data)))]
+    lines = data.split(b"\r\n")
+    if kind == 2:
+        row = int(rng.integers(0, len(lines)))
+        fields = lines[row].split(b",")
+        del fields[int(rng.integers(0, len(fields)))]
+        lines[row] = b",".join(fields)
+    else:
+        lines[int(rng.integers(1, len(lines) - 1))] += b",x"
+    return b"\r\n".join(lines)
+
+
 @pytest.fixture(scope="session")
 def regime_result():
     """20 full-length sessions of two-regime synthetic data."""

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from alloctrader.market_data import Bar, MarketDataError, Session, Timeframe
+from alloctrader.market_data import MarketDataError, Session, Timeframe
+from bar_reference import Bar
 
 _COLUMNS = ("open", "high", "low", "close", "volume")
 

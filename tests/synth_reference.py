@@ -11,14 +11,8 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 
-from alloctrader.market_data import (
-    LOW_REGIME,
-    Bar,
-    MarketDataError,
-    Session,
-    SynthConfig,
-    SynthResult,
-)
+from alloctrader.market_data import LOW_REGIME, MarketDataError, SynthConfig, SynthResult
+from bar_reference import Bar, session_from_bars
 from resample_reference import session_bars
 
 
@@ -62,7 +56,7 @@ def reference_synthesize(config: SynthConfig, seed: int, days: int) -> SynthResu
             price = close_px
             if rng.random() >= config.transition[regime][regime]:
                 regime = 1 - regime
-        sessions.append(Session.from_bars(day, open_dt, close_dt, bars))
+        sessions.append(session_from_bars(day, open_dt, close_dt, bars))
         labels.append(day_labels)
     return SynthResult(tuple(sessions), tuple(labels))
 

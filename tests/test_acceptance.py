@@ -28,8 +28,6 @@ from alloctrader.envs import EnvConfig, TradingEnv, agent_reward
 from alloctrader.evaluation import EquityCurve, cumulative_return, quartile_allocation
 from alloctrader.indicators import feature_table
 from alloctrader.market_data import (
-    Bar,
-    Session,
     TIMEFRAME_ORDER,
     Timeframe,
     resample,
@@ -45,6 +43,7 @@ from alloctrader.ppo import (
     ppo_loss_and_grads,
     train,
 )
+from bar_reference import Bar, session_from_bars
 from conftest import small_synth_config
 from indicator_reference import oracle_macd_hist, oracle_rsi
 from portfolio_reference import PortfolioState, buy_all, mark, sell_all
@@ -484,7 +483,7 @@ def _flat_day(day, closes):
         Bar(open_time + timedelta(minutes=k), c, c, c, c, 100)
         for k, c in enumerate(closes)
     )
-    return Session.from_bars(day, open_time, open_time + timedelta(minutes=390), bars)
+    return session_from_bars(day, open_time, open_time + timedelta(minutes=390), bars)
 
 
 def test_criterion_10_quartile_hand_fixture(capsys):

@@ -25,7 +25,7 @@ from alloctrader.indicators import feature_table
 from alloctrader.market_data import TIMEFRAME_ORDER, Timeframe
 from alloctrader.ppo import NetworkSpec, PolicyParameters
 import observation_reference
-from conftest import constant_action_params, ramped_sessions, stub_registry
+from conftest import constant_action_params, mutate, ramped_sessions, stub_registry
 from portfolio_reference import PortfolioState, buy_all, features, mark, sell_all
 
 mp.dps = 50
@@ -459,25 +459,10 @@ class TestDecisionLog:
         path = tmp_path / "fuzzed.csv"
         outcomes = {"read": 0, "refused": 0}
         for trial in range(800):
-            fuzzed = bytearray(data)
             kind = trial % 4
-            if kind == 0:
-                for pos in rng.integers(0, len(fuzzed), int(rng.integers(1, 4))):
-                    fuzzed[pos] = int(rng.integers(0, 256))
-            elif kind == 1:
-                del fuzzed[int(rng.integers(0, len(fuzzed))):]
-            else:
-                lines = fuzzed.split(b"\r\n")
-                if kind == 2:
-                    row = int(rng.integers(0, len(lines)))
-                    fields = lines[row].split(b",")
-                    del fields[int(rng.integers(0, len(fields)))]
-                    lines[row] = b",".join(fields)
-                else:
-                    lines[int(rng.integers(1, len(rows)))] += b",x"
-                fuzzed = bytearray(b"\r\n".join(lines))
+            fuzzed = mutate(data, rng, kind)
             try:
-                records = read_decision_log(_write(path, bytes(fuzzed)))
+                records = read_decision_log(_write(path, fuzzed))
             except AllocatorError as exc:
                 assert "fuzzed.csv: " in str(exc)
                 outcomes["refused"] += 1

@@ -25,7 +25,8 @@ from alloctrader.evaluation import (
     write_equity_csv,
     write_metrics,
 )
-from alloctrader.market_data import Bar, Session, Timeframe, synthesize
+from alloctrader.market_data import Timeframe, synthesize
+from bar_reference import Bar, session_from_bars
 import csv_reference
 import observation_reference
 from conftest import small_synth_config
@@ -50,7 +51,7 @@ def _flat_day(day, closes):
         Bar(open_time + timedelta(minutes=k), c, c, c, c, 100)
         for k, c in enumerate(closes)
     )
-    return Session.from_bars(day, open_time, open_time + timedelta(minutes=390), bars)
+    return session_from_bars(day, open_time, open_time + timedelta(minutes=390), bars)
 
 
 class TestEquityCurve:
@@ -352,7 +353,7 @@ class TestQuartileAllocation:
             decisions.append(
                 _decision(open_time + timedelta(hours=h, minutes=2), Timeframe.ONE_MINUTE)
             )
-        session = Session.from_bars(day, open_time, open_time + timedelta(hours=5), tuple(bars))
+        session = session_from_bars(day, open_time, open_time + timedelta(hours=5), tuple(bars))
         report = quartile_allocation(decisions, [session], "hourly")
         assert [q.units for q in report.quartiles] == [1, 1, 1, 1]
 

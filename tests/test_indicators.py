@@ -13,11 +13,10 @@ from alloctrader.config import default_config
 from alloctrader.indicators import (
     FEATURE_COLUMNS,
     FEATURE_WARMUP,
+    _rsi_and_macd,
     feature_table,
     rolling_cci,
-    rolling_macd_histogram,
     rolling_pband,
-    rolling_rsi,
 )
 from alloctrader.market_data import synthesize
 
@@ -55,6 +54,16 @@ def _random_walk(rng, n, start=100.0, vol=0.01):
     lows = closes * (1.0 - spread)
     volumes = rng.integers(1, 1000, size=n).astype(float)
     return highs, lows, closes, volumes
+
+
+def rolling_rsi(closes):
+    """Wilder RSI(14) per bar; NaN before index 14."""
+    return _rsi_and_macd(closes)[0]
+
+
+def rolling_macd_histogram(closes):
+    """MACD histogram(12/26/9) per bar; NaN before index 34."""
+    return _rsi_and_macd(closes)[1]
 
 
 def rsi(closes):

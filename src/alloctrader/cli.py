@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -173,7 +174,8 @@ def cmd_train_agent(args) -> int:
 
 def _extra(path, ckpt: Checkpoint, key: str, convert: Callable):
     """`convert(ckpt.extra[key])`, or CheckpointError naming the file and the key.
-    For `int` the value must be an int and for `float` a number; a bool is neither."""
+    For `int` the value must be an int and for `float` a finite number; a bool is
+    neither."""
     if key not in ckpt.extra:
         raise CheckpointError(f"{path}: checkpoint extra has no {key!r}")
     value = ckpt.extra[key]
@@ -181,7 +183,10 @@ def _extra(path, ckpt: Checkpoint, key: str, convert: Callable):
     try:
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise TypeError(f"not a {convert.__name__}")
-        return convert(value)
+        result = convert(value)
+        if convert is float and not math.isfinite(result):
+            raise ValueError("not finite")
+        return result
     except (TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(
             f"{path}: checkpoint extra {key!r} has a bad value ({value!r:.40})"

@@ -50,6 +50,9 @@ CCI_DIVISOR = 200.0
 FEATURES_PER_BAR = 8
 MARKET_FEATURES = 5
 
+#: Portfolio row of a flat account: all cash, no stock, no unrealized profit.
+FLAT_ROW = (1.0, 0.0, 0.0)
+
 #: Decisions per block in `run_agent`: their observations are multiplied by
 #: the first layer in one GEMM (about 1.5 MB at window 240).
 AGENT_BLOCK = 96
@@ -125,16 +128,26 @@ def normalize_market_window(rows: np.ndarray) -> np.ndarray:
     """
     out = np.empty(rows.shape)
     out[..., :4] = rows[..., :4]
+    _zscore_volume(rows[..., 4], out[..., 4])
+    return out
+
+
+def _zscore_volume(vol: np.ndarray, out: np.ndarray) -> None:
+    """Write the z-score of each window (last axis) of `vol` into `out`, 0
+    where a window is constant."""
     # Contiguous rows, so each window's sums run in the same pairwise order.
     # The mean and the population std are those of np.mean and np.std, step
     # for step.
-    vol = np.ascontiguousarray(rows[..., 4])
+    vol = np.ascontiguousarray(vol)
     n = vol.shape[-1]
     centered = vol - np.add.reduce(vol, axis=-1, keepdims=True) / n
     sd = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / n)
-    out[..., 4] = 0.0
-    np.divide(centered, sd, out=out[..., 4], where=sd > 0)
-    return out
+    varies = sd > 0
+    if varies.all():  # the common case, and a faster loop than a masked one
+        np.divide(centered, sd, out=out)
+    else:
+        out[...] = 0.0
+        np.divide(centered, sd, out=out, where=varies)
 
 
 def trailing_table(highs: np.ndarray, lows: np.ndarray, closes: np.ndarray,
@@ -218,7 +231,6 @@ class BaseBarEnv:
         self.cash = self.cost_basis = self.fee = self.value = 0.0
         self.shares = 0
         self.trades: list[TradeLogEntry] = []
-        self._pf_rows = np.empty((self.n_bars, 3))
 
     def _span_end(self, cursor: int, length: int) -> int:
         """Last bar of a `length`-bar span decided at `cursor`, cut at its
@@ -232,7 +244,13 @@ class BaseBarEnv:
         self.cash, self.shares, self.cost_basis, self.fee = cash, 0, 0.0, fee
         self.value = cash
         self.trades = []
-        self._pf_rows[:] = (1.0, 0.0, 0.0)
+        self._new_rows()
+
+    def _new_rows(self) -> None:
+        """Give the episode its own portfolio rows, flat at every bar, so the
+        rows an earlier episode wrote stay as they were."""
+        self._pf_rows = np.empty((self.n_bars, 3))
+        self._pf_rows[:] = FLAT_ROW
 
     def _span(self, action: Action | int, length: int) -> SpanResult:
         """Trade `action` at the cursor's close, then mark each bar of the
@@ -313,6 +331,22 @@ class TradingEnv(BaseBarEnv):
     def observation_size(self) -> int:
         return self.config.observation_size
 
+    def _new_rows(self) -> None:
+        """Give the episode its own (n_bars, 8) rows, laid out as observations
+        read them: the five market columns of the table, then the three
+        portfolio columns, flat at every bar. `table` and `_pf_rows` are views
+        of them."""
+        rows = np.empty((self.n_bars, FEATURES_PER_BAR))
+        rows[:, :MARKET_FEATURES] = self.tables[self.config.timeframe]
+        rows[:, MARKET_FEATURES:] = FLAT_ROW
+        self._rows, self.table, self._pf_rows = (
+            rows, rows[:, :MARKET_FEATURES], rows[:, MARKET_FEATURES:])
+
+    def rollout_store(self, n: int) -> "RolloutStore":
+        """A store for `n` steps of this environment's observations that keeps
+        keys, not copies (see RolloutStore and ppo.train)."""
+        return RolloutStore(self, n)
+
     def reset(self, cursor: int | None = None) -> np.ndarray:
         """Start an episode with the cursor on a fully-warmed-up base bar.
 
@@ -350,6 +384,64 @@ class TradingEnv(BaseBarEnv):
     def _observation(self) -> np.ndarray:
         return build_observation(self.table, self._pf_rows, self.cursor,
                                  self.config.window_size, self.length)
+
+
+class RolloutStore:
+    """A rollout's observations of one TradingEnv, kept as keys: each step's
+    decision cursor and the episode rows its observation was built from.
+
+    Indexing rebuilds them with the bytes build_observation gave. Inside an
+    episode that is exact: an observation reads only rows at or before its
+    cursor, and `_span` writes only rows after it; each episode has rows of
+    its own (`_new_rows`). A window of rows is gathered in one piece, and its
+    volume column, the same in every episode, z-scored from a contiguous
+    copy as normalize_market_window does.
+    """
+
+    def __init__(self, env: TradingEnv, n: int):
+        self._env = env
+        self._cursors = np.empty(n, dtype=np.intp)
+        self._episodes = np.empty(n, dtype=np.intp)
+        self._windows_of: list[np.ndarray] = []
+        self._last_rows = None
+        self._reach = (env.config.window_size - 1) * env.length
+        volume = np.ascontiguousarray(env.tables[env.config.timeframe][:, 4])
+        self._volumes = self._windows(volume)
+
+    def _windows(self, rows: np.ndarray) -> np.ndarray:
+        """View of every observation window of `rows`, by its first bar."""
+        every = sliding_window_view(rows, self._reach + 1, axis=0)[..., ::self._env.length]
+        return every if rows.ndim == 1 else every.transpose(0, 2, 1)
+
+    def record(self, t: int, observation: np.ndarray) -> None:
+        """Keep step t's observation, which must be the environment's latest.
+        Recording step 0 starts a new rollout, so earlier episodes are let go."""
+        env = self._env
+        if t == 0:
+            self._windows_of, self._last_rows = [], None
+        if env._rows is not self._last_rows:
+            self._last_rows = env._rows
+            self._windows_of.append(self._windows(env._rows))
+        self._cursors[t] = env.cursor
+        self._episodes[t] = len(self._windows_of) - 1
+
+    def __getitem__(self, index: np.ndarray) -> np.ndarray:
+        """The observations of steps `index`: a C-contiguous float64
+        (len(index), window * 8) array."""
+        starts, episodes = self._cursors[index] - self._reach, self._episodes[index]
+        first = episodes[0]
+        if (episodes == first).all():
+            return self._gather(self._windows_of[first], starts)
+        out = np.empty((len(starts), self._env.observation_size))
+        for e in np.unique(episodes):
+            sel = episodes == e
+            out[sel] = self._gather(self._windows_of[e], starts[sel])
+        return out
+
+    def _gather(self, windows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        x = windows[starts]
+        _zscore_volume(self._volumes[starts], x[..., 4])
+        return x.reshape(len(starts), -1)
 
 
 class AgentRun(NamedTuple):

@@ -94,13 +94,18 @@ def max_drawdown(curve: EquityCurve) -> float:
 VOLATILITY_BLOCK = 4096
 
 
-def _std_pct(returns: np.ndarray) -> np.ndarray:
-    """100 times the sample standard deviation of each row of contiguous
-    (..., n) returns: the arithmetic of np.std(ddof=1), step for step, so a
-    row's pairwise sums are those of the row alone."""
+def _std_pct(returns: np.ndarray, out: np.ndarray, centered: np.ndarray) -> None:
+    """Write 100 times the sample standard deviation of each row of
+    contiguous (..., n) `returns` into `out`, with `centered` (shaped as
+    `returns`) as scratch: the arithmetic of np.std(ddof=1), step for step,
+    so a row's pairwise sums are those of the row alone."""
     n = returns.shape[-1]
-    centered = returns - np.add.reduce(returns, axis=-1, keepdims=True) / n
-    return np.sqrt(np.add.reduce(centered * centered, axis=-1) / (n - 1)) * 100.0
+    np.subtract(returns, np.add.reduce(returns, axis=-1, keepdims=True) / n, out=centered)
+    np.multiply(centered, centered, out=centered)
+    np.add.reduce(centered, axis=-1, out=out)
+    out /= n - 1
+    np.sqrt(out, out=out)
+    out *= 100.0
 
 
 def return_volatility_pct(closes) -> float:
@@ -109,19 +114,27 @@ def return_volatility_pct(closes) -> float:
     closes = np.asarray(closes, dtype=np.float64)
     if closes.size < 3:
         raise EvaluationError(f"volatility needs >= 3 closes, got {closes.size}")
-    return float(_std_pct(np.diff(closes) / closes[:-1]))
+    returns = np.diff(closes) / closes[:-1]
+    out = np.empty(())
+    _std_pct(returns, out, np.empty_like(returns))
+    return float(out)
 
 
 def trailing_volatility_pct(closes: np.ndarray, window: int) -> np.ndarray:
     """return_volatility_pct(closes[b - window:b + 1]) at every bar b, with
     the same bytes; NaN for the first `window` bars, which lack the history.
-    The windows are copied contiguous in blocks of VOLATILITY_BLOCK."""
+    The windows are copied contiguous, VOLATILITY_BLOCK at a time, into one
+    buffer that every block reuses, as is the scratch of _std_pct."""
     returns = np.diff(closes) / closes[:-1]
     out = np.full(closes.size, np.nan)
     windows = sliding_window_view(returns, window)
+    block = np.empty((min(VOLATILITY_BLOCK, len(windows)), window))
+    scratch = np.empty_like(block)
     for lo in range(0, len(windows), VOLATILITY_BLOCK):
-        block = np.ascontiguousarray(windows[lo:lo + VOLATILITY_BLOCK])
-        out[window + lo:window + lo + len(block)] = _std_pct(block)
+        part = windows[lo:lo + VOLATILITY_BLOCK]
+        np.copyto(block[:len(part)], part)
+        _std_pct(block[:len(part)], out[window + lo:window + lo + len(part)],
+                 scratch[:len(part)])
     return out
 
 

@@ -14,6 +14,9 @@ nothing the size of the model. Each minibatch's policy-net work (forward,
 backward, squared-gradient sums, Adam) runs on a worker thread while the value
 net's runs on the caller's, with bit-identical results. Adam's state lives in
 an AdamState that only training holds; checkpoints store the parameters alone.
+A rollout keeps its observations in the environment's rollout store when it
+has one, which rebuilds each minibatch's observations from the environment
+(envs.TradingEnv), and otherwise copies them into an ObservationBuffer.
 """
 
 from __future__ import annotations
@@ -354,9 +357,27 @@ def gae(
     return advantages, advantages + values
 
 
+class ObservationBuffer:
+    """A rollout's observations copied into one (n, width) array: the store
+    of an environment that has no `rollout_store` (see train)."""
+
+    def __init__(self, n: int, width: int):
+        self.rows = np.empty((n, width))
+
+    def record(self, t: int, observation: np.ndarray) -> None:
+        self.rows[t] = observation
+
+    def __getitem__(self, index: np.ndarray) -> np.ndarray:
+        return self.rows[index]
+
+
 @dataclass
 class RolloutBatch:
-    observations: np.ndarray
+    """One rollout. `observations` is an array, an ObservationBuffer or an
+    environment's rollout store (see train); indexing it with minibatch rows
+    gives a C-contiguous float64 array."""
+
+    observations: np.ndarray | ObservationBuffer
     actions: np.ndarray
     log_probs: np.ndarray
     advantages: np.ndarray
@@ -580,7 +601,7 @@ def ppo_update(
     in place. A non-finite loss aborts immediately with the offending epoch
     and minibatch index.
     """
-    n = batch.observations.shape[0]
+    n = batch.actions.size
     params = params.copy()
     totals = np.zeros(5)
     norms = []
@@ -650,6 +671,12 @@ def train(
     Episodes that end mid-rollout reset the environment and keep collecting;
     ceil(total_timesteps / n_steps) updates run in total. The same seed
     reproduces parameters bit for bit.
+
+    The rollout's observations go to the environment's
+    `rollout_store(n_steps)` when it has one (envs.TradingEnv keeps each
+    step's cursor and rebuilds a minibatch's observations when the update
+    asks), and otherwise to an ObservationBuffer that copies them. Both
+    give the update the same bytes.
     """
     rng = np.random.default_rng(seed)
     params = PolicyParameters.initialize(spec, rng)
@@ -665,7 +692,9 @@ def train(
     episode_return = 0.0
     steps_done = 0
     n_updates = -(-hp.total_timesteps // hp.n_steps)
-    obs_buf = np.empty((hp.n_steps, spec.input_dim))
+    make_store = getattr(env, "rollout_store", None)
+    obs_store = (make_store(hp.n_steps) if make_store is not None
+                 else ObservationBuffer(hp.n_steps, spec.input_dim))
     act_buf = np.empty(hp.n_steps, dtype=np.int64)
     logp_buf = np.empty(hp.n_steps)
     val_buf = np.empty(hp.n_steps)
@@ -674,11 +703,11 @@ def train(
     for _ in range(n_updates):
         for t in range(hp.n_steps):
             action, logp, value = sample_action(params, obs, rng)
+            obs_store.record(t, obs)
             try:
                 result = env.step(action)
             except Exception as exc:
                 raise PpoError(f"environment failed at timestep {steps_done}: {exc}") from exc
-            obs_buf[t] = obs
             act_buf[t] = action
             logp_buf[t] = logp
             val_buf[t] = value
@@ -694,10 +723,10 @@ def train(
                 obs = np.asarray(result.observation, dtype=np.float64)
         _, bootstrap = forward(params, obs)
         advantages, returns = gae(rew_buf, val_buf, done_buf, bootstrap, hp.gamma, hp.gae_lambda)
-        # The buffers go in uncopied: ppo_update only reads them, and it
-        # returns before the next rollout writes to them.
+        # The buffers and the store go in uncopied: ppo_update only reads
+        # them, and it returns before the next rollout records into them.
         batch = RolloutBatch(
-            observations=obs_buf,
+            observations=obs_store,
             actions=act_buf,
             log_probs=logp_buf,
             advantages=advantages,

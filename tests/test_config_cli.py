@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import platform
@@ -15,6 +16,7 @@ import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import alloctrader
@@ -39,7 +41,10 @@ from alloctrader.allocator import (
 )
 from alloctrader.envs import EnvConfig
 from alloctrader.evaluation import EquityCurve, compute_metrics, write_metrics
-from alloctrader.ppo import NetworkSpec, load_checkpoint
+from alloctrader.ppo import (
+    NetworkSpec, PolicyParameters, PpoHyperparams, load_checkpoint, save_checkpoint,
+)
+from conftest import mutate
 import csv_reference
 
 
@@ -657,11 +662,16 @@ class TestPipelineGuards:
          "extra 'initial_cash' has a bad value ('10000')"),
         ("hierarchy", "allocator", "initial_cash", False,
          "extra 'initial_cash' has a bad value (False)"),
+        ("agent:1h", "agent_1h", "initial_cash", math.inf,
+         "extra 'initial_cash' has a bad value (inf)"),
+        ("hierarchy", "allocator", "initial_cash", math.inf,
+         "extra 'initial_cash' has a bad value (inf)"),
     ], ids=["agent-no-window", "agent-bad-window", "agent-no-cash", "agent-bad-cash",
             "registry-bad-timeframe", "registry-bad-cash", "allocator-no-market-window",
             "allocator-bad-vol-window", "allocator-no-cash", "agent-fractional-window",
             "agent-bool-window", "agent-string-window", "allocator-float-market-window",
-            "allocator-bool-vol-window", "agent-string-cash", "allocator-bool-cash"])
+            "allocator-bool-vol-window", "agent-string-cash", "allocator-bool-cash",
+            "agent-infinite-cash", "allocator-infinite-cash"])
     def test_bad_checkpoint_extra_is_single_error_line(
         self, pipeline, tmp_path, capsys, strategy, name, key, value, match
     ):
@@ -803,6 +813,80 @@ def _analyze_with_row_3(pipeline, tmp_path, capsys, row: str) -> str:
     assert err.startswith("error:")
     assert err.count("\n") == 1
     return err
+
+
+# Values that header edits set: each JSON type, extremes, and the non-finite
+# numbers Python's json module reads (Infinity, NaN).
+_HEADER_VALUES = (None, True, False, -1, 0, 1, 2, 3.5, 1e308, -1e308, math.inf, -math.inf,
+                  math.nan, 10**400, "x", "", "1h", [], [1], [[2]], {}, {"a": 1})
+
+
+def _edit_header(data: bytes, rng) -> bytes:
+    """Drop a field of one object of a checkpoint's JSON header, or set one
+    (an existing field or a new one) to one of _HEADER_VALUES."""
+    (length,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12:12 + length])
+    objects, todo = [], [header]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            objects.append(node)
+            todo.extend(node.values())
+        elif isinstance(node, list):
+            todo.extend(node)
+    node = objects[int(rng.integers(len(objects)))]
+    keys = list(node)
+    if keys and rng.random() < 0.5:
+        del node[keys[int(rng.integers(len(keys)))]]
+    else:
+        keys.append("added")
+        node[keys[int(rng.integers(len(keys)))]] = _HEADER_VALUES[
+            int(rng.integers(len(_HEADER_VALUES)))]
+    blob = json.dumps(header).encode()
+    return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + length:]
+
+
+class TestCheckpointFuzz:
+    def test_fuzzed_checkpoints_end_in_one_error_line_or_run(self, tmp_path, capsys):
+        # A 1h agent of window 2 needs six sessions of history (New Year's
+        # Day is not one), so the test range holds three sessions.
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("synth.days = 9\nrange.train_start = 2024-01-01\n"
+                            "range.train_end = 2024-01-05\nrange.test_start = 2024-01-10\n"
+                            "range.test_end = 2024-12-31\nagent.1h.window_size = 2\n")
+        out = tmp_path / "out"
+        ckpt = out / "checkpoints" / "agent_1h_seed0.ckpt"
+        ckpt.parent.mkdir(parents=True)
+        spec = NetworkSpec(16, (8, 8), 3)
+        hp = PpoHyperparams(total_timesteps=96, learning_rate=1e-3, n_steps=48, batch_size=24)
+        save_checkpoint(str(ckpt), PolicyParameters.initialize(spec, np.random.default_rng(0)),
+                        hp, 0, extra={"kind": "agent", "timeframe": "1h", "window_size": 2,
+                                      "initial_cash": 10_000.0})
+        good = ckpt.read_bytes()
+        (length,) = struct.unpack_from("<I", good, 8)
+        head = 12 + length
+        argv = ["backtest", "agent:1h", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv) == 0
+        rng = np.random.default_rng(4)
+        codes = []
+        for trial in range(90):
+            # Byte flips go to the prefix and header; a flip in the payload
+            # only moves a weight.
+            kind = trial % 3
+            if kind == 0:
+                data = mutate(good[:head], rng, 0) + good[head:]
+            else:
+                data = mutate(good, rng, 1) if kind == 1 else _edit_header(good, rng)
+            ckpt.write_bytes(data)
+            capsys.readouterr()
+            codes.append(main(argv))
+            err = capsys.readouterr().err
+            if codes[-1] == 0:
+                assert err == ""
+            else:
+                assert codes[-1] == 1
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert set(codes) == {0, 1}
 
 
 class TestDeterminism:

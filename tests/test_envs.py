@@ -1,5 +1,7 @@
 """Trading environment: reward oracle, step semantics, liquidation invariant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -17,14 +19,17 @@ from alloctrader.envs import (
     run_agent,
 )
 from alloctrader.indicators import feature_table
-from alloctrader.market_data import TIMEFRAME_ORDER, Timeframe
+from alloctrader.market_data import TIMEFRAME_ORDER, Session, Timeframe
 from alloctrader.portfolio import PortfolioError, features
 from alloctrader.ppo import (
+    ARRAY_ORDER,
     NetworkSpec,
     PolicyParameters,
+    PpoHyperparams,
     SplitGreedyPolicy,
     _net_forward,
     greedy_action,
+    train,
 )
 import observation_reference
 from conftest import ramped_sessions
@@ -529,3 +534,98 @@ class TestLogitErrorBound:
             for got in (split, full):
                 for value, want in zip(got, exact):
                     assert abs(mpf(float(value)) - want) <= bound / 2
+
+
+def _constant_volume_day(sessions, day: int) -> list[Session]:
+    """`sessions` with day `day`'s volume constant, so that some windows have
+    a volume of zero spread (z-scored to 0)."""
+    out = list(sessions)
+    s = out[day]
+    out[day] = Session(s.day, s.open_time, s.close_time, s.timestamps, s.open, s.high, s.low,
+                       s.close, np.full(len(s), 500))
+    return out
+
+
+class _WithoutStore:
+    """A TradingEnv seen through reset and step alone: ppo.train finds no
+    rollout_store and copies each observation into a buffer."""
+
+    def __init__(self, env: TradingEnv):
+        self._env = env
+        self.observation_size = env.observation_size
+
+    def reset(self):
+        return self._env.reset()
+
+    def step(self, action):
+        return self._env.step(action)
+
+
+class TestRolloutStore:
+    @pytest.mark.parametrize("timeframe", TIMEFRAME_ORDER, ids=lambda tf: tf.label)
+    def test_indexing_rebuilds_every_observation(self, short_sessions, regime_sessions,
+                                                 timeframe):
+        # The 10m and 1h episodes start in days 4 and 5.
+        sessions = dict(_every_timeframe(_constant_volume_day(short_sessions, 5),
+                                         _constant_volume_day(regime_sessions, 8)))[timeframe]
+        env = _env(sessions, timeframe, window=5)
+        n = 1500
+        store = env.rollout_store(n)
+        rng = np.random.default_rng(8)
+        obs = env.reset()
+        constant = 0
+        for rollout in range(2):
+            returned, resets = [], 0
+            for t in range(n):
+                store.record(t, obs)
+                returned.append(obs)
+                result = env.step(int(rng.integers(3)))
+                resets += result.done
+                obs = env.reset() if result.done else result.observation
+            returned = np.array(returned)
+            constant += (returned[:, 4::8] == 0.0).all(axis=1).sum()
+            assert resets >= 2 or rollout == 1
+            for index in [np.arange(40, 104), np.arange(n)[::-7], *(
+                    rng.choice(n, 128, replace=False) for _ in range(20))]:
+                got = store[index]
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                assert got.shape == (index.size, env.observation_size)
+                assert got.tobytes() == returned[index].tobytes()
+        assert constant  # windows of constant volume were rebuilt too
+
+    @pytest.mark.parametrize("timeframe", [Timeframe.ONE_MINUTE, Timeframe.ONE_HOUR],
+                             ids=lambda tf: tf.label)
+    def test_train_equals_the_copying_buffer(self, regime_sessions, timeframe, tmp_path):
+        # Several episodes per rollout at 1h; one long episode at 1m.
+        window = 5
+        make_env = lambda: _env(regime_sessions, timeframe, window=window)
+        env = make_env()
+        episode_steps = (env.n_bars - 1 - env.min_cursor) // env.length
+        hp = PpoHyperparams(total_timesteps=768, learning_rate=1e-3, n_steps=256,
+                            batch_size=64, n_epochs=2)
+        assert timeframe is Timeframe.ONE_MINUTE or hp.n_steps > 2 * episode_steps
+        spec = NetworkSpec(window * 8, (8, 8), 3)
+        runs = []
+        for make in (make_env, lambda: _WithoutStore(make_env())):
+            params, curve = train(make, spec, hp, seed=5)
+            curve.to_csv(str(tmp_path / "curve.csv"))
+            runs.append(([params.arrays[k].tobytes() for k in ARRAY_ORDER],
+                         (tmp_path / "curve.csv").read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_training_holds_no_copy_of_its_observations(self, short_sessions):
+        # A 1m agent of window 128 over 2,048 steps: copying its observations
+        # would take 2048 * 1024 * 8 bytes, 16.8 MB.
+        window, hp = 128, PpoHyperparams(total_timesteps=2048, learning_rate=1e-3,
+                                         n_steps=2048, batch_size=256, n_epochs=1)
+        spec = NetworkSpec(window * 8, (8, 8), 3)
+        copy_bytes = hp.n_steps * spec.input_dim * 8
+        assert copy_bytes >= 16e6
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            train(lambda: _env(short_sessions, window=window), spec, hp, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < copy_bytes / 2

@@ -1,5 +1,6 @@
 """Optimizer oracles: finite-difference gradients, GAE sums, Adam, checkpoints."""
 
+import hashlib
 import json
 import math
 import os
@@ -465,7 +466,9 @@ class TestPpoUpdate:
             np.testing.assert_array_equal(params.arrays[k], snapshot[k])
             assert not np.array_equal(new_params.arrays[k], snapshot[k])
         assert params.update_count == 0 and new_params.update_count == 1
-        # train() hands ppo_update its rollout buffers uncopied.
+        # ppo_update writes nothing of the batch: train() hands it the
+        # rollout's arrays and its observation store (a TradingEnv's
+        # RolloutStore, or the copying ObservationBuffer) uncopied.
         for k, v in vars(batch).items():
             assert v.tobytes() == batch_before[k].tobytes(), k
 
@@ -661,6 +664,40 @@ class TestTrain:
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("timesteps,mean_step_reward,mean_episode_return")
         assert len(lines) == 5
+
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        # The first layer's products are 128 x 512 x 64, past the size at
+        # which OpenBLAS splits a GEMM over its threads.
+        code = "\n".join([
+            "import os, sys",
+            "from alloctrader import envs, market_data, ppo",
+            "from conftest import small_synth_config",
+            "sessions = market_data.synthesize(small_synth_config(session_minutes=90), 7, 4)",
+            "config = envs.EnvConfig(market_data.Timeframe.ONE_MINUTE, window_size=64)",
+            "spec = ppo.NetworkSpec(64 * 8, (64, 64))",
+            "hp = ppo.PpoHyperparams(total_timesteps=256, learning_rate=1e-3, n_steps=256,",
+            "                        batch_size=128, n_epochs=2)",
+            "params, _ = ppo.train(lambda: envs.TradingEnv(sessions.sessions, config), spec, hp, 3)",
+            "ppo.save_checkpoint(sys.argv[1], params, hp, 3)",
+            "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0)",
+        ])
+        paths = [str(Path(alloctrader.__file__).parents[1]), str(Path(__file__).parent)]
+        procs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), OPENBLAS_NUM_THREADS=threads)
+            procs[threads] = subprocess.Popen(
+                [sys.executable, "-c", code, str(tmp_path / f"{threads}.ckpt")], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        os_threads = {}
+        for threads, proc in procs.items():
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            os_threads[threads] = int(out)
+        # Where the OS lists a process's threads, the second run has one more.
+        assert os_threads["2"] == os_threads["1"] + (os_threads["1"] > 0)
+        digests = {hashlib.sha256((tmp_path / f"{t}.ckpt").read_bytes()).hexdigest()
+                   for t in procs}
+        assert len(digests) == 1
 
 
 def _rewrite_header(path, mutate):

@@ -193,12 +193,24 @@ def _extra(path, ckpt: Checkpoint, key: str, convert: Callable):
         ) from exc
 
 
+def _require_kind(path, ckpt: Checkpoint, kind: str) -> None:
+    """CheckpointError unless the checkpoint was saved as a `kind` ("agent" or
+    "allocator"), naming the file and the key."""
+    if "kind" not in ckpt.extra:
+        raise CheckpointError(f"{path}: checkpoint extra has no 'kind'")
+    if ckpt.extra["kind"] != kind:
+        raise CheckpointError(
+            f"{path}: checkpoint extra 'kind' is {ckpt.extra['kind']!r:.40}, expected {kind!r}"
+        )
+
+
 def _load_agent(cfg: RunConfig, paths: _Paths, tf: Timeframe) -> RegisteredAgent:
     """The `tf` agent of this seed; its checkpoint must have been trained at `tf`."""
     path = paths.agent_checkpoint(tf, cfg.seed)
     if not path.exists():
         raise CheckpointError(f"missing checkpoint: {tf.label} (expected {path})")
     ckpt = load_checkpoint(str(path))
+    _require_kind(path, ckpt, "agent")
     trained = _extra(path, ckpt, "timeframe", Timeframe.from_label)
     if trained is not tf:
         raise CheckpointError(
@@ -282,6 +294,7 @@ def _backtest_hierarchy(cfg: RunConfig, paths: _Paths, sessions, test_start: dat
         raise CheckpointError(f"missing checkpoint: allocator (expected {alloc_path})")
     registry = _load_registry(cfg, paths)
     ckpt = load_checkpoint(str(alloc_path))
+    _require_kind(alloc_path, ckpt, "allocator")
     alloc_config = AllocatorConfig(
         market_window=_extra(alloc_path, ckpt, "market_window", int),
         vol_window=_extra(alloc_path, ckpt, "vol_window", int),

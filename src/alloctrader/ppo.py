@@ -9,8 +9,12 @@ Conventions match the usual PPO recipe: clipped surrogate objective,
 generalized advantage estimation, per-minibatch advantage normalization,
 entropy bonus, Adam with global gradient-norm clipping, orthogonal
 initialization (gain sqrt(2) hidden, 0.01 policy head, 1.0 value head).
-Adam runs in place, in L2-sized row blocks of each array, and allocates
-nothing the size of the model. Each minibatch's policy-net work (forward,
+The update advances the parameters and Adam's state in place (after a
+NonFiniteLossError they hold the last finished minibatch's step) and holds one
+gradient set at a time: each minibatch's gradients are released when its Adam
+step ends. Adam runs in L2-sized row blocks of each array, and the gradient
+norm sums squares through one ADAM_CHUNK scratch per half, so neither allocates
+anything the size of the model. Each minibatch's policy-net work (forward,
 backward, squared-gradient sums, Adam) runs on a worker thread while the value
 net's runs on the caller's, with bit-identical results. Adam's state lives in
 an AdamState that only training holds; checkpoints store the parameters alone.
@@ -95,6 +99,11 @@ class PpoHyperparams:
     max_grad_norm: float = 0.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # False for NaN and +-inf; exact for an int of any size.
+            if f.type == "float" and not -math.inf < value < math.inf:
+                raise PpoError(f"{f.name} must be finite, got {value}")
         if not (self.total_timesteps >= self.n_steps >= self.batch_size >= 1):
             raise PpoError(
                 "need total_timesteps >= n_steps >= batch_size >= 1, got "
@@ -151,13 +160,6 @@ class PolicyParameters:
         arrays = {f"policy_{k}": v for k, v in policy.items()}
         arrays.update({f"value_{k}": v for k, v in value.items()})
         return cls(spec=spec, arrays=arrays)
-
-    def copy(self) -> "PolicyParameters":
-        return PolicyParameters(
-            spec=self.spec,
-            arrays={k: v.copy() for k, v in self.arrays.items()},
-            update_count=self.update_count,
-        )
 
 
 @dataclass
@@ -497,8 +499,31 @@ def ppo_loss_and_grads(
     return loss, grads, stats
 
 
+def _square_sum(flat: np.ndarray, scratch: np.ndarray) -> float:
+    """float((flat * flat).sum()) of a contiguous 1-D `flat`, bit for bit,
+    squaring through `scratch`.
+
+    numpy sums a contiguous array pairwise in memory order: a run longer than
+    128 elements is split where half its length, rounded down to a multiple
+    of 8, ends, and the two parts' sums are added (Higham, SIAM J. Sci.
+    Comput. 14(4), 1993). Splitting at the same points until a part fits the
+    scratch, and summing that part's squares there, adds the same floats in
+    the same order.
+    """
+    n = flat.size
+    if n <= scratch.size:
+        return float(np.multiply(flat, flat, out=scratch[:n]).sum())
+    split = n // 2
+    split -= split % 8
+    return _square_sum(flat[:split], scratch) + _square_sum(flat[split:], scratch)
+
+
 def _square_sums(grads: dict, prefix: str) -> dict[str, float]:
-    return {key: float((g * g).sum()) for key, g in grads.items() if key.startswith(prefix)}
+    """float((g * g).sum()) of each array whose name starts with `prefix`,
+    through one scratch of at most ADAM_CHUNK elements."""
+    half = {key: g for key, g in grads.items() if key.startswith(prefix)}
+    scratch = np.empty(min(ADAM_CHUNK, max(g.size for g in half.values())))
+    return {key: _square_sum(g.ravel(order="K"), scratch) for key, g in half.items()}
 
 
 def _global_grad_norm(grads: dict) -> float:
@@ -593,16 +618,25 @@ def ppo_update(
     batch: RolloutBatch,
     hp: PpoHyperparams,
     rng: np.random.Generator,
-) -> tuple[PolicyParameters, UpdateStats]:
+) -> UpdateStats:
     """Run n_epochs of shuffled minibatch updates over one rollout.
 
-    Returns fresh parameters (neither the input parameters nor `batch` are
-    mutated) plus statistics averaged over all minibatches; `adam` advances
-    in place. A non-finite loss aborts immediately with the offending epoch
-    and minibatch index.
+    `params` and `adam` advance in place, one Adam step per minibatch, and
+    `params.update_count` by one; `batch` is only read. A parameter array
+    that is not C-contiguous is first replaced by a C-ordered copy. Returns
+    statistics averaged over all minibatches. One gradient set is alive at a
+    time: a minibatch's gradients are released when its Adam step ends,
+    before the next minibatch's are computed. A non-finite loss aborts
+    immediately with NonFiniteLossError naming the epoch and minibatch;
+    `params` and `adam` then hold the last finished minibatch's step.
     """
+    # A matrix product rounds differently by memory order, and updates run on
+    # C-ordered parameters: an array in another order (initialize's w1 when
+    # input_dim < hidden[0]) is replaced once by its C-ordered copy.
+    for key, p in params.arrays.items():
+        if not p.flags.c_contiguous:
+            params.arrays[key] = np.ascontiguousarray(p)
     n = batch.actions.size
-    params = params.copy()
     totals = np.zeros(5)
     norms = []
     count = 0
@@ -625,12 +659,13 @@ def ppo_update(
                     f"non-finite loss at epoch {epoch}, minibatch {start // hp.batch_size}"
                 )
             norms.append(_adam_step(params, adam, grads, hp))
+            del grads
             totals += (stats.loss, stats.policy_loss, stats.value_loss,
                        stats.entropy, stats.clip_fraction)
             count += 1
     params.update_count += 1
     mean = totals / count
-    return params, UpdateStats(
+    return UpdateStats(
         loss=float(mean[0]),
         policy_loss=float(mean[1]),
         value_loss=float(mean[2]),
@@ -670,7 +705,9 @@ def train(
 
     Episodes that end mid-rollout reset the environment and keep collecting;
     ceil(total_timesteps / n_steps) updates run in total. The same seed
-    reproduces parameters bit for bit.
+    reproduces parameters bit for bit. Training holds one PolicyParameters,
+    which each ppo_update advances in place; when an update raises
+    NonFiniteLossError, it holds the last finished minibatch's step.
 
     The rollout's observations go to the environment's
     `rollout_store(n_steps)` when it has one (envs.TradingEnv keeps each
@@ -732,7 +769,7 @@ def train(
             advantages=advantages,
             returns=returns,
         )
-        params, stats = ppo_update(params, adam, batch, hp, rng)
+        stats = ppo_update(params, adam, batch, hp, rng)
         mean_return = float(np.mean(recent_returns)) if recent_returns else float("nan")
         curve.points.append(
             CurvePoint(

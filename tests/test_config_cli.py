@@ -289,6 +289,10 @@ _BARS_HEADER = "timestamp,open,high,low,close,volume\n"
 _INGEST = ["ingest", "--csv", "{tmp}/bars.csv", "--calendar", "{tmp}/cal.csv"]
 
 
+# A header field that a test case deletes rather than sets.
+DROP = object()
+
+
 def _rewrite_header(ckpt, mutate):
     """Apply `mutate` to a checkpoint's JSON header in place."""
     blob = ckpt.read_bytes()
@@ -641,15 +645,15 @@ class TestPipelineGuards:
         assert f"{name}: {match}" in err
 
     @pytest.mark.parametrize("strategy, name, key, value, match", [
-        ("agent:1h", "agent_1h", "window_size", None, "extra has no 'window_size'"),
+        ("agent:1h", "agent_1h", "window_size", DROP, "extra has no 'window_size'"),
         ("agent:1m", "agent_1m", "window_size", "x", "extra 'window_size' has a bad value ('x')"),
-        ("agent:10m", "agent_10m", "initial_cash", None, "extra has no 'initial_cash'"),
+        ("agent:10m", "agent_10m", "initial_cash", DROP, "extra has no 'initial_cash'"),
         ("agent:1m", "agent_1m", "initial_cash", [1], "extra 'initial_cash' has a bad value"),
         ("hierarchy", "agent_10m", "timeframe", "5m", "extra 'timeframe' has a bad value ('5m')"),
         ("hierarchy", "agent_1h", "initial_cash", "cash", "extra 'initial_cash' has a bad value"),
-        ("hierarchy", "allocator", "market_window", None, "extra has no 'market_window'"),
+        ("hierarchy", "allocator", "market_window", DROP, "extra has no 'market_window'"),
         ("hierarchy", "allocator", "vol_window", "x", "extra 'vol_window' has a bad value ('x')"),
-        ("hierarchy", "allocator", "initial_cash", None, "extra has no 'initial_cash'"),
+        ("hierarchy", "allocator", "initial_cash", DROP, "extra has no 'initial_cash'"),
         ("agent:1m", "agent_1m", "window_size", 4.9, "extra 'window_size' has a bad value (4.9)"),
         ("agent:1m", "agent_1m", "window_size", True,
          "extra 'window_size' has a bad value (True)"),
@@ -666,12 +670,23 @@ class TestPipelineGuards:
          "extra 'initial_cash' has a bad value (inf)"),
         ("hierarchy", "allocator", "initial_cash", math.inf,
          "extra 'initial_cash' has a bad value (inf)"),
+        ("agent:1h", "agent_1h", "kind", "allocator",
+         "extra 'kind' is 'allocator', expected 'agent'"),
+        ("agent:1m", "agent_1m", "kind", None, "extra 'kind' is None, expected 'agent'"),
+        ("agent:10m", "agent_10m", "kind", 3.5, "extra 'kind' is 3.5, expected 'agent'"),
+        ("hierarchy", "agent_1h", "kind", [], "extra 'kind' is [], expected 'agent'"),
+        ("agent:1m", "agent_1m", "kind", DROP, "extra has no 'kind'"),
+        ("hierarchy", "allocator", "kind", "agent",
+         "extra 'kind' is 'agent', expected 'allocator'"),
+        ("hierarchy", "allocator", "kind", DROP, "extra has no 'kind'"),
     ], ids=["agent-no-window", "agent-bad-window", "agent-no-cash", "agent-bad-cash",
             "registry-bad-timeframe", "registry-bad-cash", "allocator-no-market-window",
             "allocator-bad-vol-window", "allocator-no-cash", "agent-fractional-window",
             "agent-bool-window", "agent-string-window", "allocator-float-market-window",
             "allocator-bool-vol-window", "agent-string-cash", "allocator-bool-cash",
-            "agent-infinite-cash", "allocator-infinite-cash"])
+            "agent-infinite-cash", "allocator-infinite-cash", "agent-allocator-kind",
+            "agent-null-kind", "agent-float-kind", "registry-list-kind", "agent-no-kind",
+            "allocator-agent-kind", "allocator-no-kind"])
     def test_bad_checkpoint_extra_is_single_error_line(
         self, pipeline, tmp_path, capsys, strategy, name, key, value, match
     ):
@@ -680,7 +695,7 @@ class TestPipelineGuards:
         shutil.copytree(out, copy)
 
         def mutate(header):
-            if value is None:
+            if value is DROP:
                 del header["extra"][key]
             else:
                 header["extra"][key] = value
@@ -846,26 +861,32 @@ def _edit_header(data: bytes, rng) -> bytes:
     return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + length:]
 
 
+def _small_agent_checkpoint(tmp_path):
+    """A 1h agent checkpoint of window 2 on a 9-day synthetic run: the
+    `backtest agent:1h` argv and the checkpoint's path."""
+    # A 1h agent of window 2 needs six sessions of history (New Year's
+    # Day is not one), so the test range holds three sessions.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("synth.days = 9\nrange.train_start = 2024-01-01\n"
+                        "range.train_end = 2024-01-05\nrange.test_start = 2024-01-10\n"
+                        "range.test_end = 2024-12-31\nagent.1h.window_size = 2\n")
+    out = tmp_path / "out"
+    ckpt = out / "checkpoints" / "agent_1h_seed0.ckpt"
+    ckpt.parent.mkdir(parents=True)
+    spec = NetworkSpec(16, (8, 8), 3)
+    hp = PpoHyperparams(total_timesteps=96, learning_rate=1e-3, n_steps=48, batch_size=24)
+    save_checkpoint(str(ckpt), PolicyParameters.initialize(spec, np.random.default_rng(0)),
+                    hp, 0, extra={"kind": "agent", "timeframe": "1h", "window_size": 2,
+                                  "initial_cash": 10_000.0})
+    return ["backtest", "agent:1h", "--config", str(cfg_path), "--out", str(out)], ckpt
+
+
 class TestCheckpointFuzz:
     def test_fuzzed_checkpoints_end_in_one_error_line_or_run(self, tmp_path, capsys):
-        # A 1h agent of window 2 needs six sessions of history (New Year's
-        # Day is not one), so the test range holds three sessions.
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("synth.days = 9\nrange.train_start = 2024-01-01\n"
-                            "range.train_end = 2024-01-05\nrange.test_start = 2024-01-10\n"
-                            "range.test_end = 2024-12-31\nagent.1h.window_size = 2\n")
-        out = tmp_path / "out"
-        ckpt = out / "checkpoints" / "agent_1h_seed0.ckpt"
-        ckpt.parent.mkdir(parents=True)
-        spec = NetworkSpec(16, (8, 8), 3)
-        hp = PpoHyperparams(total_timesteps=96, learning_rate=1e-3, n_steps=48, batch_size=24)
-        save_checkpoint(str(ckpt), PolicyParameters.initialize(spec, np.random.default_rng(0)),
-                        hp, 0, extra={"kind": "agent", "timeframe": "1h", "window_size": 2,
-                                      "initial_cash": 10_000.0})
+        argv, ckpt = _small_agent_checkpoint(tmp_path)
         good = ckpt.read_bytes()
         (length,) = struct.unpack_from("<I", good, 8)
         head = 12 + length
-        argv = ["backtest", "agent:1h", "--config", str(cfg_path), "--out", str(out)]
         assert main(argv) == 0
         rng = np.random.default_rng(4)
         codes = []
@@ -887,6 +908,19 @@ class TestCheckpointFuzz:
                 assert codes[-1] == 1
                 assert err.startswith("error: ") and err.count("\n") == 1, err
         assert set(codes) == {0, 1}
+
+    @pytest.mark.parametrize("key, value", [
+        ("entropy_coef", math.nan), ("value_coef", math.nan), ("learning_rate", math.inf),
+        ("clip_range", math.inf), ("max_grad_norm", math.inf),
+    ])
+    def test_non_finite_hyperparameter_is_single_error_line(self, tmp_path, capsys, key, value):
+        argv, ckpt = _small_agent_checkpoint(tmp_path)
+        _rewrite_header(ckpt, lambda header: header["hyperparams"].update({key: value}))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert (f"agent_1h_seed0.ckpt: bad hyperparams in header "
+                f"({key} must be finite, got {value})") in err
 
 
 class TestDeterminism:

@@ -66,6 +66,13 @@ def _params(seed=0, spec=SPEC):
     return PolicyParameters.initialize(spec, np.random.default_rng(seed))
 
 
+def _copy(params):
+    """An independent copy of `params` with C-ordered arrays, as ppo_update
+    reads them."""
+    arrays = {k: v.copy() for k, v in params.arrays.items()}
+    return PolicyParameters(spec=params.spec, arrays=arrays, update_count=params.update_count)
+
+
 def _minibatch(params, n=12, seed=3, ratio_noise=0.05):
     """A self-consistent minibatch whose ratios sit inside the clip region."""
     rng = np.random.default_rng(seed)
@@ -432,6 +439,43 @@ class TestAdam:
             np.testing.assert_array_equal(grads[k], 2.0 * (0.5 / norm))
 
 
+def _square_sum_cases():
+    """(id, array): every gradient shape of the default agents and allocator,
+    lengths around ADAM_CHUNK and past it, and a Fortran-ordered array."""
+    from alloctrader.config import default_config
+
+    cfg = default_config()
+    specs = {tf.label: s.network for tf, s in cfg.agents.items()}
+    specs["allocator"] = cfg.allocator.network
+    shapes = {f"{who}-{key}": shape for who, spec in specs.items()
+              for key, shape in ppo._expected_shapes(spec).items()}
+    for n in (ppo.ADAM_CHUNK - 1, ppo.ADAM_CHUNK, ppo.ADAM_CHUNK + 1, 8003,
+              8 * ppo.ADAM_CHUNK + 3, 10**6 + 7):
+        shapes[f"length-{n}"] = (n,)
+    rng = np.random.default_rng(40)
+    # Magnitudes spread over many binades, so that any other order of the
+    # additions would round differently.
+    cases = [(name, rng.standard_normal(shape) * np.exp(3.0 * rng.standard_normal(shape)))
+             for name, shape in shapes.items()]
+    cases.append(("fortran-1920x256", np.asfortranarray(rng.standard_normal((1920, 256)))))
+    return cases
+
+
+class TestSquareSums:
+    def test_equal_numpy_sums_bit_for_bit(self):
+        cases = _square_sum_cases()
+        for name, g in cases:
+            got = ppo._square_sums({"policy_g": g, "value_g": g[:1]}, "policy_")
+            assert list(got) == ["policy_g"]
+            assert np.float64(got["policy_g"]).tobytes() == np.float64((g * g).sum()).tobytes(), name
+        # The test can tell orders apart: summing ADAM_CHUNK blocks left to
+        # right gives another float.
+        g = dict(cases)[f"length-{10**6 + 7}"]
+        blocks = sum(float((b * b).sum()) for b in np.split(g, range(ppo.ADAM_CHUNK, g.size,
+                                                                     ppo.ADAM_CHUNK)))
+        assert blocks != float((g * g).sum())
+
+
 class TestNormalizeAdvantages:
     def test_zero_mean_unit_std(self):
         rng = np.random.default_rng(13)
@@ -455,17 +499,22 @@ class TestPpoUpdate:
         return RolloutBatch(observations=obs, actions=actions, log_probs=old_logp,
                             advantages=adv, returns=ret)
 
-    def test_input_params_not_mutated(self):
+    def test_params_advance_in_place(self):
         params = _params(seed=15)
+        arrays = dict(params.arrays)
         snapshot = {k: v.copy() for k, v in params.arrays.items()}
         batch = self._batch(params)
         batch_before = {k: v.copy() for k, v in vars(batch).items()}
-        new_params, _ = ppo_update(params, AdamState.zeros(params), batch, HP,
-                                   np.random.default_rng(0))
+        stats = ppo_update(params, AdamState.zeros(params), batch, HP, np.random.default_rng(0))
+        assert isinstance(stats, UpdateStats)
+        assert params.update_count == 1
+        # SPEC's w1 arrays start Fortran-ordered: each is replaced once by a
+        # C-ordered copy. Every other array advances where it is.
+        assert not arrays["policy_w1"].flags.c_contiguous
         for k in ARRAY_ORDER:
-            np.testing.assert_array_equal(params.arrays[k], snapshot[k])
-            assert not np.array_equal(new_params.arrays[k], snapshot[k])
-        assert params.update_count == 0 and new_params.update_count == 1
+            assert params.arrays[k].flags.c_contiguous
+            assert (params.arrays[k] is arrays[k]) == arrays[k].flags.c_contiguous, k
+            assert not np.array_equal(params.arrays[k], snapshot[k])
         # ppo_update writes nothing of the batch: train() hands it the
         # rollout's arrays and its observation store (a TradingEnv's
         # RolloutStore, or the copying ObservationBuffer) uncopied.
@@ -482,14 +531,14 @@ class TestPpoUpdate:
         # of the two halves may move a bit.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        want = _copy(params)
+        want_adam = AdamState.zeros(want)
         got_adam = AdamState.zeros(params)
         try:
-            got, stats = ppo_update(params, got_adam, batch, hp, np.random.default_rng(27))
+            stats = ppo_update(params, got_adam, batch, hp, np.random.default_rng(27))
         finally:
             sys.setswitchinterval(interval)
 
-        want = params.copy()
-        want_adam = AdamState.zeros(want)
         rng = np.random.default_rng(27)
         rows, norms = [], []
         for _ in range(hp.n_epochs):
@@ -508,7 +557,7 @@ class TestPpoUpdate:
         want_stats = UpdateStats(*(float(x) for x in mean), grad_norm=float(np.mean(norms)))
 
         assert got_adam.t == want_adam.t == 9
-        for have, ref in ((got.arrays, want.arrays), (got_adam.m, want_adam.m),
+        for have, ref in ((params.arrays, want.arrays), (got_adam.m, want_adam.m),
                           (got_adam.v, want_adam.v)):
             for k in ARRAY_ORDER:
                 assert have[k].tobytes() == ref[k].tobytes()
@@ -517,8 +566,9 @@ class TestPpoUpdate:
     def test_deterministic_given_rng_state(self):
         params = _params(seed=16)
         batch = self._batch(params)
-        a, _ = ppo_update(params, AdamState.zeros(params), batch, HP, np.random.default_rng(42))
-        b, _ = ppo_update(params, AdamState.zeros(params), batch, HP, np.random.default_rng(42))
+        a, b = _copy(params), _copy(params)
+        ppo_update(a, AdamState.zeros(a), batch, HP, np.random.default_rng(42))
+        ppo_update(b, AdamState.zeros(b), batch, HP, np.random.default_rng(42))
         for k in ARRAY_ORDER:
             np.testing.assert_array_equal(a.arrays[k], b.arrays[k])
 
@@ -537,6 +587,48 @@ class TestPpoUpdate:
             with pytest.raises(NonFiniteLossError, match="epoch 0"):
                 ppo_update(params, AdamState.zeros(params), batch, HP, np.random.default_rng(2))
 
+    # The policy half runs on the worker thread, outside this np.errstate.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_loss_keeps_the_finished_steps(self):
+        params = _params(seed=18)
+        batch = self._batch(params)
+        # One infinite advantage, in the third of the first epoch's four
+        # minibatches of 16.
+        batch.advantages[np.random.default_rng(2).permutation(64)[40]] = np.inf
+        adam = AdamState.zeros(params)
+        before = _copy(params)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteLossError, match="epoch 0, minibatch 2"):
+                ppo_update(params, adam, batch, HP, np.random.default_rng(2))
+        # The two finished minibatches' steps stay; the update is not counted.
+        assert adam.t == 2
+        assert params.update_count == 0
+        for k in ARRAY_ORDER:
+            assert not np.array_equal(params.arrays[k], before.arrays[k])
+
+    def test_update_holds_one_gradient_set(self):
+        # The default 1m agent's size, over two 128-row minibatches.
+        params = _params(seed=34, spec=NetworkSpec(1920, (256, 256)))
+        gradient_set = sum(v.nbytes for v in params.arrays.values())
+        batch = self._batch(params, n=256, seed=35)
+        hp = PpoHyperparams(total_timesteps=256, learning_rate=1e-3, n_steps=256,
+                            batch_size=128, n_epochs=1)
+        adam = AdamState.zeros(params)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            ppo_update(params, adam, batch, hp, np.random.default_rng(36))
+            end, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert adam.t == 2
+        # One gradient set, a minibatch of observations and its activations;
+        # a copy of the parameters or a second gradient set would not fit.
+        assert peak - start < 1.75 * gradient_set
+        # Nothing is left behind, not even a squared-sum scratch kept alive
+        # by a reference cycle until the next garbage collection.
+        assert end - start < 64 * 1024
+
     def test_update_reduces_value_loss(self):
         params = _params(seed=19)
         batch = self._batch(params, n=64, seed=20)
@@ -546,12 +638,11 @@ class TestPpoUpdate:
         _, _, before = ppo_loss_and_grads(
             params, batch.observations, batch.actions, batch.log_probs,
             batch.advantages, batch.returns, hp)
-        current = params
         adam = AdamState.zeros(params)
         for _ in range(50):
-            current, _ = ppo_update(current, adam, batch, hp, rng)
+            ppo_update(params, adam, batch, hp, rng)
         _, _, after = ppo_loss_and_grads(
-            current, batch.observations, batch.actions, batch.log_probs,
+            params, batch.observations, batch.actions, batch.log_probs,
             batch.advantages, batch.returns, hp)
         assert after.value_loss < before.value_loss
 
@@ -861,7 +952,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), params, hp, seed=4)
         before = path.read_bytes()
-        broken = params.copy()
+        broken = _copy(params)
         # The last array written cannot be converted to float64, so the save
         # fails after the header and 11 arrays have been written.
         broken.arrays["value_b3"] = np.array(["not a number"])

@@ -244,6 +244,7 @@ def cmd_train_allocator(args) -> int:
 
 
 def _write_backtest(
+    cfg: RunConfig,
     paths: _Paths,
     name: str,
     curve: EquityCurve,
@@ -255,6 +256,7 @@ def _write_backtest(
     report = compute_metrics(curve, periods_per_year)
     write_metrics(
         report,
+        cfg.seed,
         str(paths.reports / f"{name}_metrics.json"),
         str(paths.reports / f"{name}_metrics.txt"),
     )
@@ -266,7 +268,7 @@ def _backtest_buyhold(cfg: RunConfig, paths: _Paths, test_sessions) -> None:
     first_ts, first_close = test_sessions[0].timestamps[0], float(test_sessions[0].close[0])
     shares = int(cfg.allocator.initial_cash // first_close)
     trades = [TradeLogEntry(first_ts, "buy", shares, first_close, 0.0)] if shares else []
-    _write_backtest(paths, "buyhold", curve, trades, annualization_factor(curve.timestamps))
+    _write_backtest(cfg, paths, "buyhold", curve, trades, annualization_factor(curve.timestamps))
 
 
 def _backtest_agent(cfg: RunConfig, paths: _Paths, sessions, test_start: date, label: str) -> None:
@@ -285,7 +287,7 @@ def _backtest_agent(cfg: RunConfig, paths: _Paths, sessions, test_start: date, l
         )
     curve = EquityCurve.from_pairs(run_agent(env, agent.params, cursor).equity)
     name = f"agent_{tf.label}"
-    _write_backtest(paths, name, curve, env.trades, annualization_factor(curve.timestamps))
+    _write_backtest(cfg, paths, name, curve, env.trades, annualization_factor(curve.timestamps))
 
 
 def _backtest_hierarchy(cfg: RunConfig, paths: _Paths, sessions, test_start: date) -> None:
@@ -304,7 +306,8 @@ def _backtest_hierarchy(cfg: RunConfig, paths: _Paths, sessions, test_start: dat
     env = run_hierarchy(sessions, registry, ckpt.params, alloc_config, start_day=test_start)
     curve = EquityCurve.from_pairs(env.equity)
     write_decision_log(env.decisions, str(paths.reports / "hierarchy_allocations.csv"))
-    _write_backtest(paths, "hierarchy", curve, env.trades, annualization_factor(curve.timestamps))
+    _write_backtest(cfg, paths, "hierarchy", curve, env.trades,
+                    annualization_factor(curve.timestamps))
 
 
 def cmd_backtest(args) -> int:
@@ -372,17 +375,27 @@ def _read_metrics(path: Path) -> dict:
 
 
 def cmd_report(args) -> int:
+    """Tabulate every metrics file under reports/; each must carry the run's seed."""
     cfg, paths = _load_run(args)
-    metric_files = sorted(paths.reports.glob("*_metrics.json"))
-    if not metric_files:
+    metrics = {path: _read_metrics(path) for path in sorted(paths.reports.glob("*_metrics.json"))}
+    if not metrics:
         raise EvaluationError(
             f"no metrics files under {paths.reports}; run backtest first"
+        )
+    others = []
+    for path, data in metrics.items():
+        seed = data.get("seed")
+        if type(seed) is not int or seed != cfg.seed:
+            others.append(f"{path.name} (seed {seed!r:.40})" if "seed" in data
+                          else f"{path.name} (no seed)")
+    if others:
+        raise EvaluationError(
+            f"{paths.reports}: metrics not of the run's seed {cfg.seed}: {', '.join(others)}"
         )
     lines = [
         f"{'strategy':<12} {'return %':>10} {'sharpe':>10} {'mdd %':>10}",
     ]
-    for path in metric_files:
-        data = _read_metrics(path)
+    for path, data in metrics.items():
         name = path.name.replace("_metrics.json", "")
         sharpe_val = data["sharpe"]
         sharpe_text = "undef" if sharpe_val is None else f"{sharpe_val:.4f}"

@@ -199,9 +199,13 @@ class _Reader:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse flat `key = value` lines; '#' starts a comment line."""
+    """Parse flat `key = value` lines; '#' starts a comment line. A NUL is
+    refused anywhere: no value can hold one, and a path that does would
+    make the OS call fail with ValueError."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
+        if "\0" in line:
+            raise ConfigError(f"config line {lineno}: holds a NUL byte")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -322,8 +322,10 @@ def annualization_factor(timestamps: Sequence[datetime]) -> float:
     return float(252.0 * float(np.median(sorted(counts.values()))))
 
 
-def write_metrics(report: MetricsReport, json_path: str, text_path: str | None = None) -> None:
-    write_json(json_path, report.to_json_dict())
+def write_metrics(report: MetricsReport, seed: int, json_path: str,
+                  text_path: str | None = None) -> None:
+    """The metrics as JSON, tagged with the run's `seed`, and optionally as text."""
+    write_json(json_path, {**report.to_json_dict(), "seed": seed})
     if text_path is not None:
         with atomic_write(text_path) as fh:
             fh.write(report.to_text())

@@ -12,11 +12,12 @@ initialization (gain sqrt(2) hidden, 0.01 policy head, 1.0 value head).
 The update advances the parameters and Adam's state in place (after a
 NonFiniteLossError they hold the last finished minibatch's step) and holds one
 gradient set at a time: each minibatch's gradients are released when its Adam
-step ends. Adam runs in L2-sized row blocks of each array, and the gradient
-norm sums squares through one ADAM_CHUNK scratch per half, so neither allocates
-anything the size of the model. Each minibatch's policy-net work (forward,
-backward, squared-gradient sums, Adam) runs on a worker thread while the value
-net's runs on the caller's, with bit-identical results. Adam's state lives in
+step ends. Adam walks each C-ordered array flat in L2-sized ADAM_CHUNK pieces,
+and the gradient norm sums squares through one ADAM_CHUNK scratch per half, so
+neither allocates anything the size of the model. Each minibatch hands work to
+a worker thread twice: the policy net's forward, backward and squared-gradient
+sums run there while the value net's run on the caller's, and then the two
+halves of the Adam step, with bit-identical results. Adam's state lives in
 an AdamState that only training holds; checkpoints store the parameters alone.
 A rollout keeps its observations in the environment's rollout store when it
 has one, which rebuilds each minibatch's observations from the environment
@@ -43,7 +44,7 @@ from .atomic import atomic_write, write_csv
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Elements per Adam block: 256 KB of float64. The six blocks one step touches
+# Elements per Adam piece: 256 KB of float64. The six pieces one step touches
 # (gradient, m, v, parameters and two scratch buffers) fit in a 2 MB L2.
 ADAM_CHUNK = 32768
 
@@ -176,7 +177,8 @@ class AdamState:
 
     @classmethod
     def zeros(cls, params: PolicyParameters) -> "AdamState":
-        zeros = lambda: {k: np.zeros_like(v) for k, v in params.arrays.items()}
+        """C-ordered zero moments, whatever the order of the parameters."""
+        zeros = lambda: {k: np.zeros(v.shape) for k, v in params.arrays.items()}
         return cls(m=zeros(), v=zeros())
 
 
@@ -426,7 +428,8 @@ def _both_halves(policy_half: Callable, value_half: Callable) -> tuple:
 
 
 def _policy_loss_and_grads(arrays, observations, actions, old_log_probs, advantages, hp):
-    """The policy net's half of a minibatch: loss parts and policy_* gradients."""
+    """The policy net's half of a minibatch: loss parts, policy_* gradients
+    and their squared sums."""
     batch = observations.shape[0]
     idx = np.arange(batch)
     logits, pcache = _net_forward(arrays, "policy_", observations)
@@ -450,17 +453,19 @@ def _policy_loss_and_grads(arrays, observations, actions, old_log_probs, advanta
     dlogits += (hp.entropy_coef / batch) * probs * (logp_all + entropy[:, None])
     grads = _net_backward(arrays, "policy_", pcache, dlogits)
     clip_fraction = float((ratio != clipped_ratio).mean())
-    return policy_loss, float(entropy.mean()), clip_fraction, grads
+    return policy_loss, float(entropy.mean()), clip_fraction, grads, _square_sums(grads)
 
 
 def _value_loss_and_grads(arrays, observations, returns, hp):
-    """The value net's half of a minibatch: value loss and value_* gradients."""
+    """The value net's half of a minibatch: value loss, value_* gradients and
+    their squared sums."""
     batch = observations.shape[0]
     vout, vcache = _net_forward(arrays, "value_", observations)
     v = vout[:, 0]
     value_loss = float(((v - returns) ** 2).mean())
     dv = (hp.value_coef * 2.0 / batch) * (v - returns)
-    return value_loss, _net_backward(arrays, "value_", vcache, dv[:, None])
+    grads = _net_backward(arrays, "value_", vcache, dv[:, None])
+    return value_loss, grads, _square_sums(grads)
 
 
 def ppo_loss_and_grads(
@@ -477,16 +482,21 @@ def ppo_loss_and_grads(
     loss = -mean(min(ratio * A, clip(ratio) * A))
            + value_coef * mean((V - R)^2) - entropy_coef * mean(H).
 
-    The policy half runs on the worker thread and the value half on this one.
+    The policy half runs on the worker thread and the value half on this one;
+    each also sums its gradients' squares. The stats' grad_norm is the global
+    gradient norm: the square root of those sums, added in `grads` order.
     """
     arrays = params.arrays
-    (policy_loss, entropy_mean, clip_fraction, grads), (value_loss, value_grads) = _both_halves(
+    policy, value = _both_halves(
         lambda: _policy_loss_and_grads(
             arrays, observations, actions, old_log_probs, advantages, hp
         ),
         lambda: _value_loss_and_grads(arrays, observations, returns, hp),
     )
+    policy_loss, entropy_mean, clip_fraction, grads, sums = policy
+    value_loss, value_grads, value_sums = value
     grads.update(value_grads)
+    sums.update(value_sums)
     loss = float(policy_loss + hp.value_coef * value_loss - hp.entropy_coef * entropy_mean)
     stats = UpdateStats(
         loss=loss,
@@ -494,7 +504,7 @@ def ppo_loss_and_grads(
         value_loss=value_loss,
         entropy=entropy_mean,
         clip_fraction=clip_fraction,
-        grad_norm=0.0,
+        grad_norm=math.sqrt(sum(sums.values())),
     )
     return loss, grads, stats
 
@@ -518,45 +528,35 @@ def _square_sum(flat: np.ndarray, scratch: np.ndarray) -> float:
     return _square_sum(flat[:split], scratch) + _square_sum(flat[split:], scratch)
 
 
-def _square_sums(grads: dict, prefix: str) -> dict[str, float]:
-    """float((g * g).sum()) of each array whose name starts with `prefix`,
-    through one scratch of at most ADAM_CHUNK elements."""
-    half = {key: g for key, g in grads.items() if key.startswith(prefix)}
-    scratch = np.empty(min(ADAM_CHUNK, max(g.size for g in half.values())))
-    return {key: _square_sum(g.ravel(order="K"), scratch) for key, g in half.items()}
-
-
-def _global_grad_norm(grads: dict) -> float:
-    """sqrt of the per-array squared sums, added up in `grads` order."""
-    policy, value = _both_halves(
-        lambda: _square_sums(grads, "policy_"), lambda: _square_sums(grads, "value_")
-    )
-    sums = policy | value
-    return math.sqrt(sum(sums[key] for key in grads))
+def _square_sums(grads: dict) -> dict[str, float]:
+    """float((g * g).sum()) of each array of `grads`, through one scratch of
+    at most ADAM_CHUNK elements."""
+    scratch = np.empty(min(ADAM_CHUNK, max(g.size for g in grads.values())))
+    return {key: _square_sum(g.ravel(order="K"), scratch) for key, g in grads.items()}
 
 
 def _adam_half(params: PolicyParameters, adam: AdamState, grads: dict, prefix: str,
                scale: float | None, hp: PpoHyperparams) -> None:
-    """Clip-scale and Adam-update the arrays whose names start with `prefix`."""
-    half = {key: g for key, g in grads.items() if key.startswith(prefix)}
-    if scale is not None:
-        for g in half.values():
-            g *= scale
+    """Clip-scale and Adam-update the arrays whose names start with `prefix`,
+    each walked flat in ADAM_CHUNK pieces; all must be C-contiguous."""
+    half = [(grads[key], adam.m[key], adam.v[key], params.arrays[key])
+            for key in grads if key.startswith(prefix)]
+    if not all(a.flags.c_contiguous for arrays in half for a in arrays):
+        raise PpoError(f"Adam walks C-contiguous arrays only; a {prefix}* array is not")
     bc1 = 1.0 - ADAM_BETA1 ** adam.t
     bc2 = 1.0 - ADAM_BETA2 ** adam.t
-    rows = {key: max(1, ADAM_CHUNK // (g.size // len(g))) for key, g in half.items()}
-    width = max(g[:rows[key]].size for key, g in half.items())
+    width = min(ADAM_CHUNK, max(arrays[0].size for arrays in half))
     buf_a = np.empty(width)
     buf_b = np.empty(width)
-    for key, g in half.items():
-        m = adam.m[key]
-        v = adam.v[key]
-        p = params.arrays[key]
-        for lo in range(0, len(g), rows[key]):
-            block = slice(lo, lo + rows[key])
-            gs, ms, vs = g[block], m[block], v[block]
-            a = buf_a[:gs.size].reshape(gs.shape)
-            b = buf_b[:gs.size].reshape(gs.shape)
+    for arrays in half:
+        g, m, v, p = (a.reshape(-1) for a in arrays)
+        for lo in range(0, g.size, ADAM_CHUNK):
+            piece = slice(lo, lo + ADAM_CHUNK)
+            gs, ms, vs = g[piece], m[piece], v[piece]
+            if scale is not None:
+                gs *= scale
+            a = buf_a[:gs.size]
+            b = buf_b[:gs.size]
             # m = b1*m + (1-b1)*g
             ms *= ADAM_BETA1
             ms += np.multiply(gs, 1.0 - ADAM_BETA1, out=a)
@@ -569,31 +569,28 @@ def _adam_half(params: PolicyParameters, adam: AdamState, grads: dict, prefix: s
             a += ADAM_EPS
             np.divide(ms, bc1, out=b)
             b *= hp.learning_rate
-            p[block] -= np.divide(b, a, out=b)
+            p[piece] -= np.divide(b, a, out=b)
 
 
-def _adam_step(params: PolicyParameters, adam: AdamState, grads: dict,
-               hp: PpoHyperparams) -> float:
-    """One Adam step with global-norm clipping; returns the pre-clip norm.
+def _adam_step(params: PolicyParameters, adam: AdamState, grads: dict, norm: float,
+               hp: PpoHyperparams) -> None:
+    """One Adam step, clipping `grads` to max_grad_norm by their global norm
+    `norm` (ppo_loss_and_grads' grad_norm).
 
     Clipping scales `grads` in place, and `adam` advances in place. The
     policy_* and value_* arrays are updated as the two halves of
     _both_halves, each through its own pair of scratch buffers. Each array
-    is walked in blocks of whole rows of about ADAM_CHUNK elements, and
-    every operation runs on a block while it sits in L2, so nothing the size
-    of the model is allocated. Row blocks
-    are views whatever the memory order of an array. The per-element order
-    of operations is that of the textbook expression, so the result is the
-    same bit for bit.
+    is walked flat in ADAM_CHUNK pieces, every operation running on a piece
+    while it sits in L2, so nothing the size of the model is allocated. The
+    per-element order of operations is that of the textbook expression, so
+    the result is the same bit for bit.
     """
-    norm = _global_grad_norm(grads)
     scale = hp.max_grad_norm / norm if norm > hp.max_grad_norm else None
     adam.t += 1
     _both_halves(
         lambda: _adam_half(params, adam, grads, "policy_", scale, hp),
         lambda: _adam_half(params, adam, grads, "value_", scale, hp),
     )
-    return norm
 
 
 def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
@@ -624,14 +621,15 @@ def ppo_update(
     `params` and `adam` advance in place, one Adam step per minibatch, and
     `params.update_count` by one; `batch` is only read. A parameter array
     that is not C-contiguous is first replaced by a C-ordered copy. Returns
-    statistics averaged over all minibatches. One gradient set is alive at a
-    time: a minibatch's gradients are released when its Adam step ends,
-    before the next minibatch's are computed. A non-finite loss aborts
+    statistics averaged over all minibatches, grad_norm over the pre-clip
+    global norms. One gradient set is alive at a time: a minibatch's
+    gradients are released when its Adam step ends, before the next
+    minibatch's are computed. A non-finite loss aborts
     immediately with NonFiniteLossError naming the epoch and minibatch;
     `params` and `adam` then hold the last finished minibatch's step.
     """
-    # A matrix product rounds differently by memory order, and updates run on
-    # C-ordered parameters: an array in another order (initialize's w1 when
+    # A matrix product rounds differently by memory order, and Adam walks
+    # C-ordered arrays flat: an array in another order (initialize's w1 when
     # input_dim < hidden[0]) is replaced once by its C-ordered copy.
     for key, p in params.arrays.items():
         if not p.flags.c_contiguous:
@@ -658,7 +656,8 @@ def ppo_update(
                 raise NonFiniteLossError(
                     f"non-finite loss at epoch {epoch}, minibatch {start // hp.batch_size}"
                 )
-            norms.append(_adam_step(params, adam, grads, hp))
+            _adam_step(params, adam, grads, stats.grad_norm, hp)
+            norms.append(stats.grad_norm)
             del grads
             totals += (stats.loss, stats.policy_loss, stats.value_loss,
                        stats.entropy, stats.clip_fraction)

@@ -82,8 +82,8 @@ WRITERS = {
         EquityCurve.from_pairs([(T0, 100.0), (T0.replace(minute=1), 101.0)]), p),
     "quartile_plot_csv": lambda p: QuartileAllocationReport(
         "daily", (QuartileStats(1, 0.1, 0.2, (1.0, 0.0, 0.0)),) * 4).to_plot_csv(p),
-    "metrics_json": lambda p: write_metrics(_metrics(), p),
-    "metrics_text": lambda p: write_metrics(_metrics(), str(p) + ".json", p),
+    "metrics_json": lambda p: write_metrics(_metrics(), 0, p),
+    "metrics_text": lambda p: write_metrics(_metrics(), 0, str(p) + ".json", p),
     "decision_log": lambda p: write_decision_log(
         [DecisionRecord(T0, Timeframe.ONE_MINUTE, True, 1, 0.0)] * 3, p),
     "training_curve": lambda p: TrainingCurve(
@@ -106,7 +106,7 @@ def test_failed_write_keeps_old_file(tmp_path, monkeypatch, name):
 def test_failed_cli_write_keeps_old_file(tmp_path, monkeypatch, capsys):
     reports = tmp_path / "reports"
     reports.mkdir()
-    (reports / "x_metrics.json").write_text(json.dumps(_metrics().to_json_dict()))
+    (reports / "x_metrics.json").write_text(json.dumps({**_metrics().to_json_dict(), "seed": 0}))
     summary = reports / "summary.txt"
     summary.write_bytes(OLD)
     monkeypatch.setattr(atomic, "open", _failing_open, raising=False)

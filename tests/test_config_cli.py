@@ -378,8 +378,9 @@ class TestPipeline:
                 assert (reports / f"{name}_{suffix}").exists(), f"{name}_{suffix}"
             data = json.loads((reports / f"{name}_metrics.json").read_text())
             assert set(data) == {
-                "cumulative_return_pct", "sharpe", "max_drawdown_pct", "periods_per_year"
+                "cumulative_return_pct", "sharpe", "max_drawdown_pct", "periods_per_year", "seed"
             }
+            assert data["seed"] == 0
             assert data["max_drawdown_pct"] <= 0.0
 
     def test_equity_starts_at_test_range(self, pipeline):
@@ -448,7 +449,7 @@ class TestPipeline:
         stamps = [datetime(2024, 1, 2, 14, 30 + k, tzinfo=timezone.utc) for k in range(3)]
         report = compute_metrics(EquityCurve(stamps, [100.0] * 3), 252.0)
         assert report.sharpe is None
-        write_metrics(report, str(reports / "flat_metrics.json"))
+        write_metrics(report, 0, str(reports / "flat_metrics.json"))
         assert main(["report", "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().out.splitlines()[1].split() == ["flat", "0.00", "undef", "0.00"]
 
@@ -489,6 +490,29 @@ class TestPipelineGuards:
         out = tmp_path / "fresh"
         assert main(["analyze", "--out", str(out)]) == 1
         assert "allocation log not found" in capsys.readouterr().err
+
+    def test_report_refuses_metrics_of_other_seeds(self, pipeline, tmp_path, capsys):
+        # The pipeline's seed-0 metrics beside a seed-2 buy-and-hold, as
+        # `backtest buyhold --seed 2` into the same --out leaves them, and a
+        # metrics file that carries no seed.
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        base = ["--config", str(cfg_path), "--out", str(copy), "--seed", "2"]
+        assert main(["backtest", "buyhold"] + base) == 0
+        summary = (copy / "reports" / "summary.txt").read_bytes()
+        flat = '{"cumulative_return_pct": 0, "sharpe": null, "max_drawdown_pct": 0}'
+        (copy / "reports" / "flat_metrics.json").write_text(flat)
+        capsys.readouterr()
+        assert main(["report"] + base) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "metrics not of the run's seed 2: agent_10m_metrics.json (seed 0), " in err
+        for name in ("agent_1h", "agent_1m", "hierarchy"):
+            assert f"{name}_metrics.json (seed 0)" in err
+        assert "flat_metrics.json (no seed)" in err
+        assert "buyhold" not in err
+        assert (copy / "reports" / "summary.txt").read_bytes() == summary
 
     def test_report_without_metrics_fails(self, tmp_path, capsys):
         out = tmp_path / "fresh"
@@ -921,6 +945,87 @@ class TestCheckpointFuzz:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert (f"agent_1h_seed0.ckpt: bad hyperparams in header "
                 f"({key} must be finite, got {value})") in err
+
+
+# Two sessions of six bars, and a calendar that lists them and one more day.
+_FUZZ_BARS = _BARS_HEADER + "".join(
+    f"2024-01-0{day}T14:{30 + m:02d}:00+00:00,100,101,99,100,10\n" for day in (2, 3)
+    for m in range(3))
+_FUZZ_CALENDAR = b"2024-01-02,14:30,21:00\r\n2024-01-03,14:30,21:00\r\n2024-01-04,14:30,21:00\r\n"
+_CALENDAR_LINES = (
+    b"2024-01-03,14:30,21:00", b"2024-01-05,21:00,14:30", b"2024-01-05,14:30+01:00,21:00",
+    b"0001-01-01,00:00,23:59", b"9999-12-31,00:00,23:59", b"2024-01-05,14:30,21:00\x00",
+    b"2024-01-05,\xff\xfe:30,21:00",
+)
+# Two synthetic sessions: the second is the test range, so buyhold runs.
+_FUZZ_CONFIG = (b"synth.days = 2\r\nrange.train_start = 2024-01-01\r\n"
+                b"range.train_end = 2024-01-02\r\nrange.test_start = 2024-01-03\r\n"
+                b"range.test_end = 2024-12-31\r\n")
+_CONFIG_VALUES = ("1e999", "-1e999", "nan", str(10**400), "", "\x00", "64,", "1,2,3",
+                  "2024-02-30", "24-1-2")
+
+
+def _ends_cleanly(capsys, argv) -> int:
+    """main(argv)'s exit code, which is 0 with nothing on stderr or 1 with
+    exactly one `error:` line."""
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or (
+        code == 1 and err.startswith("error: ") and err.count("\n") == 1), (code, err)
+    return code
+
+
+class TestInputFuzz:
+    """Calendars and configs, mutated and edited, through cli.main."""
+
+    def test_fuzzed_calendars_end_in_one_error_line_or_run(self, tmp_path, capsys):
+        (tmp_path / "bars.csv").write_text(_FUZZ_BARS)
+        calendar = tmp_path / "cal.csv"
+        argv = ["ingest", "--csv", str(tmp_path / "bars.csv"), "--calendar", str(calendar),
+                "--out", str(tmp_path / "out")]
+        rng = np.random.default_rng(6)
+        codes = []
+        for trial in range(250):
+            kind = trial % 5
+            if kind < 4:
+                data = mutate(_FUZZ_CALENDAR, rng, kind)
+            else:
+                lines = _FUZZ_CALENDAR.split(b"\r\n")
+                lines.insert(int(rng.integers(len(lines))),
+                             _CALENDAR_LINES[int(rng.integers(len(_CALENDAR_LINES)))])
+                data = b"\r\n".join(lines)
+            calendar.write_bytes(data)
+            codes.append(_ends_cleanly(capsys, argv))
+        assert set(codes) == {0, 1}
+
+    def test_fuzzed_configs_end_in_one_error_line_or_run(self, tmp_path, capsys, monkeypatch):
+        # No --out: run.out_dir is fuzzed too, under the test's directory.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.cfg"
+        rng = np.random.default_rng(7)
+        keys = list(DEFAULTS)
+        codes = []
+        for trial in range(200):
+            if trial % 2 == 0:
+                data = mutate(_FUZZ_CONFIG, rng, int(rng.integers(4)))
+            else:
+                key = keys[int(rng.integers(len(keys)))]
+                value = _CONFIG_VALUES[int(rng.integers(len(_CONFIG_VALUES)))]
+                lines = [line for line in _FUZZ_CONFIG.split(b"\r\n")
+                         if line.partition(b" =")[0] != key.encode()]
+                data = b"\r\n".join(lines + [f"{key} = {value}".encode()])
+            config.write_bytes(data)
+            for argv in (["synth"], ["backtest", "buyhold"]):
+                codes.append(_ends_cleanly(capsys, argv + ["--config", str(config)]))
+        assert set(codes) == {0, 1}
+
+    def test_nul_in_out_dir_is_single_error_line(self, tmp_path, capsys, monkeypatch):
+        # The path reached mkdir, which raised ValueError past main.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_bytes(b"synth.days = 2\nrun.out_dir = o\x00ut\n")
+        assert main(["synth", "--config", "run.cfg"]) == 1
+        assert capsys.readouterr().err == "error: config line 2: holds a NUL byte\n"
 
 
 class TestDeterminism:

@@ -244,16 +244,17 @@ class TestMetricsReport:
         assert report.max_drawdown_pct == pytest.approx(-25.0)
         json_path = tmp_path / "metrics.json"
         text_path = tmp_path / "metrics.txt"
-        write_metrics(report, str(json_path), str(text_path))
+        write_metrics(report, 5, str(json_path), str(text_path))
         loaded = json.loads(json_path.read_text())
         assert loaded["cumulative_return_pct"] == pytest.approx(10.0)
+        assert loaded["seed"] == 5
         assert "max drawdown" in text_path.read_text()
 
     def test_undefined_sharpe_serializes_as_null(self, tmp_path):
         report = compute_metrics(_curve(100.0 * 2.0 ** np.arange(5)), 252.0)
         assert report.sharpe is None
         json_path = tmp_path / "metrics.json"
-        write_metrics(report, str(json_path))
+        write_metrics(report, 0, str(json_path))
         assert json.loads(json_path.read_text())["sharpe"] is None
         assert "undefined" in report.to_text()
 

@@ -159,6 +159,8 @@ class TestInitialization:
                 assert (params.arrays[k] == 0.0).all()
             assert (adam.m[k] == 0.0).all() and adam.m[k].shape == params.arrays[k].shape
             assert (adam.v[k] == 0.0).all() and adam.v[k].shape == params.arrays[k].shape
+            # C-ordered even where initialize's w1 is not, as Adam walks them.
+            assert adam.m[k].flags.c_contiguous and adam.v[k].flags.c_contiguous
         assert adam.t == 0 and params.update_count == 0
         assert not any("adam" in name for name in vars(params))
 
@@ -223,10 +225,16 @@ class TestGae:
         assert adv[0] == 0.0
 
 
-# (300, (130, 64)): policy_w1 holds 39,000 elements, more than one Adam block
-# with a ragged tail. SPEC: initialize returns a Fortran-ordered policy_w1.
+# (300, (130, 64)): policy_w1 holds 39,000 elements, more than one ADAM_CHUNK
+# piece with a ragged tail. SPEC: initialize returns a Fortran-ordered
+# policy_w1, which ppo_update (and _copy) turn C-ordered before Adam walks it.
 TWO_SPECS = pytest.mark.parametrize("spec", [NetworkSpec(300, (130, 64)), SPEC],
                                     ids=["ragged-blocks", "fortran-order"])
+
+
+def _reference_norm(grads):
+    """The global gradient norm, one whole-array square sum per array."""
+    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
 
 
 def _reference_loss_and_grads(params, observations, actions, old_log_probs, advantages,
@@ -266,7 +274,7 @@ def _reference_loss_and_grads(params, observations, actions, old_log_probs, adva
         clip_fraction=float(
             (ratio != np.clip(ratio, 1.0 - hp.clip_range, 1.0 + hp.clip_range)).mean()
         ),
-        grad_norm=0.0,
+        grad_norm=_reference_norm(grads),
     )
     return loss, grads, stats
 
@@ -339,7 +347,7 @@ class TestLossAndGradients:
 
     @TWO_SPECS
     def test_matches_serial_reference(self, spec):
-        params = _params(seed=24, spec=spec)
+        params = _copy(_params(seed=24, spec=spec))
         adam = AdamState.zeros(params)
         for seed in range(5):
             # Wide ratio noise puts some samples outside the clip range.
@@ -353,12 +361,16 @@ class TestLossAndGradients:
                 assert grads[k].tobytes() == g.tobytes(), (seed, k)
             assert _bytes(stats) == _bytes(want_stats)
             assert 0.0 < stats.clip_fraction < 1.0
-            _adam_step(params, adam, grads, HP)
+            # grad_norm is the pre-clip norm the reference Adam step clips by.
+            norm = _reference_adam_step(_copy(params), AdamState.zeros(params), want_grads, HP)
+            assert np.float64(stats.grad_norm).tobytes() == np.float64(norm).tobytes()
+            _adam_step(params, adam, grads, stats.grad_norm, HP)
 
 
 def _reference_adam_step(params, adam, grads, hp):
-    """The textbook Adam step, one whole-array expression per operation."""
-    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """The textbook Adam step, one whole-array expression per operation;
+    returns the pre-clip global norm."""
+    norm = _reference_norm(grads)
     if norm > hp.max_grad_norm:
         scale = hp.max_grad_norm / norm
         grads = {k: g * scale for k, g in grads.items()}
@@ -376,15 +388,20 @@ def _reference_adam_step(params, adam, grads, hp):
     return norm
 
 
+def _norm(grads):
+    """The global norm as ppo_loss_and_grads sums it, for synthetic gradients."""
+    return math.sqrt(sum(ppo._square_sums(grads).values()))
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
-        params = _params(seed=11)
+        params = _copy(_params(seed=11))
         hp = PpoHyperparams(total_timesteps=32, learning_rate=0.01, n_steps=32,
                             batch_size=8, max_grad_norm=1e9)
         grads = {k: np.full_like(v, 0.5) for k, v in params.arrays.items()}
         before = {k: v.copy() for k, v in params.arrays.items()}
         adam = AdamState.zeros(params)
-        _adam_step(params, adam, grads, hp)
+        _adam_step(params, adam, grads, _norm(grads), hp)
         # With bias correction, the first update is lr * g / (|g| + eps).
         step = 0.01 * 0.5 / (0.5 + ADAM_EPS)
         for k in ARRAY_ORDER:
@@ -392,12 +409,13 @@ class TestAdam:
         assert adam.t == 1
 
     def test_gradient_norm_clipping(self):
-        params = _params(seed=12)
+        params = _copy(_params(seed=12))
         hp = PpoHyperparams(total_timesteps=32, learning_rate=1.0, n_steps=32,
                             batch_size=8, max_grad_norm=0.5)
         grads = {k: np.full_like(v, 10.0) for k, v in params.arrays.items()}
         adam = AdamState.zeros(params)
-        norm = _adam_step(params, adam, grads, hp)
+        norm = _norm(grads)
+        _adam_step(params, adam, grads, norm, hp)
         total = sum(v.size for v in params.arrays.values())
         assert norm == pytest.approx(10.0 * math.sqrt(total))
         # Clipping rescales grads; the m accumulator reflects the scaled value.
@@ -409,7 +427,8 @@ class TestAdam:
     def test_thirty_steps_bit_identical(self, spec):
         hp = PpoHyperparams(total_timesteps=32, learning_rate=3e-3, n_steps=32,
                             batch_size=8, max_grad_norm=0.5)
-        fast = _params(seed=21, spec=spec)
+        # Adam walks C-ordered arrays; the reference takes initialize's order.
+        fast = _copy(_params(seed=21, spec=spec))
         slow = _params(seed=21, spec=spec)
         fast_adam, slow_adam = AdamState.zeros(fast), AdamState.zeros(slow)
         rng = np.random.default_rng(22)
@@ -419,8 +438,9 @@ class TestAdam:
             grads = {k: rng.standard_normal(v.shape) * size for k, v in fast.arrays.items()}
             want = _reference_adam_step(slow, slow_adam, {k: g.copy() for k, g in grads.items()},
                                         hp)
-            got = _adam_step(fast, fast_adam, grads, hp)
+            got = _norm(grads)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            _adam_step(fast, fast_adam, grads, got, hp)
             clipped.append(got > hp.max_grad_norm)
             for have, ref in ((fast.arrays, slow.arrays), (fast_adam.m, slow_adam.m),
                               (fast_adam.v, slow_adam.v)):
@@ -430,13 +450,33 @@ class TestAdam:
         assert clipped == [step % 2 == 0 for step in range(30)]
 
     def test_clipping_scales_grads_in_place(self):
-        params = _params(seed=23)
+        params = _copy(_params(seed=23))
         hp = PpoHyperparams(total_timesteps=32, learning_rate=1e-3, n_steps=32,
                             batch_size=8, max_grad_norm=0.5)
         grads = {k: np.full_like(v, 2.0) for k, v in params.arrays.items()}
-        norm = _adam_step(params, AdamState.zeros(params), grads, hp)
+        norm = _norm(grads)
+        _adam_step(params, AdamState.zeros(params), grads, norm, hp)
         for k in ARRAY_ORDER:
             np.testing.assert_array_equal(grads[k], 2.0 * (0.5 / norm))
+
+    @pytest.mark.parametrize("which", ["gradient", "moment", "parameter", "strided"])
+    def test_refuses_arrays_not_c_contiguous(self, which):
+        params = _copy(_params(seed=37))
+        adam = AdamState.zeros(params)
+        grads = {k: np.ones_like(v) for k, v in params.arrays.items()}
+        odd = {"gradient": np.asfortranarray(grads["value_w2"]),
+               "moment": np.asfortranarray(adam.m["value_w2"]),
+               "parameter": np.asfortranarray(params.arrays["value_w2"]),
+               "strided": np.ones((5, 8))[:, ::2]}[which]
+        target = {"gradient": grads, "moment": adam.m, "parameter": params.arrays,
+                  "strided": grads}[which]
+        target["value_w2"] = odd
+        before = _copy(params)
+        with pytest.raises(PpoError, match="C-contiguous"):
+            ppo._adam_half(params, adam, grads, "value_", None, HP)
+        # Refused before any array moved.
+        for k in ARRAY_ORDER:
+            assert params.arrays[k].tobytes() == before.arrays[k].tobytes()
 
 
 def _square_sum_cases():
@@ -465,9 +505,9 @@ class TestSquareSums:
     def test_equal_numpy_sums_bit_for_bit(self):
         cases = _square_sum_cases()
         for name, g in cases:
-            got = ppo._square_sums({"policy_g": g, "value_g": g[:1]}, "policy_")
-            assert list(got) == ["policy_g"]
-            assert np.float64(got["policy_g"]).tobytes() == np.float64((g * g).sum()).tobytes(), name
+            got = ppo._square_sums({"g": g})
+            assert list(got) == ["g"]
+            assert np.float64(got["g"]).tobytes() == np.float64((g * g).sum()).tobytes(), name
         # The test can tell orders apart: summing ADAM_CHUNK blocks left to
         # right gives another float.
         g = dict(cases)[f"length-{10**6 + 7}"]
@@ -571,6 +611,16 @@ class TestPpoUpdate:
         ppo_update(b, AdamState.zeros(b), batch, HP, np.random.default_rng(42))
         for k in ARRAY_ORDER:
             np.testing.assert_array_equal(a.arrays[k], b.arrays[k])
+
+    def test_two_handoffs_per_minibatch(self, monkeypatch):
+        # The loss halves, then Adam's: the squared sums need no third.
+        calls = []
+        real = ppo._both_halves
+        monkeypatch.setattr(ppo, "_both_halves", lambda *halves: calls.append(1) or real(*halves))
+        params = _params(seed=38)
+        adam = AdamState.zeros(params)
+        ppo_update(params, adam, self._batch(params, n=64), HP, np.random.default_rng(4))
+        assert adam.t == 8 and len(calls) == 2 * adam.t
 
     def test_adam_t_counts_minibatches(self):
         params = _params(seed=17)

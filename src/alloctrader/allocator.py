@@ -259,7 +259,6 @@ class HierarchyEnv(BaseBarEnv):
     def reset(self) -> np.ndarray:
         """Rewind to the first session boundary with full warmup history."""
         self._open(self._start_cursor, self.config.initial_cash, self.config.fee_per_sell_share)
-        self._span_start_value = self.value
         self._last_rewards = {tf: 0.0 for tf in TIMEFRAME_ORDER}
         self._last_active: Timeframe | None = None
         self.decisions = []
@@ -283,12 +282,12 @@ class HierarchyEnv(BaseBarEnv):
         agent = self.registry[executed]
 
         act = greedy_action(agent.params, self._agent_observation(executed, b))
+        v_start = self.value
         span = self._span(act, executed.minutes)
         span_end = self.cursor
         self.equity.extend(zip(self.timestamps[b + 1:span_end + 1], span.values))
 
-        v_end = self.value
-        reward = allocator_reward(v_end, self._span_start_value)
+        reward = allocator_reward(self.value, v_start)
         decision = DecisionRecord(
             timestamp=self.timestamps[b + 1],
             timeframe=executed,
@@ -297,19 +296,10 @@ class HierarchyEnv(BaseBarEnv):
             log_return=reward,
         )
         self.decisions.append(decision)
-        self._span_start_value = v_end
         self._last_rewards[executed] = span.reward
         self._last_active = executed
-        return StepResult(
-            observation=self._allocator_observation(),
-            reward=reward,
-            done=self.done,
-            info={
-                "decision": decision,
-                "portfolio_value": v_end,
-                "timestamp": self.timestamps[span_end],
-            },
-        )
+        return StepResult(self._allocator_observation(), reward, self.done,
+                          {"decision": decision})
 
 
 def run_hierarchy(

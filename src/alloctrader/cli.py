@@ -346,7 +346,7 @@ def cmd_analyze(args) -> int:
         )
     report = quartile_allocation(decisions, sessions, args.granularity)
     stem = paths.reports / f"quartiles_{args.granularity}"
-    write_json(f"{stem}.json", report.to_json_dict())
+    write_json(f"{stem}.json", {**report.to_json_dict(), "seed": cfg.seed})
     with atomic_write(f"{stem}.txt") as fh:
         fh.write(report.to_text())
     report.to_plot_csv(f"{stem}.csv")
@@ -354,15 +354,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _read_metrics(path: Path) -> dict:
-    """A backtest's metrics JSON: an object whose three reported values are
-    numbers, except that an undefined `sharpe` is null."""
+def _read_object(path: Path, kind: str) -> dict:
+    """A JSON object of a report file; anything else is a corrupt `kind` file."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise EvaluationError(f"{path}: corrupt metrics file ({exc})") from exc
+        raise EvaluationError(f"{path}: corrupt {kind} file ({exc})") from exc
     if not isinstance(data, dict):
-        raise EvaluationError(f"{path}: corrupt metrics file (not a JSON object)")
+        raise EvaluationError(f"{path}: corrupt {kind} file (not a JSON object)")
+    return data
+
+
+def _read_metrics(path: Path) -> dict:
+    """A backtest's metrics JSON: an object whose three reported values are
+    numbers, except that an undefined `sharpe` is null."""
+    data = _read_object(path, "metrics")
     for key in ("cumulative_return_pct", "sharpe", "max_drawdown_pct"):
         if key not in data:
             raise EvaluationError(f"{path}: metrics file has no {key!r}")
@@ -375,15 +381,18 @@ def _read_metrics(path: Path) -> dict:
 
 
 def cmd_report(args) -> int:
-    """Tabulate every metrics file under reports/; each must carry the run's seed."""
+    """Tabulate every metrics and quartiles file under reports/, each of the run's seed."""
     cfg, paths = _load_run(args)
     metrics = {path: _read_metrics(path) for path in sorted(paths.reports.glob("*_metrics.json"))}
     if not metrics:
-        raise EvaluationError(
-            f"no metrics files under {paths.reports}; run backtest first"
-        )
+        raise EvaluationError(f"no metrics files under {paths.reports}; run backtest first")
+    quartiles = sorted(paths.reports.glob("quartiles_*.txt"))
+    tagged = dict(metrics)
+    for path in quartiles:
+        sibling = path.with_suffix(".json")
+        tagged[path] = _read_object(sibling, "quartiles") if sibling.exists() else {}
     others = []
-    for path, data in metrics.items():
+    for path, data in tagged.items():
         seed = data.get("seed")
         if type(seed) is not int or seed != cfg.seed:
             others.append(f"{path.name} (seed {seed!r:.40})" if "seed" in data
@@ -403,7 +412,7 @@ def cmd_report(args) -> int:
             f"{name:<12} {data['cumulative_return_pct']:>10.2f} {sharpe_text:>10} "
             f"{data['max_drawdown_pct']:>10.2f}"
         )
-    for path in sorted(paths.reports.glob("quartiles_*.txt")):
+    for path in quartiles:
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:

@@ -108,13 +108,10 @@ def agent_reward(sell_price: float, avg_buy_price: float) -> float:
 
 
 class SpanResult(NamedTuple):
-    """What one span did: the agent reward realized over it, the decision-bar
-    fill and forced session-close sale (None when there was none), and the
-    portfolio value at every span bar."""
+    """What one span did: the agent reward realized over it and the portfolio
+    value at every span bar. Its trades go to BaseBarEnv.trades."""
 
     reward: float
-    trade: TradeLogEntry | None
-    liquidation: TradeLogEntry | None
     values: list[float]
 
 
@@ -267,39 +264,38 @@ class BaseBarEnv:
         closes, timestamps = self.closes, self.timestamps
         price = float(closes[decision])
         reward = 0.0
-        trade = None
         if action is Action.BUY and not self.session_last[decision]:
             cost, bought = buy_all(self.cash, price)
             if bought:
                 self.cash -= cost
                 self.shares += bought
                 self.cost_basis += cost
-                trade = TradeLogEntry(timestamps[decision], "buy", bought, price, 0.0)
+                self.trades.append(TradeLogEntry(timestamps[decision], "buy", bought, price, 0.0))
         elif action is Action.SELL:
             sale = self._sell_all(price)
             if sale is not None:
                 reward += agent_reward(sale.sell_price, sale.avg_cost)
-                trade = TradeLogEntry(timestamps[decision], "sell", sale.shares, price, reward)
+                self.trades.append(
+                    TradeLogEntry(timestamps[decision], "sell", sale.shares, price, reward))
         span = slice(decision + 1, end + 1)
         pf_rows = self._pf_rows
         values, *ratios = mark(self.cash, self.shares, self.cost_basis, closes[span])
         pf_rows[span, 0], pf_rows[span, 1], pf_rows[span, 2] = ratios
         values = values.tolist()
-        liquidation = None
         if self.session_last[end] and self.shares > 0:
             end_price = float(closes[end])
             sale = self._sell_all(end_price)
             sale_reward = agent_reward(sale.sell_price, sale.avg_cost)
             reward += sale_reward
-            liquidation = TradeLogEntry(timestamps[end], "sell", sale.shares, end_price, sale_reward)
+            self.trades.append(
+                TradeLogEntry(timestamps[end], "sell", sale.shares, end_price, sale_reward))
             values[-1], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = mark(
                 self.cash, self.shares, self.cost_basis, end_price)
         features(pf_rows[span])
         self.value = values[-1]
-        self.trades.extend(t for t in (trade, liquidation) if t is not None)
         self.cursor = end
         self.done = end == self.n_bars - 1
-        return SpanResult(reward, trade, liquidation, values)
+        return SpanResult(reward, values)
 
     def _sell_all(self, price: float) -> SaleRecord | None:
         """Sell the whole position at `price` (see portfolio.sell_all). A sale
@@ -372,14 +368,8 @@ class TradingEnv(BaseBarEnv):
         """Trade at the current bar close, advance one span, settle rewards."""
         if self.done:
             raise EnvError("step() called on a finished episode; call reset()")
-        span = self._span(action, self.length)
-        info = {
-            "timestamp": self.timestamps[self.cursor],
-            "portfolio_value": self.value,
-            "trade": span.trade,
-            "forced_liquidation": span.liquidation,
-        }
-        return StepResult(self._observation(), span.reward, self.done, info)
+        reward = self._span(action, self.length).reward
+        return StepResult(self._observation(), reward, self.done, {})
 
     def _observation(self) -> np.ndarray:
         return build_observation(self.table, self._pf_rows, self.cursor,
@@ -413,9 +403,9 @@ class RolloutStore:
         every = sliding_window_view(rows, self._reach + 1, axis=0)[..., ::self._env.length]
         return every if rows.ndim == 1 else every.transpose(0, 2, 1)
 
-    def record(self, t: int, observation: np.ndarray) -> None:
+    def __setitem__(self, t: int, observation: np.ndarray) -> None:
         """Keep step t's observation, which must be the environment's latest.
-        Recording step 0 starts a new rollout, so earlier episodes are let go."""
+        Setting step 0 starts a new rollout, so earlier episodes are let go."""
         env = self._env
         if t == 0:
             self._windows_of, self._last_rows = [], None

@@ -19,9 +19,10 @@ a worker thread twice: the policy net's forward, backward and squared-gradient
 sums run there while the value net's run on the caller's, and then the two
 halves of the Adam step, with bit-identical results. Adam's state lives in
 an AdamState that only training holds; checkpoints store the parameters alone.
-A rollout keeps its observations in the environment's rollout store when it
-has one, which rebuilds each minibatch's observations from the environment
-(envs.TradingEnv), and otherwise copies them into an ObservationBuffer.
+A rollout's observations go to a store that takes `store[t] = obs` and gives
+`store[rows]`: the environment's rollout store when it has one, which rebuilds
+each minibatch's observations from the environment (envs.TradingEnv), and
+otherwise a plain array that copies them.
 """
 
 from __future__ import annotations
@@ -30,16 +31,18 @@ import json
 import math
 import os
 import struct
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import AlloctraderError
 from .atomic import atomic_write, write_csv
+
+if TYPE_CHECKING:
+    from .envs import RolloutStore
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -361,27 +364,13 @@ def gae(
     return advantages, advantages + values
 
 
-class ObservationBuffer:
-    """A rollout's observations copied into one (n, width) array: the store
-    of an environment that has no `rollout_store` (see train)."""
-
-    def __init__(self, n: int, width: int):
-        self.rows = np.empty((n, width))
-
-    def record(self, t: int, observation: np.ndarray) -> None:
-        self.rows[t] = observation
-
-    def __getitem__(self, index: np.ndarray) -> np.ndarray:
-        return self.rows[index]
-
-
 @dataclass
 class RolloutBatch:
-    """One rollout. `observations` is an array, an ObservationBuffer or an
-    environment's rollout store (see train); indexing it with minibatch rows
-    gives a C-contiguous float64 array."""
+    """One rollout. `observations` is an (n, input_dim) array or an
+    environment's rollout store (see train); either, indexed with minibatch
+    rows, gives a C-contiguous float64 array."""
 
-    observations: np.ndarray | ObservationBuffer
+    observations: np.ndarray | RolloutStore
     actions: np.ndarray
     log_probs: np.ndarray
     advantages: np.ndarray
@@ -404,8 +393,7 @@ class UpdateStats:
 # numpy releases the interpreter lock inside BLAS and ufunc loops, so the
 # halves overlap; the arithmetic of each is unchanged, so results are the
 # same bit for bit whatever the scheduling. The thread starts on first use.
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
+_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ppo-policy")
 
 
 def _both_halves(policy_half: Callable, value_half: Callable) -> tuple:
@@ -414,10 +402,6 @@ def _both_halves(policy_half: Callable, value_half: Callable) -> tuple:
     Both have finished when this returns or raises. An error from the value
     half wins over one from the policy half.
     """
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ppo-policy")
     future = _worker.submit(policy_half)
     try:
         value = value_half()
@@ -711,8 +695,8 @@ def train(
     The rollout's observations go to the environment's
     `rollout_store(n_steps)` when it has one (envs.TradingEnv keeps each
     step's cursor and rebuilds a minibatch's observations when the update
-    asks), and otherwise to an ObservationBuffer that copies them. Both
-    give the update the same bytes.
+    asks), and otherwise to an (n_steps, input_dim) array that copies them.
+    Both take `store[t] = obs`, and both give the update the same bytes.
     """
     rng = np.random.default_rng(seed)
     params = PolicyParameters.initialize(spec, rng)
@@ -730,7 +714,7 @@ def train(
     n_updates = -(-hp.total_timesteps // hp.n_steps)
     make_store = getattr(env, "rollout_store", None)
     obs_store = (make_store(hp.n_steps) if make_store is not None
-                 else ObservationBuffer(hp.n_steps, spec.input_dim))
+                 else np.empty((hp.n_steps, spec.input_dim)))
     act_buf = np.empty(hp.n_steps, dtype=np.int64)
     logp_buf = np.empty(hp.n_steps)
     val_buf = np.empty(hp.n_steps)
@@ -739,7 +723,7 @@ def train(
     for _ in range(n_updates):
         for t in range(hp.n_steps):
             action, logp, value = sample_action(params, obs, rng)
-            obs_store.record(t, obs)
+            obs_store[t] = obs
             try:
                 result = env.step(action)
             except Exception as exc:

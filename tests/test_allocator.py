@@ -180,6 +180,17 @@ class TestStep:
         assert total == pytest.approx(np.log(v1 / v0), abs=1e-9)
         assert buy_env.equity[-1][1] == v1
 
+    def test_info_is_the_decision(self, buy_env):
+        # perfbench's tracer reads the step's decision from info["decision"].
+        buy_env.reset()
+        rng = np.random.default_rng(9)
+        while not buy_env.done:
+            v_start = buy_env.value
+            result = buy_env.step(int(rng.integers(0, 3)))
+            assert result.info == {"decision": buy_env.decisions[-1]}
+            assert result.info["decision"].log_return == result.reward
+            assert result.reward == allocator_reward(buy_env.value, v_start)
+
     def test_all_hold_agents_preserve_cash(self, hold_env):
         hold_env.reset()
         while not hold_env.done:

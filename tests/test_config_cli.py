@@ -408,6 +408,7 @@ class TestPipeline:
         _, out = pipeline
         data = json.loads((out / "reports" / "quartiles_daily.json").read_text())
         assert data["granularity"] == "daily"
+        assert data["seed"] == 0
         assert len(data["quartiles"]) == 4
         total_units = sum(q["units"] for q in data["quartiles"])
         assert total_units == 5
@@ -513,6 +514,26 @@ class TestPipelineGuards:
         assert "flat_metrics.json (no seed)" in err
         assert "buyhold" not in err
         assert (copy / "reports" / "summary.txt").read_bytes() == summary
+
+    def test_report_refuses_quartiles_of_other_seeds(self, pipeline, tmp_path, capsys):
+        # Seed 2's buy-and-hold is the only metrics file left, beside the
+        # pipeline's seed-0 quartile table.
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        base = ["--config", str(cfg_path), "--out", str(copy), "--seed", "2"]
+        assert main(["backtest", "buyhold"] + base) == 0
+        for name in ("agent_1m", "agent_10m", "agent_1h", "hierarchy"):
+            (copy / "reports" / f"{name}_metrics.json").unlink()
+        summary = (copy / "reports" / "summary.txt").read_bytes()
+        capsys.readouterr()
+        for tag in ("seed 0", "no seed"):
+            assert main(["report"] + base) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert err.endswith(f"metrics not of the run's seed 2: quartiles_daily.txt ({tag})\n")
+            assert (copy / "reports" / "summary.txt").read_bytes() == summary
+            (copy / "reports" / "quartiles_daily.json").unlink(missing_ok=True)
 
     def test_report_without_metrics_fails(self, tmp_path, capsys):
         out = tmp_path / "fresh"
@@ -654,7 +675,9 @@ class TestPipelineGuards:
          "metrics 'cumulative_return_pct' is not a number ('12')"),
         ("quartiles_daily.txt", b"\xff\xfe",
          "corrupt quartiles file ('utf-8' codec can't decode byte 0xff"),
-    ], ids=["truncated-json", "missing-key", "not-utf8", "string-return", "quartiles-not-utf8"])
+        ("quartiles_daily.json", b"[0]", "corrupt quartiles file (not a JSON object)"),
+    ], ids=["truncated-json", "missing-key", "not-utf8", "string-return", "quartiles-not-utf8",
+            "quartiles-json-not-object"])
     def test_bad_metrics_file_is_single_error_line(self, pipeline, tmp_path, capsys,
                                                    name, content, match):
         cfg_path, out = pipeline

@@ -197,7 +197,7 @@ class TestStep:
         done = False
         while not done:
             result = env.step(Action.HOLD)
-            assert result.info["portfolio_value"] == 10_000.0
+            assert env.value == 10_000.0
             done = result.done
         assert env.cash == 10_000.0
         assert not env.trades
@@ -208,12 +208,17 @@ class TestStep:
         env.reset(cursor=88)
         result = env.step(Action.BUY)
         assert env.shares == 0
-        assert result.info["forced_liquidation"] is not None
+        assert result.info == {}
         c_buy, c_sell = float(env.closes[88]), float(env.closes[89])
         want = float(mp_tanh(mpf(5) * (mpf(c_sell) - mpf(c_buy)) / mpf(c_buy)))
         assert result.reward == pytest.approx(want, abs=1e-12)
         sides = [t.side for t in env.trades]
         assert sides == ["buy", "sell"]
+        # The forced sale at the session close, and the reward it paid.
+        sale = env.trades[-1]
+        assert (sale.timestamp, sale.price) == (env.timestamps[89], c_sell)
+        assert sale.shares == env.trades[0].shares
+        assert sale.realized_reward == result.reward
 
     def test_no_position_survives_any_session_close(self, short_sessions, regime_sessions):
         for timeframe, sessions in _every_timeframe(short_sessions, regime_sessions):
@@ -254,9 +259,9 @@ class TestStep:
         env.reset(cursor=88)
         env.step(Action.BUY)          # forced out at bar 89, the session close
         value_at_close = env.value
-        result = env.step(Action.HOLD)  # first bar of the next session
+        env.step(Action.HOLD)  # first bar of the next session
         assert env.cash == value_at_close
-        assert result.info["portfolio_value"] == value_at_close
+        assert env.value == value_at_close
 
     def test_step_after_done_rejected(self, short_sessions):
         env = _env(short_sessions, window=5)
@@ -340,9 +345,8 @@ def _step_loop(env, params, cursor):
     obs = env.reset(cursor)
     equity = [(env.timestamps[env.cursor], env.value)]
     while not env.done:
-        result = env.step(greedy_action(params, obs))
-        obs = result.observation
-        equity.append((result.info["timestamp"], result.info["portfolio_value"]))
+        obs = env.step(greedy_action(params, obs)).observation
+        equity.append((env.timestamps[env.cursor], env.value))
     return equity, list(env.trades)
 
 
@@ -548,7 +552,7 @@ def _constant_volume_day(sessions, day: int) -> list[Session]:
 
 class _WithoutStore:
     """A TradingEnv seen through reset and step alone: ppo.train finds no
-    rollout_store and copies each observation into a buffer."""
+    rollout_store and copies each observation into a plain array."""
 
     def __init__(self, env: TradingEnv):
         self._env = env
@@ -577,7 +581,7 @@ class TestRolloutStore:
         for rollout in range(2):
             returned, resets = [], 0
             for t in range(n):
-                store.record(t, obs)
+                store[t] = obs
                 returned.append(obs)
                 result = env.step(int(rng.integers(3)))
                 resets += result.done

@@ -557,7 +557,7 @@ class TestPpoUpdate:
             assert not np.array_equal(params.arrays[k], snapshot[k])
         # ppo_update writes nothing of the batch: train() hands it the
         # rollout's arrays and its observation store (a TradingEnv's
-        # RolloutStore, or the copying ObservationBuffer) uncopied.
+        # RolloutStore, or the plain array that copies them) uncopied.
         for k, v in vars(batch).items():
             assert v.tobytes() == batch_before[k].tobytes(), k
 

@@ -70,6 +70,8 @@ def observation_size(config: AllocatorConfig) -> int:
 
 @dataclass(frozen=True)
 class RegisteredAgent:
+    """A frozen agent and its environment settings; the CLI loads only its policy net."""
+
     params: PolicyParameters
     config: EnvConfig
 

@@ -204,12 +204,20 @@ def _require_kind(path, ckpt: Checkpoint, kind: str) -> None:
         )
 
 
+def _load_policy(path: Path) -> Checkpoint:
+    """The checkpoint at `path`, read and validated whole, with only the
+    policy net's arrays kept: inference never reads the value net."""
+    ckpt = load_checkpoint(str(path))
+    ckpt.params.arrays = {k: v for k, v in ckpt.params.arrays.items() if k.startswith("policy_")}
+    return ckpt
+
+
 def _load_agent(cfg: RunConfig, paths: _Paths, tf: Timeframe) -> RegisteredAgent:
     """The `tf` agent of this seed; its checkpoint must have been trained at `tf`."""
     path = paths.agent_checkpoint(tf, cfg.seed)
     if not path.exists():
         raise CheckpointError(f"missing checkpoint: {tf.label} (expected {path})")
-    ckpt = load_checkpoint(str(path))
+    ckpt = _load_policy(path)
     _require_kind(path, ckpt, "agent")
     trained = _extra(path, ckpt, "timeframe", Timeframe.from_label)
     if trained is not tf:
@@ -295,7 +303,7 @@ def _backtest_hierarchy(cfg: RunConfig, paths: _Paths, sessions, test_start: dat
     if not alloc_path.exists():
         raise CheckpointError(f"missing checkpoint: allocator (expected {alloc_path})")
     registry = _load_registry(cfg, paths)
-    ckpt = load_checkpoint(str(alloc_path))
+    ckpt = _load_policy(alloc_path)
     _require_kind(alloc_path, ckpt, "allocator")
     alloc_config = AllocatorConfig(
         market_window=_extra(alloc_path, ckpt, "market_window", int),

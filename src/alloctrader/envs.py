@@ -255,7 +255,8 @@ class BaseBarEnv:
         unrealized) ratios, the last clamped to [-1, 1] as observations read
         it (portfolio.features). A span never crosses a session close before
         its end, so cash and shares are fixed over it and the marks are one
-        vector. If the span ends its session the position is sold there, and
+        vector; one bar that sells nothing is marked on floats, with the same
+        bytes. If the span ends its session the position is sold there, and
         that bar's row and value are the ones after the sale. A BUY at a
         session's final bar acts as HOLD, since it would be held overnight.
         """
@@ -279,10 +280,13 @@ class BaseBarEnv:
                     TradeLogEntry(timestamps[decision], "sell", sale.shares, price, reward))
         span = slice(decision + 1, end + 1)
         pf_rows = self._pf_rows
-        values, *ratios = mark(self.cash, self.shares, self.cost_basis, closes[span])
+        sells = self.session_last[end] and self.shares > 0
+        one_bar = end == decision + 1 and not sells
+        values, *ratios = mark(self.cash, self.shares, self.cost_basis,
+                               float(closes[end]) if one_bar else closes[span])
         pf_rows[span, 0], pf_rows[span, 1], pf_rows[span, 2] = ratios
-        values = values.tolist()
-        if self.session_last[end] and self.shares > 0:
+        values = [values] if one_bar else values.tolist()
+        if sells:
             end_price = float(closes[end])
             sale = self._sell_all(end_price)
             sale_reward = agent_reward(sale.sell_price, sale.avg_cost)

@@ -80,8 +80,9 @@ def mark(cash: float, shares: int, cost_basis: float, price):
 def features(rows: np.ndarray) -> None:
     """Make (n, 3) portfolio rows of `mark` ratios observation-ready in place:
     cash ratio and stock ratio as they are, the unrealized profit ratio
-    clamped to [-1, 1]."""
-    np.clip(rows[:, 2], -1.0, 1.0, out=rows[:, 2])
+    clamped to [-1, 1] with np.clip's bytes but not its per-call cost."""
+    unrealized = rows[:, 2]
+    np.minimum(np.maximum(unrealized, -1.0, out=unrealized), 1.0, out=unrealized)
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,7 @@ def _init_net(rng: np.random.Generator, spec: NetworkSpec, out_dim: int, out_gai
 
 @dataclass
 class PolicyParameters:
-    """The learnable arrays of both nets, keyed by ARRAY_ORDER names."""
+    """The ARRAY_ORDER arrays of both nets, or of the policy net alone for inference."""
 
     spec: NetworkSpec
     arrays: dict[str, np.ndarray]

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import alloctrader
-from alloctrader import AlloctraderError
+from alloctrader import AlloctraderError, cli
 from alloctrader.cli import main
 from alloctrader.config import (
     ConfigError,
@@ -42,7 +42,8 @@ from alloctrader.allocator import (
 from alloctrader.envs import EnvConfig
 from alloctrader.evaluation import EquityCurve, compute_metrics, write_metrics
 from alloctrader.ppo import (
-    NetworkSpec, PolicyParameters, PpoHyperparams, load_checkpoint, save_checkpoint,
+    ARRAY_ORDER, NetworkSpec, PolicyParameters, PpoHyperparams, load_checkpoint,
+    save_checkpoint,
 )
 from conftest import mutate
 import csv_reference
@@ -453,6 +454,38 @@ class TestPipeline:
         write_metrics(report, 0, str(reports / "flat_metrics.json"))
         assert main(["report", "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().out.splitlines()[1].split() == ["flat", "0.00", "undef", "0.00"]
+
+
+class TestInferenceKeepsThePolicyNet:
+    def test_loaded_agents_and_allocator_hold_only_policy_arrays(self, pipeline, tmp_path,
+                                                                 monkeypatch):
+        # Inference reads no value array, so the CLI lets them go on load.
+        cfg_path, out = pipeline
+        shutil.copytree(out / "checkpoints", tmp_path / "checkpoints")
+        base = ["--config", str(cfg_path), "--out", str(tmp_path)]
+        registries, allocators = [], []
+        real_registry, real_run = cli._load_registry, cli.run_hierarchy
+
+        def load_registry(*args):
+            registries.append(real_registry(*args))
+            return registries[-1]
+
+        def run_hierarchy(sessions, registry, params, *args, **kwargs):
+            allocators.append(params)
+            return real_run(sessions, registry, params, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_registry", load_registry)
+        monkeypatch.setattr(cli, "run_hierarchy", run_hierarchy)
+        assert main(["train-allocator", "--force"] + base) == 0
+        assert main(["backtest", "hierarchy"] + base) == 0
+        assert len(registries) == 2 and len(allocators) == 1
+        paths = cli._Paths(str(tmp_path))
+        agents = [cli._load_agent(load_config(str(cfg_path)), paths, tf) for tf in TIMEFRAME_ORDER]
+        agents += [agent for registry in registries for _, agent in registry.items()]
+        policy = [name for name in ARRAY_ORDER if name.startswith("policy_")]
+        assert len(agents) == 9 and len(policy) == 6
+        for params in [agent.params for agent in agents] + allocators:
+            assert list(params.arrays) == policy
 
 
 class TestPipelineGuards:

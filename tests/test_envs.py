@@ -1,13 +1,15 @@
 """Trading environment: reward oracle, step semantics, liquidation invariant."""
 
 import tracemalloc
+from datetime import date, datetime, time, timedelta, timezone
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 from mpmath import tanh as mp_tanh
 
-from alloctrader import envs
+from alloctrader import allocator, envs
+from alloctrader.allocator import HierarchyEnv
 from alloctrader.envs import (
     Action,
     EnvConfig,
@@ -32,7 +34,8 @@ from alloctrader.ppo import (
     train,
 )
 import observation_reference
-from conftest import ramped_sessions
+import span_reference
+from conftest import ramped_sessions, stub_registry
 from portfolio_reference import PortfolioState, buy_all, mark, sell_all
 from resample_reference import resample
 
@@ -329,6 +332,96 @@ class TestAccountEqualsOracle:
                 assert got == (state.cash, state.shares, state.cost_basis, state.total_value)
                 assert [type(v) for v in got] == [float, int, float, float]
             assert {t.side for t in env.trades} == {"buy", "sell"}, timeframe
+
+
+def _hand_sessions(days: int = 40, minutes: int = 60) -> list[Session]:
+    """`days` sessions of `minutes` bars whose closes climb from 100 to 400
+    each day, so a position bought at minute 9 more than doubles by minute 39
+    (its unrealized ratio passes 1); every seventh bar repeats the close
+    before it."""
+    k = np.arange(minutes)
+    closes = 100.0 + 300.0 * k / (minutes - 1)
+    closes[3::7] = closes[2::7][:closes[3::7].size]
+    sessions = []
+    for d in range(days):
+        day = date(2024, 1, 1) + timedelta(days=d)
+        opens = datetime.combine(day, time(9, 30), tzinfo=timezone.utc)
+        stamps = tuple(opens + timedelta(minutes=int(i)) for i in k)
+        sessions.append(Session(day, opens, opens + timedelta(minutes=minutes), stamps,
+                                closes, closes, closes, closes, 100 + k))
+    return sessions
+
+
+def _scripted_action(env) -> Action:
+    """The action at the cursor, by its minute in the session: buy at 9
+    (a 10m decision bar) and 10, sell at 39 and 45 (the second while flat),
+    buy again at 49 and 50 and hold into the close; a buy at the final bar
+    acts as a hold."""
+    k = env.cursor - int(np.flatnonzero(env.session_first[:env.cursor + 1])[-1])
+    if k in (9, 10, 49, 50) or env.session_last[env.cursor]:
+        return Action.BUY
+    return Action.SELL if k in (39, 45) else Action.HOLD
+
+
+class _ReferenceTradingEnv(TradingEnv):
+    _span = span_reference.span
+
+
+class _ReferenceHierarchyEnv(HierarchyEnv):
+    _span = span_reference.span
+
+
+class TestSpanMarksOnFloats:
+    """A one-bar span that sells nothing is marked on floats; every row, value,
+    trade and reward keeps the bytes of marking it through arrays."""
+
+    @pytest.mark.parametrize("timeframe", (Timeframe.ONE_MINUTE, Timeframe.TEN_MINUTE),
+                             ids=lambda tf: tf.label)
+    def test_trading_env_equals_array_marking(self, timeframe):
+        sessions = _hand_sessions()
+        config = EnvConfig(timeframe=timeframe, window_size=1)
+        runs = []
+        for cls in (TradingEnv, _ReferenceTradingEnv):
+            env = cls(sessions, config)
+            observations = [env.reset().tobytes()]
+            spans = []
+            while not env.done:
+                spans.append(repr(env._span(_scripted_action(env), env.length)))
+                observations.append(env._observation().tobytes())
+            runs.append((spans, observations, env._pf_rows.tobytes(), repr(env.value),
+                         repr(env.trades)))
+        assert runs[0] == runs[1]
+        # The script reached what it aims at: a clamped ratio, sales at a
+        # decision and at the close, and no buy at a session's final bar.
+        assert (env._pf_rows[:, 2] == 1.0).any()
+        finals = {env.timestamps[i] for i in np.flatnonzero(env.session_last)}
+        sells = {t.timestamp for t in env.trades if t.side == "sell"}
+        assert sells & finals and sells - finals
+        assert not finals & {t.timestamp for t in env.trades if t.side == "buy"}
+
+    def test_hierarchy_env_equals_array_marking(self, monkeypatch):
+        # The agents act by script; the allocator picks 1m, except 10m at
+        # minute 20 and, on even days, 1h at minute 50 (a long span cut at
+        # the close). On odd days 1m holds from 58 into the close.
+        sessions = _hand_sessions()
+        registry = stub_registry(Action.HOLD.value, window_sizes=(1, 1, 1), hidden=(2, 2))
+        runs = []
+        for cls in (HierarchyEnv, _ReferenceHierarchyEnv):
+            env = cls(sessions, registry)
+            monkeypatch.setattr(allocator, "greedy_action", lambda p, obs: _scripted_action(env))
+            observations, rewards = [env.reset().tobytes()], []
+            while not env.done:
+                day, k = divmod(env.cursor, 60)
+                choice = {20: 1, 50: 2 if day % 2 == 0 else 0}.get(k, 0)
+                result = env.step(choice)
+                observations.append(result.observation.tobytes())
+                rewards.append(repr(result.reward))
+            runs.append((observations, rewards, env._pf_rows.tobytes(), repr(env.equity),
+                         repr(env.trades), repr(env.decisions)))
+        assert runs[0] == runs[1]
+        spans = {d.span_bars for d in env.decisions}
+        assert {1, 9, 10} <= spans
+        assert {t.side for t in env.trades} == {"buy", "sell"}
 
 
 def _agent_params(window, hidden, seed):

@@ -3,12 +3,17 @@
 import hashlib
 import json
 import math
-import tracemalloc
+import os
+import subprocess
+import sys
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+import alloctrader
 
 from alloctrader.evaluation import (
     EquityCurve,
@@ -87,16 +92,30 @@ class TestWriteEquityCsv:
                     == hashlib.sha256(want.read_bytes()).hexdigest())
 
     def test_rows_are_streamed(self, tmp_path):
-        # A 39,000-point curve (100 sessions of 390 bars) is about 1.5 MB of
-        # text; writing it must not hold the file, or its values, in memory.
-        curve = _curve(np.linspace(10_000.0, 12_000.0, 39_000))
-        tracemalloc.start()
-        try:
-            write_equity_csv(curve, str(tmp_path / "equity.csv"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        # A 39,000-point curve (100 sessions of 390 bars) is 1.8 MB of text;
+        # writing it must not hold the file, or its values, in memory. The
+        # write is traced alone, in a fresh interpreter: tracemalloc's peak
+        # counts every allocation of the process while it traces, from any
+        # thread, and the suite's process keeps earlier tests' threads.
+        code = "\n".join([
+            "import sys, tracemalloc",
+            "from datetime import datetime, timedelta, timezone",
+            "import numpy as np",
+            "from alloctrader.evaluation import EquityCurve, write_equity_csv",
+            "start = datetime(2024, 3, 11, 9, 30, tzinfo=timezone.utc)",
+            "curve = EquityCurve(tuple(start + timedelta(minutes=k) for k in range(39_000)),",
+            "                    np.linspace(10_000.0, 12_000.0, 39_000))",
+            "tracemalloc.start()",
+            "write_equity_csv(curve, sys.argv[1])",
+            "print(tracemalloc.get_traced_memory()[1])",
+        ])
+        path = tmp_path / "equity.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(alloctrader.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert path.stat().st_size > 1_700_000
+        assert int(done.stdout) < 1_000_000
 
 
 class TestCumulativeReturn:

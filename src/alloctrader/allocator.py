@@ -206,7 +206,6 @@ class HierarchyEnv(BaseBarEnv):
         self._start_cursor = self._find_start_cursor(sessions, start_day)
         self._volatility = trailing_volatility_pct(self.closes, config.vol_window)
         self.decisions: list[DecisionRecord] = []
-        self.equity: list[tuple[datetime, float]] = []
 
     def _find_start_cursor(self, sessions, start_day) -> int:
         min_cursor = max(
@@ -229,6 +228,13 @@ class HierarchyEnv(BaseBarEnv):
         raise AllocatorError(
             f"no session start has the required {min_cursor + 1} bars of warmup history"
         )
+
+    @property
+    def equity(self) -> list[tuple[datetime, float]]:
+        """(timestamp, portfolio value) at the start cursor and at every base
+        bar marked since; [] before the first reset."""
+        bars = slice(self._start_cursor, self.cursor + 1)
+        return list(zip(self.timestamps[bars], self.values[bars].tolist()))
 
     # -- observations ----------------------------------------------------------
 
@@ -264,7 +270,6 @@ class HierarchyEnv(BaseBarEnv):
         self._last_rewards = {tf: 0.0 for tf in TIMEFRAME_ORDER}
         self._last_active: Timeframe | None = None
         self.decisions = []
-        self.equity = [(self.timestamps[self.cursor], self.value)]
         return self._allocator_observation()
 
     def step(self, choice: Timeframe | int) -> StepResult:
@@ -284,21 +289,17 @@ class HierarchyEnv(BaseBarEnv):
         agent = self.registry[executed]
 
         act = greedy_action(agent.params, self._agent_observation(executed, b))
-        v_start = self.value
-        span = self._span(act, executed.minutes)
-        span_end = self.cursor
-        self.equity.extend(zip(self.timestamps[b + 1:span_end + 1], span.values))
-
-        reward = allocator_reward(self.value, v_start)
+        span_reward = self._span(act, executed.minutes)
+        reward = allocator_reward(self.value, float(self.values[b]))
         decision = DecisionRecord(
             timestamp=self.timestamps[b + 1],
             timeframe=executed,
             forced=forced,
-            span_bars=span_end - b,
+            span_bars=self.cursor - b,
             log_return=reward,
         )
         self.decisions.append(decision)
-        self._last_rewards[executed] = span.reward
+        self._last_rewards[executed] = span_reward
         self._last_active = executed
         return StepResult(self._allocator_observation(), reward, self.done,
                           {"decision": decision})

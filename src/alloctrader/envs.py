@@ -8,13 +8,14 @@ up to the decision instant wherever that falls in a session, in training and
 in the hierarchy alike.
 
 `BaseBarEnv._span` is the one place that trades, marks and liquidates: it
-trades at the decision bar's close, marks each bar of the span that follows,
-and force-liquidates if the span ends its session. It never buys at a
-session's final bar, so positions never survive overnight. `TradingEnv` runs
-it over spans of one bar of its timeframe, `allocator.HierarchyEnv` over
-spans of the chosen agent's timeframe; both truncate a span at its session's
-final bar. Cash carries across sessions. `run_agent` is the greedy
-single-agent episode that backtests run.
+trades at the decision bar's close, marks each bar of the span that follows
+into the episode's `values` record (which equity curves read), and
+force-liquidates if the span ends its session. It never buys at a session's
+final bar, so positions never survive overnight. `TradingEnv` runs it over
+spans of one bar of its timeframe, `allocator.HierarchyEnv` over spans of the
+chosen agent's timeframe; both truncate a span at its session's final bar.
+Cash carries across sessions. `run_agent` is the greedy single-agent episode
+that backtests run.
 
 Rewards: a realized sale pays tanh(5 * (sell - avg_cost) / avg_cost); buys
 and holds pay 0. A step's reward therefore always lies in [-1, 1].
@@ -107,14 +108,6 @@ def agent_reward(sell_price: float, avg_buy_price: float) -> float:
     return float(np.tanh(REWARD_SCALE * (sell_price - avg_buy_price) / avg_buy_price))
 
 
-class SpanResult(NamedTuple):
-    """What one span did: the agent reward realized over it and the portfolio
-    value at every span bar. Its trades go to BaseBarEnv.trades."""
-
-    reward: float
-    values: list[float]
-
-
 def normalize_market_window(rows: np.ndarray) -> np.ndarray:
     """Observation columns of a (window, 5) block of a BaseBarEnv table, whose
     rows are already scaled (RSI / 100, MACD histogram / the bar's close,
@@ -194,8 +187,8 @@ class BaseBarEnv:
     observations read it: RSI / 100, MACD histogram / close, CCI / 200, %B,
     raw volume (see normalize_market_window). The account is `cash`,
     `shares`, `cost_basis` and the sale `fee`; `value` is its value at the
-    cursor's close. `_span` is the one place that trades, marks and
-    liquidates.
+    cursor's close, `values[i]` at bar i (0 where the episode has not been).
+    `_span` is the one place that trades, marks and liquidates.
     """
 
     def __init__(self, sessions: Sequence[Session], timeframes: Sequence[Timeframe]):
@@ -226,7 +219,7 @@ class BaseBarEnv:
         self.cursor = -1
         self.done = True
         self.cash = self.cost_basis = self.fee = self.value = 0.0
-        self.shares = 0
+        self.shares, self.values = 0, np.zeros(0)
         self.trades: list[TradeLogEntry] = []
 
     def _span_end(self, cursor: int, length: int) -> int:
@@ -240,6 +233,8 @@ class BaseBarEnv:
         self.done = False
         self.cash, self.shares, self.cost_basis, self.fee = cash, 0, 0.0, fee
         self.value = cash
+        self.values = np.zeros(self.n_bars)
+        self.values[cursor] = cash
         self.trades = []
         self._new_rows()
 
@@ -249,16 +244,17 @@ class BaseBarEnv:
         self._pf_rows = np.empty((self.n_bars, 3))
         self._pf_rows[:] = FLAT_ROW
 
-    def _span(self, action: Action | int, length: int) -> SpanResult:
+    def _span(self, action: Action | int, length: int) -> float:
         """Trade `action` at the cursor's close, then mark each bar of the
-        span (see _span_end) into the portfolio rows as (cash, stock,
-        unrealized) ratios, the last clamped to [-1, 1] as observations read
-        it (portfolio.features). A span never crosses a session close before
-        its end, so cash and shares are fixed over it and the marks are one
-        vector; one bar that sells nothing is marked on floats, with the same
-        bytes. If the span ends its session the position is sold there, and
-        that bar's row and value are the ones after the sale. A BUY at a
-        session's final bar acts as HOLD, since it would be held overnight.
+        span (see _span_end) into `values` and the portfolio rows, as (cash,
+        stock, unrealized) ratios, the last clamped to [-1, 1] as
+        observations read it (portfolio.features); return the agent reward
+        realized. A span never crosses a session close before its end, so
+        cash and shares are fixed over it and the marks are one vector; one
+        bar that sells nothing is marked on floats, with the same bytes. If
+        the span ends its session the position is sold there, and that bar's
+        row and value are the ones after the sale. A BUY at a session's final
+        bar acts as HOLD, since it would be held overnight.
         """
         action = Action(action)
         decision, end = self.cursor, self._span_end(self.cursor, length)
@@ -279,13 +275,12 @@ class BaseBarEnv:
                 self.trades.append(
                     TradeLogEntry(timestamps[decision], "sell", sale.shares, price, reward))
         span = slice(decision + 1, end + 1)
-        pf_rows = self._pf_rows
+        pf_rows, values = self._pf_rows, self.values
         sells = self.session_last[end] and self.shares > 0
         one_bar = end == decision + 1 and not sells
-        values, *ratios = mark(self.cash, self.shares, self.cost_basis,
-                               float(closes[end]) if one_bar else closes[span])
+        values[span], *ratios = mark(self.cash, self.shares, self.cost_basis,
+                                     float(closes[end]) if one_bar else closes[span])
         pf_rows[span, 0], pf_rows[span, 1], pf_rows[span, 2] = ratios
-        values = [values] if one_bar else values.tolist()
         if sells:
             end_price = float(closes[end])
             sale = self._sell_all(end_price)
@@ -293,13 +288,13 @@ class BaseBarEnv:
             reward += sale_reward
             self.trades.append(
                 TradeLogEntry(timestamps[end], "sell", sale.shares, end_price, sale_reward))
-            values[-1], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = mark(
+            values[end], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = mark(
                 self.cash, self.shares, self.cost_basis, end_price)
         features(pf_rows[span])
-        self.value = values[-1]
+        self.value = float(values[end])
         self.cursor = end
         self.done = end == self.n_bars - 1
-        return SpanResult(reward, values)
+        return reward
 
     def _sell_all(self, price: float) -> SaleRecord | None:
         """Sell the whole position at `price` (see portfolio.sell_all). A sale
@@ -372,7 +367,7 @@ class TradingEnv(BaseBarEnv):
         """Trade at the current bar close, advance one span, settle rewards."""
         if self.done:
             raise EnvError("step() called on a finished episode; call reset()")
-        reward = self._span(action, self.length).reward
+        reward = self._span(action, self.length)
         return StepResult(self._observation(), reward, self.done, {})
 
     def _observation(self) -> np.ndarray:
@@ -468,7 +463,6 @@ def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRu
     w1 = params.arrays["policy_w1"]
     portfolio_inputs = np.arange(env.observation_size) % FEATURES_PER_BAR >= MARKET_FEATURES
     policy = SplitGreedyPolicy(params, portfolio_inputs)
-    equity = [(env.timestamps[cursor], env.value)]
     fallbacks = 0
     # Span ends do not depend on actions, so every decision cursor is known
     # now. A run of cursors one timeframe bar apart shares a phase, and its
@@ -502,5 +496,6 @@ def run_agent(env: TradingEnv, params: PolicyParameters, cursor: int) -> AgentRu
                     action = greedy_action(params, env._observation())
                     fallbacks += 1
                 env._span(action, length)
-                equity.append((env.timestamps[env.cursor], env.value))
+    points = np.append(cursors, env.cursor)
+    equity = list(zip(map(env.timestamps.__getitem__, points), map(float, env.values[points])))
     return AgentRun(equity, fallbacks)

@@ -22,7 +22,8 @@ an AdamState that only training holds; checkpoints store the parameters alone.
 A rollout's observations go to a store that takes `store[t] = obs` and gives
 `store[rows]`: the environment's rollout store when it has one, which rebuilds
 each minibatch's observations from the environment (envs.TradingEnv), and
-otherwise a plain array that copies them.
+otherwise a plain array that copies them. Rollout steps run the policy net
+alone; the value net runs once the rollout ends, over the store.
 """
 
 from __future__ import annotations
@@ -209,35 +210,34 @@ def _net_backward(arrays: dict, prefix: str, cache, dout: np.ndarray) -> dict:
     return grads
 
 
+def _values(arrays: dict, observations: np.ndarray) -> list:
+    """The value net's output for each row of `observations`, each row its
+    own one-row product, so that each has the bytes of its row's value alone."""
+    return [_net_forward(arrays, "value_", x[None])[0][0, 0] for x in observations]
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def forward(params: PolicyParameters, observation: np.ndarray) -> tuple[np.ndarray, float]:
-    """Action probabilities and state value for a single observation."""
-    obs = np.atleast_2d(np.asarray(observation, dtype=np.float64))
-    logits, _ = _net_forward(params.arrays, "policy_", obs)
-    probs = np.exp(_log_softmax(logits))[0]
-    value, _ = _net_forward(params.arrays, "value_", obs)
-    return probs, float(value[0, 0])
-
-
 def sample_action(
     params: PolicyParameters, observation: np.ndarray, rng: np.random.Generator
-) -> tuple[int, float, float]:
-    """Draw an action from the policy; returns (action, log_prob, value).
+) -> tuple[int, float]:
+    """Draw an action from the policy; returns (action, log_prob).
 
     The draw is rng.choice(probs.size, p=probs) without its validation: the
     same action from the same one double, so the generator ends in the same
     state. Non-finite probabilities raise PpoError."""
-    probs, value = forward(params, observation)
+    obs = np.atleast_2d(np.asarray(observation, dtype=np.float64))
+    logits, _ = _net_forward(params.arrays, "policy_", obs)
+    probs = np.exp(_log_softmax(logits))[0]
     cdf = probs.cumsum()
     if not math.isfinite(cdf[-1]):
         raise PpoError(f"policy gave non-finite action probabilities {probs.tolist()}")
     cdf /= cdf[-1]
     action = int(cdf.searchsorted(rng.random(), "right"))
-    return action, float(np.log(probs[action])), value
+    return action, float(np.log(probs[action]))
 
 
 def greedy_action(params: PolicyParameters, observation: np.ndarray) -> int:
@@ -697,6 +697,8 @@ def train(
     step's cursor and rebuilds a minibatch's observations when the update
     asks), and otherwise to an (n_steps, input_dim) array that copies them.
     Both take `store[t] = obs`, and both give the update the same bytes.
+    The value net does not change during a rollout, so its values are taken
+    once the rollout ends, from the store, at most batch_size rows at a time.
     """
     rng = np.random.default_rng(seed)
     params = PolicyParameters.initialize(spec, rng)
@@ -722,7 +724,7 @@ def train(
     done_buf = np.empty(hp.n_steps, dtype=np.float64)
     for _ in range(n_updates):
         for t in range(hp.n_steps):
-            action, logp, value = sample_action(params, obs, rng)
+            action, logp = sample_action(params, obs, rng)
             obs_store[t] = obs
             try:
                 result = env.step(action)
@@ -730,7 +732,6 @@ def train(
                 raise PpoError(f"environment failed at timestep {steps_done}: {exc}") from exc
             act_buf[t] = action
             logp_buf[t] = logp
-            val_buf[t] = value
             rew_buf[t] = result.reward
             done_buf[t] = 1.0 if result.done else 0.0
             episode_return += result.reward
@@ -741,7 +742,9 @@ def train(
                 obs = np.asarray(env.reset(), dtype=np.float64)
             else:
                 obs = np.asarray(result.observation, dtype=np.float64)
-        _, bootstrap = forward(params, obs)
+        for rows in np.array_split(np.arange(hp.n_steps), -(-hp.n_steps // hp.batch_size)):
+            val_buf[rows] = _values(params.arrays, obs_store[rows])
+        bootstrap = _values(params.arrays, obs[None])[0]
         advantages, returns = gae(rew_buf, val_buf, done_buf, bootstrap, hp.gamma, hp.gae_lambda)
         # The buffers and the store go in uncopied: ppo_update only reads
         # them, and it returns before the next rollout records into them.

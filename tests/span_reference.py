@@ -5,18 +5,18 @@ floats, and clamps the unrealized ratio with np.maximum and np.minimum. This
 copy marks every span, one bar or many, as a float64 vector of closes and
 clamps with np.clip, as the environments did before. Tests step a subclass
 whose `_span` is `span` beside the environment itself and compare rows,
-values, trades and rewards byte for byte.
+value records, trades and rewards byte for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from alloctrader.envs import Action, SpanResult, agent_reward
+from alloctrader.envs import Action, agent_reward
 from alloctrader.portfolio import TradeLogEntry, buy_all, mark
 
 
-def span(env, action, length: int) -> SpanResult:
+def span(env, action, length: int) -> float:
     """`env._span(action, length)`, every bar marked from an array."""
     action = Action(action)
     decision, end = env.cursor, env._span_end(env.cursor, length)
@@ -38,9 +38,9 @@ def span(env, action, length: int) -> SpanResult:
                 TradeLogEntry(timestamps[decision], "sell", sale.shares, price, reward))
     bars = slice(decision + 1, end + 1)
     pf_rows = env._pf_rows
-    values, *ratios = mark(env.cash, env.shares, env.cost_basis, closes[bars])
+    values = env.values
+    values[bars], *ratios = mark(env.cash, env.shares, env.cost_basis, closes[bars])
     pf_rows[bars, 0], pf_rows[bars, 1], pf_rows[bars, 2] = ratios
-    values = values.tolist()
     if env.session_last[end] and env.shares > 0:
         end_price = float(closes[end])
         sale = env._sell_all(end_price)
@@ -48,11 +48,11 @@ def span(env, action, length: int) -> SpanResult:
         reward += sale_reward
         env.trades.append(
             TradeLogEntry(timestamps[end], "sell", sale.shares, end_price, sale_reward))
-        values[-1], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = mark(
+        values[end], pf_rows[end, 0], pf_rows[end, 1], pf_rows[end, 2] = mark(
             env.cash, env.shares, env.cost_basis, end_price)
     unrealized = pf_rows[bars, 2]
     np.clip(unrealized, -1.0, 1.0, out=unrealized)
-    env.value = values[-1]
+    env.value = float(values[end])
     env.cursor = end
     env.done = end == env.n_bars - 1
-    return SpanResult(reward, values)
+    return reward

@@ -38,7 +38,6 @@ from alloctrader.ppo import (
     NetworkSpec,
     PolicyParameters,
     PpoHyperparams,
-    forward,
     gae,
     ppo_loss_and_grads,
     train,
@@ -48,6 +47,7 @@ from conftest import small_synth_config
 from indicator_reference import oracle_macd_hist, oracle_rsi
 from portfolio_reference import PortfolioState, buy_all, mark, sell_all
 from toyenv import ToyTradingEnv, greedy_episode_reward, optimal_episode_reward
+from train_reference import forward
 
 UTC = timezone.utc
 

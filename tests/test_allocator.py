@@ -200,6 +200,12 @@ class TestStep:
         assert all(v == ALLOC.initial_cash for _, v in hold_env.equity)
         assert all(d.log_return == 0.0 for d in hold_env.decisions)
 
+    def test_equity_is_empty_before_the_first_reset(self, regime_result):
+        env = HierarchyEnv(regime_result.sessions, stub_registry(BUY), ALLOC)
+        assert env.equity == []
+        env.reset()
+        assert env.equity == [(env.timestamps[env._start_cursor], ALLOC.initial_cash)]
+
     def test_equity_covers_every_base_bar(self, buy_env):
         buy_env.reset()
         start = buy_env.cursor

@@ -372,8 +372,8 @@ class _ReferenceHierarchyEnv(HierarchyEnv):
 
 
 class TestSpanMarksOnFloats:
-    """A one-bar span that sells nothing is marked on floats; every row, value,
-    trade and reward keeps the bytes of marking it through arrays."""
+    """A one-bar span that sells nothing is marked on floats; every row, value
+    record, trade and reward keeps the bytes of marking it through arrays."""
 
     @pytest.mark.parametrize("timeframe", (Timeframe.ONE_MINUTE, Timeframe.TEN_MINUTE),
                              ids=lambda tf: tf.label)
@@ -388,8 +388,8 @@ class TestSpanMarksOnFloats:
             while not env.done:
                 spans.append(repr(env._span(_scripted_action(env), env.length)))
                 observations.append(env._observation().tobytes())
-            runs.append((spans, observations, env._pf_rows.tobytes(), repr(env.value),
-                         repr(env.trades)))
+            runs.append((spans, observations, env._pf_rows.tobytes(), env.values.tobytes(),
+                         repr(env.value), repr(env.trades)))
         assert runs[0] == runs[1]
         # The script reached what it aims at: a clamped ratio, sales at a
         # decision and at the close, and no buy at a session's final bar.
@@ -416,8 +416,8 @@ class TestSpanMarksOnFloats:
                 result = env.step(choice)
                 observations.append(result.observation.tobytes())
                 rewards.append(repr(result.reward))
-            runs.append((observations, rewards, env._pf_rows.tobytes(), repr(env.equity),
-                         repr(env.trades), repr(env.decisions)))
+            runs.append((observations, rewards, env._pf_rows.tobytes(), env.values.tobytes(),
+                         repr(env.equity), repr(env.trades), repr(env.decisions)))
         assert runs[0] == runs[1]
         spans = {d.span_bars for d in env.decisions}
         assert {1, 9, 10} <= spans

@@ -18,6 +18,10 @@ import pytest
 
 import alloctrader
 from alloctrader import ppo
+from alloctrader.allocator import AllocatorConfig, HierarchyEnv
+from alloctrader.allocator import observation_size as allocator_observation_size
+from alloctrader.envs import EnvConfig, TradingEnv
+from alloctrader.market_data import Timeframe
 from alloctrader.ppo import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -33,7 +37,6 @@ from alloctrader.ppo import (
     RolloutBatch,
     UpdateStats,
     _adam_step,
-    forward,
     gae,
     greedy_action,
     load_checkpoint,
@@ -44,7 +47,10 @@ from alloctrader.ppo import (
     save_checkpoint,
     train,
 )
+import train_reference
+from conftest import stub_registry
 from toyenv import ToyTradingEnv
+from train_reference import forward
 
 SPEC = NetworkSpec(input_dim=4, hidden=(5, 4), action_count=3)
 
@@ -123,18 +129,21 @@ class TestForward:
 
     def test_draws_are_rng_choice_draws(self, monkeypatch):
         # Probabilities from logits near-tied, spread and so far apart that
-        # some underflow to 0; forward is replaced so that the observation is
-        # the probability vector itself.
+        # some underflow to 0; the net is replaced so that the observation is
+        # the logits themselves.
         src = np.random.default_rng(4)
         scales = src.choice([1e-3, 1.0, 10.0, 800.0], size=(100_000, 1))
-        probs = np.exp(ppo._log_softmax(src.normal(size=(100_000, 3)) * scales))
-        assert (probs == 0.0).any()
-        monkeypatch.setattr(ppo, "forward", lambda params, p: (p, 0.0))
-        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
-        for p in probs:
-            action, logp, _ = sample_action(None, p, ours)
+        logits = src.normal(size=(100_000, 3)) * scales
+        monkeypatch.setattr(ppo, "_net_forward", lambda arrays, prefix, x: (x, None))
+        params, ours, theirs = _params(), np.random.default_rng(5), np.random.default_rng(5)
+        underflows = 0
+        for row in logits:
+            p = np.exp(ppo._log_softmax(row[None]))[0]
+            underflows += (p == 0.0).any()
+            action, logp = sample_action(params, row, ours)
             assert action == theirs.choice(3, p=p)
             assert logp == float(np.log(p[action]))
+        assert underflows
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_non_finite_probabilities_are_ppo_error(self):
@@ -839,6 +848,48 @@ class TestTrain:
         digests = {hashlib.sha256((tmp_path / f"{t}.ckpt").read_bytes()).hexdigest()
                    for t in procs}
         assert len(digests) == 1
+
+
+def _oracle_case(name, sessions):
+    """make_env, spec and hyperparameters of a TestTrainEqualsStepLoop case.
+    n_steps is not a multiple of batch_size, so the value pass ends on a
+    short block."""
+    hp = PpoHyperparams(total_timesteps=600, learning_rate=1e-3, n_steps=200,
+                        batch_size=64, n_epochs=2, entropy_coef=0.01)
+    if name == "toy":
+        return ToyTradingEnv, NetworkSpec(11, (8, 8)), TestTrain.HP_TOY
+    if name == "hierarchy":
+        config = AllocatorConfig(market_window=20, vol_window=10)
+        registry = stub_registry(0, window_sizes=(4, 3, 2), hidden=(4, 4))
+        return (lambda: HierarchyEnv(sessions, registry, config),
+                NetworkSpec(allocator_observation_size(config), (8, 8)), hp)
+    config = EnvConfig(Timeframe.from_label(name), window_size=5)
+    return lambda: TradingEnv(sessions, config), NetworkSpec(5 * 8, (8, 8)), hp
+
+
+class TestTrainEqualsStepLoop:
+    """train takes a rollout's values in one pass after it ends; the step loop
+    that ran the critic inside each step (train_reference) trains to the same
+    checkpoint and curve bytes."""
+
+    @pytest.mark.parametrize("name", ["1m", "1h", "hierarchy", "toy"])
+    def test_checkpoint_and_curve_bytes(self, name, regime_result, tmp_path):
+        make_env, spec, hp = _oracle_case(name, regime_result.sessions)
+        env = make_env()
+        if isinstance(env, TradingEnv):
+            # A 1m rollout stays inside one episode; a 1h one spans several,
+            # so the rollout store gathers value blocks across episodes.
+            episode_steps = (env.n_bars - 1 - env.min_cursor) // env.length
+            assert (episode_steps > hp.total_timesteps) == (name == "1m")
+            assert name == "1m" or hp.n_steps > 2 * episode_steps
+        runs = []
+        for trainer in (train, train_reference.train):
+            params, curve = trainer(make_env, spec, hp, seed=5)
+            save_checkpoint(str(tmp_path / "a.ckpt"), params, hp, 5)
+            curve.to_csv(str(tmp_path / "curve.csv"))
+            runs.append(((tmp_path / "a.ckpt").read_bytes(),
+                         (tmp_path / "curve.csv").read_bytes()))
+        assert runs[0] == runs[1]
 
 
 def _rewrite_header(path, mutate):

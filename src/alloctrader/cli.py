@@ -12,7 +12,6 @@ import argparse
 import ctypes
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from datetime import date
@@ -204,20 +203,12 @@ def _require_kind(path, ckpt: Checkpoint, kind: str) -> None:
         )
 
 
-def _load_policy(path: Path) -> Checkpoint:
-    """The checkpoint at `path`, read and validated whole, with only the
-    policy net's arrays kept: inference never reads the value net."""
-    ckpt = load_checkpoint(str(path))
-    ckpt.params.arrays = {k: v for k, v in ckpt.params.arrays.items() if k.startswith("policy_")}
-    return ckpt
-
-
 def _load_agent(cfg: RunConfig, paths: _Paths, tf: Timeframe) -> RegisteredAgent:
     """The `tf` agent of this seed; its checkpoint must have been trained at `tf`."""
     path = paths.agent_checkpoint(tf, cfg.seed)
     if not path.exists():
         raise CheckpointError(f"missing checkpoint: {tf.label} (expected {path})")
-    ckpt = _load_policy(path)
+    ckpt = load_checkpoint(str(path))
     _require_kind(path, ckpt, "agent")
     trained = _extra(path, ckpt, "timeframe", Timeframe.from_label)
     if trained is not tf:
@@ -303,7 +294,7 @@ def _backtest_hierarchy(cfg: RunConfig, paths: _Paths, sessions, test_start: dat
     if not alloc_path.exists():
         raise CheckpointError(f"missing checkpoint: allocator (expected {alloc_path})")
     registry = _load_registry(cfg, paths)
-    ckpt = _load_policy(alloc_path)
+    ckpt = load_checkpoint(str(alloc_path))
     _require_kind(alloc_path, ckpt, "allocator")
     alloc_config = AllocatorConfig(
         market_window=_extra(alloc_path, ckpt, "market_window", int),
@@ -313,7 +304,9 @@ def _backtest_hierarchy(cfg: RunConfig, paths: _Paths, sessions, test_start: dat
     )
     env = run_hierarchy(sessions, registry, ckpt.params, alloc_config, start_day=test_start)
     curve = EquityCurve.from_pairs(env.equity)
-    write_decision_log(env.decisions, str(paths.reports / "hierarchy_allocations.csv"))
+    log_path = paths.reports / "hierarchy_allocations.csv"
+    write_decision_log(env.decisions, str(log_path))
+    write_json(log_path.with_suffix(".json"), {"seed": cfg.seed})
     _write_backtest(cfg, paths, "hierarchy", curve, env.trades,
                     annualization_factor(curve.timestamps))
 
@@ -336,10 +329,17 @@ def cmd_backtest(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg, paths = _load_run(args)
-    log_path = args.log or str(paths.reports / "hierarchy_allocations.csv")
-    if not os.path.exists(log_path):
+    log_path = Path(args.log or paths.reports / "hierarchy_allocations.csv")
+    if not log_path.exists():
         raise AllocatorError(f"allocation log not found: {log_path} (run backtest hierarchy first)")
-    decisions = read_decision_log(log_path)
+    seed_path = log_path.with_suffix(".json")
+    if not seed_path.exists():
+        raise AllocatorError(f"allocation log {log_path} has no seed file {seed_path}")
+    seed = _read_object(seed_path, "allocation log seed").get("seed")
+    if type(seed) is not int or seed != cfg.seed:
+        raise AllocatorError(f"{seed_path}: allocation log of seed {seed!r:.40}, "
+                             f"not the run's seed {cfg.seed}")
+    decisions = read_decision_log(str(log_path))
     if not decisions:
         raise AllocatorError(f"allocation log {log_path} has no decisions")
     sessions = _materialize_sessions(cfg)

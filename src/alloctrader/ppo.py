@@ -17,8 +17,8 @@ and the gradient norm sums squares through one ADAM_CHUNK scratch per half, so
 neither allocates anything the size of the model. Each minibatch hands work to
 a worker thread twice: the policy net's forward, backward and squared-gradient
 sums run there while the value net's run on the caller's, and then the two
-halves of the Adam step, with bit-identical results. Adam's state lives in
-an AdamState that only training holds; checkpoints store the parameters alone.
+halves of the Adam step, with bit-identical results. Checkpoints store the
+policy net alone: the value net and Adam's AdamState live only in training.
 A rollout's observations go to a store that takes `store[t] = obs` and gives
 `store[rows]`: the environment's rollout store when it has one, which rebuilds
 each minibatch's observations from the environment (envs.TradingEnv), and
@@ -53,10 +53,11 @@ ADAM_EPS = 1e-8
 ADAM_CHUNK = 32768
 
 CHECKPOINT_MAGIC = b"ATCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _LAYER_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3")
-ARRAY_ORDER = tuple(f"policy_{k}" for k in _LAYER_KEYS) + tuple(f"value_{k}" for k in _LAYER_KEYS)
+POLICY_ARRAYS = tuple(f"policy_{k}" for k in _LAYER_KEYS)
+ARRAY_ORDER = POLICY_ARRAYS + tuple(f"value_{k}" for k in _LAYER_KEYS)
 
 
 class PpoError(AlloctraderError, RuntimeError):
@@ -792,18 +793,18 @@ def save_checkpoint(
     seed: int,
     extra: dict | None = None,
 ) -> None:
-    """Serialize parameters and metadata to a binary file.
+    """Serialize the policy net and metadata to a binary file.
 
     Layout: magic, format version, JSON header length, JSON header (sorted
-    keys), then the ARRAY_ORDER arrays as little-endian float64 in header
-    order. The file holds no optimizer state: it serves inference and cannot
+    keys), then the POLICY_ARRAYS as little-endian float64 in header order.
+    With no value net and no optimizer state, it serves inference and cannot
     resume training. Saving and loading round-trips every value bit for bit.
     The file is written under a temporary name in the same directory and
     moved into place, so an interrupted save leaves any earlier file at
     `path` untouched.
     """
     header = {
-        "arrays": [{"name": key, "shape": list(params.arrays[key].shape)} for key in ARRAY_ORDER],
+        "arrays": [{"name": key, "shape": list(params.arrays[key].shape)} for key in POLICY_ARRAYS],
         "extra": extra or {},
         "hyperparams": asdict(hyperparams),
         "network": {
@@ -819,7 +820,7 @@ def save_checkpoint(
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for key in ARRAY_ORDER:
+        for key in POLICY_ARRAYS:
             fh.write(np.ascontiguousarray(params.arrays[key], dtype="<f8"))
 
 
@@ -872,13 +873,12 @@ def _header_hyperparams(path: str, header: dict) -> PpoHyperparams:
 
 
 def _expected_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
-    """Shape of every array of a network of `spec`, in ARRAY_ORDER."""
+    """Shape of every policy array of a network of `spec`, in POLICY_ARRAYS order."""
+    dims = (spec.input_dim, *spec.hidden, spec.action_count)
     shapes = {}
-    for prefix, out_dim in (("policy_", spec.action_count), ("value_", 1)):
-        dims = (spec.input_dim, *spec.hidden, out_dim)
-        for layer in range(3):
-            shapes[f"{prefix}w{layer + 1}"] = (dims[layer], dims[layer + 1])
-            shapes[f"{prefix}b{layer + 1}"] = (dims[layer + 1],)
+    for layer in range(3):
+        shapes[f"policy_w{layer + 1}"] = (dims[layer], dims[layer + 1])
+        shapes[f"policy_b{layer + 1}"] = (dims[layer + 1],)
     return shapes
 
 
@@ -944,7 +944,5 @@ def _read_checkpoint(path: str, fh) -> Checkpoint:
     missing = [name for name in expected if name not in loaded]
     if missing:
         raise CheckpointError(f"{path}: missing arrays {missing}")
-    params = PolicyParameters(
-        spec=spec, arrays={key: loaded[key] for key in ARRAY_ORDER}, update_count=update_count
-    )
+    params = PolicyParameters(spec, {key: loaded[key] for key in expected}, update_count)
     return Checkpoint(params=params, hyperparams=hp, seed=seed, extra=extra)

@@ -42,7 +42,7 @@ from alloctrader.allocator import (
 from alloctrader.envs import EnvConfig
 from alloctrader.evaluation import EquityCurve, compute_metrics, write_metrics
 from alloctrader.ppo import (
-    ARRAY_ORDER, NetworkSpec, PolicyParameters, PpoHyperparams, load_checkpoint,
+    ARRAY_ORDER, POLICY_ARRAYS, NetworkSpec, PolicyParameters, PpoHyperparams, load_checkpoint,
     save_checkpoint,
 )
 from conftest import mutate
@@ -396,6 +396,8 @@ class TestPipeline:
         _, out = pipeline
         records = read_decision_log(str(out / "reports" / "hierarchy_allocations.csv"))
         assert records
+        seed = json.loads((out / "reports" / "hierarchy_allocations.json").read_text())
+        assert seed == {"seed": 0}
         # One forced 1-minute decision opens each of the 5 test sessions.
         forced = [r for r in records if r.forced]
         assert len(forced) == 5
@@ -435,6 +437,7 @@ class TestPipeline:
         chosen = {s.day.month: TIMEFRAME_ORDER[s.day.month % 3] for s in sessions}
         write_decision_log([DecisionRecord(s.timestamps[0], chosen[s.day.month], False, 1, 0.0)
                             for s in sessions], str(tmp_path / "log.csv"))
+        (tmp_path / "log.json").write_text(json.dumps({"seed": cfg.seed}))
         argv = ["analyze", "--granularity", "monthly", "--log", str(tmp_path / "log.csv"),
                 "--config", str(cfg_path), "--out", str(tmp_path / "out")]
         assert main(argv) == 0
@@ -459,7 +462,8 @@ class TestPipeline:
 class TestInferenceKeepsThePolicyNet:
     def test_loaded_agents_and_allocator_hold_only_policy_arrays(self, pipeline, tmp_path,
                                                                  monkeypatch):
-        # Inference reads no value array, so the CLI lets them go on load.
+        # Checkpoints hold the policy net alone, so no loaded net holds a
+        # value array.
         cfg_path, out = pipeline
         shutil.copytree(out / "checkpoints", tmp_path / "checkpoints")
         base = ["--config", str(cfg_path), "--out", str(tmp_path)]
@@ -482,10 +486,9 @@ class TestInferenceKeepsThePolicyNet:
         paths = cli._Paths(str(tmp_path))
         agents = [cli._load_agent(load_config(str(cfg_path)), paths, tf) for tf in TIMEFRAME_ORDER]
         agents += [agent for registry in registries for _, agent in registry.items()]
-        policy = [name for name in ARRAY_ORDER if name.startswith("policy_")]
-        assert len(agents) == 9 and len(policy) == 6
+        assert len(agents) == 9
         for params in [agent.params for agent in agents] + allocators:
-            assert list(params.arrays) == policy
+            assert list(params.arrays) == list(POLICY_ARRAYS)
 
 
 class TestPipelineGuards:
@@ -567,6 +570,38 @@ class TestPipelineGuards:
             assert err.endswith(f"metrics not of the run's seed 2: quartiles_daily.txt ({tag})\n")
             assert (copy / "reports" / "summary.txt").read_bytes() == summary
             (copy / "reports" / "quartiles_daily.json").unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("seed_file, match", [
+        ("pipeline", "{json}: allocation log of seed 0, not the run's seed 2"),
+        (None, "allocation log {csv} has no seed file {json}"),
+        ("{}", "{json}: allocation log of seed None, not the run's seed 2"),
+        ('{"seed": "2"}', "{json}: allocation log of seed '2', not the run's seed 2"),
+        ('{"seed": true}', "{json}: allocation log of seed True, not the run's seed 2"),
+        ("[2]", "{json}: corrupt allocation log seed file (not a JSON object)"),
+    ], ids=["seed-0", "missing", "no-seed", "string-seed", "bool-seed", "array"])
+    def test_analyze_refuses_logs_of_other_seeds(self, pipeline, tmp_path, capsys, seed_file,
+                                                 match):
+        # The pipeline's seed-0 decision log, analyzed as seed 2: as the
+        # pipeline left it, and with its seed file gone, seedless or corrupt.
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        reports = copy / "reports"
+        for path in reports.glob("quartiles_*"):
+            path.unlink()
+        log = reports / "hierarchy_allocations.csv"
+        seed_path = log.with_suffix(".json")
+        if seed_file is None:
+            seed_path.unlink()
+        elif seed_file != "pipeline":
+            seed_path.write_text(seed_file)
+        capsys.readouterr()
+        args = ["analyze", "--config", str(cfg_path), "--out", str(copy), "--seed", "2"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert match.format(csv=log, json=seed_path) in err
+        assert not list(reports.glob("quartiles_*"))
 
     def test_report_without_metrics_fails(self, tmp_path, capsys):
         out = tmp_path / "fresh"
@@ -831,7 +866,7 @@ class TestPipelineGuards:
          "insufficient warmup before test start 2024-01-02: bar 0"),
         ({}, {"out/checkpoints/allocator_seed0.ckpt": None}, ["backtest", "hierarchy"],
          "missing checkpoint: allocator"),
-        ({}, {"log.csv": ",".join(_DECISION_LOG_FIELDS) + "\n"},
+        ({}, {"log.csv": ",".join(_DECISION_LOG_FIELDS) + "\n", "log.json": '{"seed": 0}'},
          ["analyze", "--log", "{tmp}/log.csv"], "log.csv has no decisions"),
         ({}, {"out/reports/zz_metrics.json": "[]"}, ["report"],
          "zz_metrics.json: corrupt metrics file (not a JSON object)"),
@@ -988,6 +1023,24 @@ class TestCheckpointFuzz:
                 assert codes[-1] == 1
                 assert err.startswith("error: ") and err.count("\n") == 1, err
         assert set(codes) == {0, 1}
+
+    @pytest.mark.parametrize("version, match", [
+        (2, "unsupported checkpoint version 2 (this build reads 3)"),
+        (3, "unknown array 'value_w1'"),
+    ], ids=["format-2", "format-3-with-value-net"])
+    def test_value_net_is_single_error_line(self, tmp_path, capsys, version, match):
+        # A format-2 file held the value net's six arrays after the policy's.
+        argv, ckpt = _small_agent_checkpoint(tmp_path)
+        params = PolicyParameters.initialize(NetworkSpec(16, (8, 8), 3), np.random.default_rng(0))
+        value = [name for name in ARRAY_ORDER if name not in POLICY_ARRAYS]
+        _rewrite_header(ckpt, lambda header: header["arrays"].extend(
+            {"name": name, "shape": list(params.arrays[name].shape)} for name in value))
+        blob = ckpt.read_bytes() + b"".join(params.arrays[name].tobytes() for name in value)
+        ckpt.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"agent_1h_seed0.ckpt: {match}" in err
 
     @pytest.mark.parametrize("key, value", [
         ("entropy_coef", math.nan), ("value_coef", math.nan), ("learning_rate", math.inf),

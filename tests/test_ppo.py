@@ -31,6 +31,7 @@ from alloctrader.ppo import (
     CheckpointError,
     NetworkSpec,
     NonFiniteLossError,
+    POLICY_ARRAYS,
     PolicyParameters,
     PpoError,
     PpoHyperparams,
@@ -496,8 +497,9 @@ def _square_sum_cases():
     cfg = default_config()
     specs = {tf.label: s.network for tf, s in cfg.agents.items()}
     specs["allocator"] = cfg.allocator.network
-    shapes = {f"{who}-{key}": shape for who, spec in specs.items()
-              for key, shape in ppo._expected_shapes(spec).items()}
+    # Both nets' arrays: the value net's gradients are summed too.
+    shapes = {f"{who}-{key}": array.shape for who, spec in specs.items()
+              for key, array in _params(spec=spec).arrays.items()}
     for n in (ppo.ADAM_CHUNK - 1, ppo.ADAM_CHUNK, ppo.ADAM_CHUNK + 1, 8003,
               8 * ppo.ADAM_CHUNK + 3, 10**6 + 7):
         shapes[f"length-{n}"] = (n,)
@@ -870,7 +872,8 @@ def _oracle_case(name, sessions):
 class TestTrainEqualsStepLoop:
     """train takes a rollout's values in one pass after it ends; the step loop
     that ran the critic inside each step (train_reference) trains to the same
-    checkpoint and curve bytes."""
+    checkpoint and curve bytes, and to the same bytes of every array of both
+    nets in memory: the checkpoint holds the policy net alone."""
 
     @pytest.mark.parametrize("name", ["1m", "1h", "hierarchy", "toy"])
     def test_checkpoint_and_curve_bytes(self, name, regime_result, tmp_path):
@@ -888,7 +891,8 @@ class TestTrainEqualsStepLoop:
             save_checkpoint(str(tmp_path / "a.ckpt"), params, hp, 5)
             curve.to_csv(str(tmp_path / "curve.csv"))
             runs.append(((tmp_path / "a.ckpt").read_bytes(),
-                         (tmp_path / "curve.csv").read_bytes()))
+                         (tmp_path / "curve.csv").read_bytes(),
+                         [params.arrays[k].tobytes() for k in ARRAY_ORDER]))
         assert runs[0] == runs[1]
 
 
@@ -974,8 +978,8 @@ class TestCheckpoint:
         assert ckpt.hyperparams == hp
         assert ckpt.params.spec == params.spec
         assert ckpt.params.update_count == params.update_count
-        assert list(ckpt.params.arrays) == list(ARRAY_ORDER)
-        for k in ARRAY_ORDER:
+        assert list(ckpt.params.arrays) == list(POLICY_ARRAYS)
+        for k in POLICY_ARRAYS:
             assert ckpt.params.arrays[k].tobytes() == params.arrays[k].tobytes()
 
     def test_reloaded_policy_acts_identically(self, tmp_path):
@@ -1043,9 +1047,9 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), params, hp, seed=4)
         _rewrite_header(path, lambda h: _set(h, ("arrays",), h["arrays"][:-1]))
-        # The dropped entry's 8 bytes (value_b3) would now trail.
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(CheckpointError, match=r"missing arrays \['value_b3'\]"):
+        # The dropped entry's 24 bytes (policy_b3) would now trail.
+        path.write_bytes(path.read_bytes()[:-24])
+        with pytest.raises(CheckpointError, match=r"missing arrays \['policy_b3'\]"):
             load_checkpoint(str(path))
 
     def test_failed_save_leaves_old_file(self, tmp_path):
@@ -1055,8 +1059,8 @@ class TestCheckpoint:
         before = path.read_bytes()
         broken = _copy(params)
         # The last array written cannot be converted to float64, so the save
-        # fails after the header and 11 arrays have been written.
-        broken.arrays["value_b3"] = np.array(["not a number"])
+        # fails after the header and 5 arrays have been written.
+        broken.arrays["policy_b3"] = np.array(["not a number"])
         with pytest.raises(ValueError):
             save_checkpoint(str(path), broken, hp, seed=5)
         assert path.read_bytes() == before
@@ -1068,8 +1072,8 @@ class TestCheckpoint:
         hp = PpoHyperparams(total_timesteps=128, learning_rate=1e-3, n_steps=64, batch_size=32)
         path = tmp_path / "model.ckpt"
         save_checkpoint(str(path), params, hp, seed=6)
-        param_bytes = sum(a.nbytes for a in params.arrays.values())
-        assert param_bytes == 8_929_312
+        param_bytes = sum(params.arrays[k].nbytes for k in POLICY_ARRAYS)
+        assert param_bytes == 4_466_712
         header_len = struct.unpack_from("<I", path.read_bytes(), 8)[0]
         assert path.stat().st_size == 12 + header_len + param_bytes
         tracemalloc.start()
@@ -1079,5 +1083,6 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * param_bytes
-        for k in ARRAY_ORDER:
+        assert list(ckpt.params.arrays) == list(POLICY_ARRAYS)
+        for k in POLICY_ARRAYS:
             assert ckpt.params.arrays[k].tobytes() == params.arrays[k].tobytes()

@@ -434,13 +434,14 @@ def _agent_params(window, hidden, seed):
 
 
 def _step_loop(env, params, cursor):
-    """The plain greedy episode: env.step(greedy_action(obs)) to the end."""
-    obs = env.reset(cursor)
+    """The plain greedy episode: env.step(greedy_action(obs)) to the end.
+    Returns its equity, its trades and the observation at each decision."""
+    observations = [env.reset(cursor)]
     equity = [(env.timestamps[env.cursor], env.value)]
     while not env.done:
-        obs = env.step(greedy_action(params, obs)).observation
+        observations.append(env.step(greedy_action(params, observations[-1])).observation)
         equity.append((env.timestamps[env.cursor], env.value))
-    return equity, list(env.trades)
+    return equity, list(env.trades), observations[:-1]
 
 
 def _aligned_cursor(env):
@@ -450,13 +451,12 @@ def _aligned_cursor(env):
     return next(int(i) + env.length - 1 for i in opens if i + env.length - 1 >= env.min_cursor)
 
 
-def _phase_runs(env, cursor):
-    """The episode's decision cursors from `cursor`, split into runs one
-    timeframe bar apart."""
+def _decision_cursors(env, cursor):
+    """The episode's decision cursors from `cursor`."""
     cursors = [cursor]
     while (end := env._span_end(cursors[-1], env.length)) < env.n_bars - 1:
         cursors.append(end)
-    return np.split(np.array(cursors), np.flatnonzero(np.diff(cursors) != env.length) + 1)
+    return np.array(cursors)
 
 
 def _forced_sale_bar(env, trades, after):
@@ -469,7 +469,9 @@ def _forced_sale_bar(env, trades, after):
 
 class TestRunAgent:
     # `block` "close" starts a block at the decision on the first forced
-    # session-close sale's bar, "after-close" at the decision after it.
+    # session-close sale's bar, "after-close" at the decision after it. At
+    # `block` 1 no step has late portfolio rows. Each step's split input must
+    # be its observation: `xb` its last late inputs, `z` the rest times w1.
     @pytest.mark.parametrize(
         "timeframe, window, hidden, fee, seed, block",
         [
@@ -485,6 +487,7 @@ class TestRunAgent:
             (Timeframe.ONE_MINUTE, 4, (16, 16), 0.01, 7, "after-close"),
             (Timeframe.TEN_MINUTE, 3, (16, 16), 0.01, 8, 2),
             (Timeframe.ONE_HOUR, 2, (16, 16), 0.0, 12, 5),
+            (Timeframe.ONE_MINUTE, 4, (16, 16), 0.01, 9, 1),
         ],
     )
     def test_matches_greedy_step_loop(self, short_sessions, regime_sessions, monkeypatch,
@@ -495,31 +498,51 @@ class TestRunAgent:
             assert w1.flags.f_contiguous and not w1.flags.c_contiguous
         sessions = regime_sessions if timeframe is Timeframe.ONE_HOUR else short_sessions
         probe = _env(sessions, timeframe, window, fee=fee)
+        action, cut_inside_block = SplitGreedyPolicy.action, False
+        w1, portfolio = params.arrays["policy_w1"], np.flatnonzero(np.arange(window * 8) % 8 >= 5)
         for cursor in (probe.min_cursor, probe.min_cursor + 13, _aligned_cursor(probe)):
             loop_env = _env(sessions, timeframe, window, fee=fee)
-            equity, trades = _step_loop(loop_env, params, cursor)
+            equity, trades, observations = _step_loop(loop_env, params, cursor)
             assert trades, "the agent should trade"
             size = block
             if isinstance(block, str):
-                # A one-minute episode is one run, so blocks start at cursor + k * size.
+                # One-minute decisions are one bar apart, so blocks start at
+                # cursor + k * size.
                 size = _forced_sale_bar(loop_env, trades, cursor) - cursor
                 size += block == "after-close"
-            if timeframe is not Timeframe.ONE_MINUTE:
-                runs = _phase_runs(probe, cursor)
-                assert max(r.size for r in runs) > size, "a block should end inside a run"
+            # A span cut at a session close puts two decisions of one block
+            # less than a timeframe bar apart, and their phases differ.
+            cut = np.flatnonzero(np.diff(_decision_cursors(probe, cursor)) < probe.length)
+            cut_inside_block |= bool(((cut + 1) % size).any())
+            split = []
+
+            def recorded(policy, z, norm, xb):
+                split.append((z, xb.copy()))
+                return action(policy, z, norm, xb)
+
             monkeypatch.setattr(envs, "AGENT_BLOCK", size)
+            monkeypatch.setattr(SplitGreedyPolicy, "action", recorded)
             env = _env(sessions, timeframe, window, fee=fee)
             run = run_agent(env, params, cursor)
             assert run.equity == equity
             assert env.trades == trades
             assert env.done and env.cursor == env.n_bars - 1
+            for (z, xb), obs in zip(split, observations, strict=True):
+                late = portfolio[portfolio.size - xb.size:]
+                assert obs[late].tobytes() == xb.tobytes()
+                known = obs.copy()
+                known[late] = 0.0
+                np.testing.assert_allclose(z, known @ w1, rtol=0.0, atol=1e-12)
+            assert any(xb.size for _, xb in split) == (size != 1)
+        if timeframe is not Timeframe.ONE_MINUTE:
+            assert cut_inside_block, "a block should hold a span cut at a session close"
 
     def test_zero_policy_head_falls_back_on_every_step(self, short_sessions):
         # All logits tie at 0, so no bound can rule out a different argmax.
         params = _agent_params(5, (16, 16), 0)
         params.arrays["policy_w3"][:] = 0.0
         loop_env = _env(short_sessions, window=5)
-        equity, trades = _step_loop(loop_env, params, loop_env.min_cursor)
+        equity, trades, _ = _step_loop(loop_env, params, loop_env.min_cursor)
         env = _env(short_sessions, window=5)
         run = run_agent(env, params, env.min_cursor)
         assert run.fallbacks == len(run.equity) - 1 > 0

@@ -1,9 +1,10 @@
 """Atomic file output: a file is either the old one or the complete new one.
 
-Every CSV the package writes has one dialect: a header row, comma-separated
-fields, CRLF line ends, floats as `repr` and timestamps as ISO-8601. None of
-its fields holds a comma, a quote or a line break, so no field is quoted and
-the bytes match the `csv` module's default dialect.
+Every CSV written through `write_csv` has one dialect: a header row,
+comma-separated fields, CRLF line ends, floats as `repr` and timestamps as
+ISO-8601. None of its fields holds a comma, a quote or a line break, so no
+field is quoted and the bytes match the `csv` module's default dialect. The
+calendar and `synthetic_regimes.csv` are written outside it, with LF ends.
 """
 
 from __future__ import annotations

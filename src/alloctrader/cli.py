@@ -54,7 +54,7 @@ from .market_data import (
     synthesize,
     write_sessions_csv,
 )
-from .portfolio import TradeLogEntry, write_trade_log
+from .portfolio import TradeLogEntry, buy_all, write_trade_log
 from .ppo import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint, train
 
 STRATEGIES = ("hierarchy", "agent:1m", "agent:10m", "agent:1h", "buyhold")
@@ -125,26 +125,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_ingest(args) -> int:
-    cfg, paths = _load_run(args)
-    csv_path = args.csv or cfg.csv_path
-    calendar_path = args.calendar or cfg.calendar_path
-    if not csv_path or not calendar_path:
-        raise ConfigError(
-            "ingest needs data.csv_path and data.calendar_path (or --csv/--calendar)"
-        )
-    calendar = TradingCalendar.from_file(calendar_path)
-    result = ingest_csv(csv_path, calendar)
-    out_path = paths.data / "sessions.csv"
-    write_sessions_csv(result.sessions, str(out_path))
-    total = sum(len(s) for s in result.sessions)
-    print(
-        f"ingested {len(result.sessions)} sessions ({total} bars), "
-        f"dropped {result.dropped_rows} out-of-session rows -> {out_path}"
-    )
-    return 0
-
-
 def _train(cfg: RunConfig, paths: _Paths, ckpt_path: Path, title: str, settings, make_env,
            extra: dict) -> int:
     """Train the policy `settings` describes (an AgentSettings or an
@@ -192,15 +172,17 @@ def _extra(path, ckpt: Checkpoint, key: str, convert: Callable):
         ) from exc
 
 
-def _require_kind(path, ckpt: Checkpoint, kind: str) -> None:
-    """CheckpointError unless the checkpoint was saved as a `kind` ("agent" or
-    "allocator"), naming the file and the key."""
+def _require_origin(path, ckpt: Checkpoint, kind: str, seed: int) -> None:
+    """CheckpointError naming the file unless the checkpoint was saved as a
+    `kind` ("agent" or "allocator") trained at the run's `seed`."""
     if "kind" not in ckpt.extra:
         raise CheckpointError(f"{path}: checkpoint extra has no 'kind'")
     if ckpt.extra["kind"] != kind:
         raise CheckpointError(
             f"{path}: checkpoint extra 'kind' is {ckpt.extra['kind']!r:.40}, expected {kind!r}"
         )
+    if ckpt.seed != seed:
+        raise CheckpointError(f"{path}: checkpoint of seed {ckpt.seed}, not the run's seed {seed}")
 
 
 def _load_agent(cfg: RunConfig, paths: _Paths, tf: Timeframe) -> RegisteredAgent:
@@ -209,18 +191,21 @@ def _load_agent(cfg: RunConfig, paths: _Paths, tf: Timeframe) -> RegisteredAgent
     if not path.exists():
         raise CheckpointError(f"missing checkpoint: {tf.label} (expected {path})")
     ckpt = load_checkpoint(str(path))
-    _require_kind(path, ckpt, "agent")
+    _require_origin(path, ckpt, "agent", cfg.seed)
     trained = _extra(path, ckpt, "timeframe", Timeframe.from_label)
     if trained is not tf:
         raise CheckpointError(
             f"{path}: checkpoint is a {trained.label} agent, expected {tf.label}"
         )
-    env_config = EnvConfig(
-        timeframe=tf,
-        window_size=_extra(path, ckpt, "window_size", int),
-        initial_cash=_extra(path, ckpt, "initial_cash", float),
-        fee_per_sell_share=cfg.fee_per_sell_share,
-    )
+    try:
+        env_config = EnvConfig(
+            timeframe=tf,
+            window_size=_extra(path, ckpt, "window_size", int),
+            initial_cash=_extra(path, ckpt, "initial_cash", float),
+            fee_per_sell_share=cfg.fee_per_sell_share,
+        )
+    except EnvError as exc:
+        raise CheckpointError(f"{path}: checkpoint extras out of range: {exc}") from exc
     return RegisteredAgent(params=ckpt.params, config=env_config)
 
 
@@ -265,7 +250,7 @@ def _write_backtest(
 def _backtest_buyhold(cfg: RunConfig, paths: _Paths, test_sessions) -> None:
     curve = buy_and_hold(test_sessions, cfg.allocator.initial_cash)
     first_ts, first_close = test_sessions[0].timestamps[0], float(test_sessions[0].close[0])
-    shares = int(cfg.allocator.initial_cash // first_close)
+    _, shares = buy_all(cfg.allocator.initial_cash, first_close)
     trades = [TradeLogEntry(first_ts, "buy", shares, first_close, 0.0)] if shares else []
     _write_backtest(cfg, paths, "buyhold", curve, trades, annualization_factor(curve.timestamps))
 
@@ -295,13 +280,16 @@ def _backtest_hierarchy(cfg: RunConfig, paths: _Paths, sessions, test_start: dat
         raise CheckpointError(f"missing checkpoint: allocator (expected {alloc_path})")
     registry = _load_registry(cfg, paths)
     ckpt = load_checkpoint(str(alloc_path))
-    _require_kind(alloc_path, ckpt, "allocator")
-    alloc_config = AllocatorConfig(
-        market_window=_extra(alloc_path, ckpt, "market_window", int),
-        vol_window=_extra(alloc_path, ckpt, "vol_window", int),
-        initial_cash=_extra(alloc_path, ckpt, "initial_cash", float),
-        fee_per_sell_share=cfg.fee_per_sell_share,
-    )
+    _require_origin(alloc_path, ckpt, "allocator", cfg.seed)
+    try:
+        alloc_config = AllocatorConfig(
+            market_window=_extra(alloc_path, ckpt, "market_window", int),
+            vol_window=_extra(alloc_path, ckpt, "vol_window", int),
+            initial_cash=_extra(alloc_path, ckpt, "initial_cash", float),
+            fee_per_sell_share=cfg.fee_per_sell_share,
+        )
+    except AllocatorError as exc:
+        raise CheckpointError(f"{alloc_path}: checkpoint extras out of range: {exc}") from exc
     env = run_hierarchy(sessions, registry, ckpt.params, alloc_config, start_day=test_start)
     curve = EquityCurve.from_pairs(env.equity)
     log_path = paths.reports / "hierarchy_allocations.csv"
@@ -460,11 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hierarchical multi-timeframe trading agents: train, backtest, analyze.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", parents=[common], help="normalize an OHLCV CSV into sessions")
-    p.add_argument("--csv", help="input CSV (defaults to data.csv_path)")
-    p.add_argument("--calendar", help="calendar file (defaults to data.calendar_path)")
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", parents=[common], help="generate synthetic minute bars")
     p.set_defaults(func=cmd_synth)

@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import AlloctraderError
 from .atomic import atomic_write, write_csv, write_json
 from .market_data import Session, TIMEFRAME_ORDER
+from .portfolio import buy_all
 
 logger = logging.getLogger(__name__)
 
@@ -139,7 +140,8 @@ def trailing_volatility_pct(closes: np.ndarray, window: int) -> np.ndarray:
 
 
 def buy_and_hold(sessions: Sequence[Session], initial_cash: float) -> EquityCurve:
-    """All-in integer-share purchase at the first bar close, held throughout.
+    """All-in integer-share purchase at the first bar close, by the
+    `portfolio.buy_all` rule every environment trades with, held throughout.
 
     Residual cash that cannot buy a whole share stays in the portfolio, so
     the curve starts at initial_cash and marks shares at every base close.
@@ -149,8 +151,8 @@ def buy_and_hold(sessions: Sequence[Session], initial_cash: float) -> EquityCurv
     if not initial_cash > 0:
         raise EvaluationError(f"initial_cash must be positive, got {initial_cash}")
     first_close = float(sessions[0].close[0])
-    shares = int(initial_cash // first_close)
-    residual = initial_cash - shares * first_close
+    cost, shares = buy_all(initial_cash, first_close)
+    residual = initial_cash - cost
     closes = np.concatenate([s.close for s in sessions])
     timestamps = tuple(chain.from_iterable(s.timestamps for s in sessions))
     return EquityCurve(timestamps, residual + float(shares) * closes)

@@ -278,16 +278,25 @@ allocator.vol_window = 10
 
 
 def _tiny_config(overrides: dict) -> str:
-    """TINY_CONFIG with the value of each key in `overrides` replaced."""
+    """TINY_CONFIG with the value of each key in `overrides` replaced, and
+    the keys it does not hold appended."""
     lines = []
     for line in TINY_CONFIG.splitlines():
         key = line.partition("=")[0].strip()
         lines.append(f"{key} = {overrides[key]}" if key in overrides else line)
+    lines += [f"{key} = {value}" for key, value in overrides.items()
+              if f"\n{key} =" not in TINY_CONFIG]
     return "\n".join(lines) + "\n"
 
 
+def _csv_source(bars, calendar) -> str:
+    """Config lines that read the market from the `bars` CSV and `calendar`."""
+    return f"data.source = csv\ndata.csv_path = {bars}\ndata.calendar_path = {calendar}\n"
+
+
 _BARS_HEADER = "timestamp,open,high,low,close,volume\n"
-_INGEST = ["ingest", "--csv", "{tmp}/bars.csv", "--calendar", "{tmp}/cal.csv"]
+_CSV_SOURCE = {"data.source": "csv", "data.csv_path": "{tmp}/bars.csv",
+               "data.calendar_path": "{tmp}/cal.csv"}
 
 
 # A header field that a test case deletes rather than sets.
@@ -660,15 +669,13 @@ class TestPipelineGuards:
         files = {
             "bars": b"timestamp,open,high,low,close,volume\n",
             "calendar": b"2024-01-02,09:30,16:00\n",
-            "config": b"",
+            "config": _csv_source(tmp_path / "bars.csv", tmp_path / "calendar.csv").encode(),
         }
         files[bad_file] += content
-        paths = {}
         for name, data in files.items():
-            paths[name] = tmp_path / ("run.cfg" if name == "config" else f"{name}.csv")
-            paths[name].write_bytes(data)
-        argv = ["ingest", "--csv", str(paths["bars"]), "--calendar", str(paths["calendar"]),
-                "--config", str(paths["config"]), "--out", str(tmp_path / "o")]
+            (tmp_path / ("run.cfg" if name == "config" else f"{name}.csv")).write_bytes(data)
+        argv = ["backtest", "buyhold", "--config", str(tmp_path / "run.cfg"),
+                "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -794,6 +801,12 @@ class TestPipelineGuards:
         ("hierarchy", "allocator", "kind", "agent",
          "extra 'kind' is 'agent', expected 'allocator'"),
         ("hierarchy", "allocator", "kind", DROP, "extra has no 'kind'"),
+        ("agent:1m", "agent_1m", "window_size", 0,
+         "extras out of range: window_size must be >= 1, got 0"),
+        ("agent:1h", "agent_1h", "initial_cash", -5.0,
+         "extras out of range: initial_cash must be positive, got -5.0"),
+        ("hierarchy", "allocator", "vol_window", 1,
+         "extras out of range: vol_window must be >= 2, got 1"),
     ], ids=["agent-no-window", "agent-bad-window", "agent-no-cash", "agent-bad-cash",
             "registry-bad-timeframe", "registry-bad-cash", "allocator-no-market-window",
             "allocator-bad-vol-window", "allocator-no-cash", "agent-fractional-window",
@@ -801,7 +814,8 @@ class TestPipelineGuards:
             "allocator-bool-vol-window", "agent-string-cash", "allocator-bool-cash",
             "agent-infinite-cash", "allocator-infinite-cash", "agent-allocator-kind",
             "agent-null-kind", "agent-float-kind", "registry-list-kind", "agent-no-kind",
-            "allocator-agent-kind", "allocator-no-kind"])
+            "allocator-agent-kind", "allocator-no-kind", "agent-zero-window",
+            "agent-negative-cash", "allocator-one-vol-window"])
     def test_bad_checkpoint_extra_is_single_error_line(
         self, pipeline, tmp_path, capsys, strategy, name, key, value, match
     ):
@@ -822,6 +836,22 @@ class TestPipelineGuards:
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert f"{name}_seed0.ckpt: checkpoint {match}" in err
+
+    @pytest.mark.parametrize("strategy, name", [("agent:1m", "agent_1m"),
+                                                ("hierarchy", "allocator")])
+    def test_checkpoint_of_another_seed_is_refused(self, pipeline, tmp_path, capsys, strategy,
+                                                   name):
+        # Another seed's weights under this seed's name would report as this seed's run.
+        cfg_path, out = pipeline
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        _rewrite_header(copy / "checkpoints" / f"{name}_seed0.ckpt",
+                        lambda header: header.update(seed=5))
+        args = ["backtest", strategy, "--config", str(cfg_path), "--out", str(copy)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{name}_seed0.ckpt: checkpoint of seed 5, not the run's seed 0" in err
 
     def test_agent_checkpoint_of_another_timeframe_is_refused(self, pipeline, tmp_path, capsys):
         cfg_path, out = pipeline
@@ -860,7 +890,6 @@ class TestPipelineGuards:
     @pytest.mark.parametrize("config, files, argv, match", [
         ({"range.train_start": "2023-01-02", "range.train_end": "2023-01-31"}, {},
          ["train-agent", "1m", "--force"], "no sessions in train range 2023-01-02..2023-01-31"),
-        ({}, {}, ["ingest"], "ingest needs data.csv_path and data.calendar_path"),
         ({"range.train_start": "2023-12-01", "range.train_end": "2023-12-29",
           "range.test_start": "2024-01-02"}, {}, ["backtest", "agent:1m"],
          "insufficient warmup before test start 2024-01-02: bar 0"),
@@ -873,22 +902,25 @@ class TestPipelineGuards:
         ({"agent.1m.hidden": "a,b"}, {}, ["synth"],
          "config key agent.1m.hidden: expected two positive layer sizes like '64,64', got 'a,b'"),
         ({"synth.days": "0"}, {}, ["synth"], "config key synth.days: must be >= 1, got 0"),
-        ({}, {"cal.csv": "2024-01-02,09:30\n"}, _INGEST, "cal.csv line 1: expected 3 fields"),
-        ({}, {"cal.csv": "2024-13-02,09:30,16:00\n"}, _INGEST,
+        ({"data.source": "csv"}, {}, ["backtest", "buyhold"],
+         "config key data.csv_path: required when data.source = csv"),
+        (_CSV_SOURCE, {"cal.csv": "2024-01-02,09:30\n"}, ["backtest", "buyhold"],
+         "cal.csv line 1: expected 3 fields"),
+        (_CSV_SOURCE, {"cal.csv": "2024-13-02,09:30,16:00\n"}, ["backtest", "buyhold"],
          "cal.csv line 1: month must be in 1..12"),
-        ({}, {"cal.csv": "# no trading\n"}, _INGEST, "cal.csv lists no trading days"),
-        ({}, {"bars.csv": _BARS_HEADER + "2024-01-02T14:30:00+00:00,1,1,1,1\n"}, _INGEST,
-         "bars.csv row 2: expected 6 fields, got 5"),
-    ], ids=["no-train-sessions", "ingest-without-paths", "insufficient-warmup",
-            "missing-allocator", "header-only-log", "metrics-array", "bad-hidden-pair",
-            "zero-synth-days", "calendar-two-fields", "calendar-bad-date", "calendar-no-days",
-            "bars-five-fields"])
+        (_CSV_SOURCE, {"cal.csv": "# no trading\n"}, ["backtest", "buyhold"],
+         "cal.csv lists no trading days"),
+        (_CSV_SOURCE, {"bars.csv": _BARS_HEADER + "2024-01-02T14:30:00+00:00,1,1,1,1\n"},
+         ["backtest", "buyhold"], "bars.csv row 2: expected 6 fields, got 5"),
+    ], ids=["no-train-sessions", "insufficient-warmup", "missing-allocator", "header-only-log",
+            "metrics-array", "bad-hidden-pair", "zero-synth-days", "csv-source-without-paths",
+            "calendar-two-fields", "calendar-bad-date", "calendar-no-days", "bars-five-fields"])
     def test_command_error_is_single_error_line(self, pipeline, tmp_path, capsys, config,
                                                 files, argv, match):
         _, out = pipeline
         shutil.copytree(out, tmp_path / "out")
         inputs = {
-            "run.cfg": _tiny_config(config),
+            "run.cfg": _tiny_config(config).replace("{tmp}", str(tmp_path)),
             "cal.csv": "2024-01-02,14:30,21:00\n",
             "bars.csv": _BARS_HEADER + "2024-01-02T14:30:00+00:00,1,1,1,1,1\n",
         }
@@ -1091,7 +1123,11 @@ class TestInputFuzz:
     def test_fuzzed_calendars_end_in_one_error_line_or_run(self, tmp_path, capsys):
         (tmp_path / "bars.csv").write_text(_FUZZ_BARS)
         calendar = tmp_path / "cal.csv"
-        argv = ["ingest", "--csv", str(tmp_path / "bars.csv"), "--calendar", str(calendar),
+        # Both bar sessions are in the test range, so buyhold runs on them.
+        (tmp_path / "run.cfg").write_text(
+            _csv_source(tmp_path / "bars.csv", calendar) + "range.train_start = 2023-12-01\n"
+            "range.train_end = 2023-12-29\nrange.test_start = 2024-01-02\n")
+        argv = ["backtest", "buyhold", "--config", str(tmp_path / "run.cfg"),
                 "--out", str(tmp_path / "out")]
         rng = np.random.default_rng(6)
         codes = []
@@ -1158,17 +1194,6 @@ class TestDeterminism:
             assert main(args) == 0
             outputs.append((out / "data" / "synthetic_bars.csv").read_bytes())
         assert outputs[0] != outputs[1]
-
-    def test_ingest_round_trip_of_synth_output(self, pipeline, tmp_path, capsys):
-        _, out = pipeline
-        bars = out / "data" / "synthetic_bars.csv"
-        calendar = out / "data" / "synthetic_calendar.csv"
-        dest = tmp_path / "ingested"
-        args = ["ingest", "--csv", str(bars), "--calendar", str(calendar),
-                "--out", str(dest)]
-        assert main(args) == 0
-        assert "dropped 0 out-of-session rows" in capsys.readouterr().out
-        assert (dest / "data" / "sessions.csv").read_bytes() == bars.read_bytes()
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
